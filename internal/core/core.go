@@ -27,7 +27,6 @@ import (
 	"myriad/internal/planner"
 	"myriad/internal/schema"
 	"myriad/internal/sqlparser"
-	"myriad/internal/storage"
 	"myriad/internal/wal"
 )
 
@@ -59,8 +58,7 @@ type Federation struct {
 	// coordinator restart re-arms it (0 = detector off).
 	detectInterval time.Duration
 
-	statsMu sync.Mutex
-	stats   map[string]*storage.TableStats // "site/export" -> stats
+	stats statsCache
 
 	// Strategy is the default optimizer for Query; QueryWith overrides.
 	Strategy Strategy
@@ -109,13 +107,13 @@ func New(name string) *Federation {
 		name:     name,
 		cat:      catalog.New(name),
 		conns:    make(map[string]gateway.Conn),
-		stats:    make(map[string]*storage.TableStats),
+		stats:    statsCache{slots: make(map[statsKey]*statsSlot)},
 		Strategy: StrategyCostBased,
 	}
 	f.coord = gtm.New(connProvider{f})
 	// Cached stats are correctness-bearing (they drive source pruning),
-	// so writes the federation coordinates must drop the cache.
-	f.coord.OnCommit = f.InvalidateStats
+	// so writes the federation coordinates must drop what they touched.
+	f.coord.OnFinish = f.invalidateWrites
 	return f
 }
 
@@ -211,7 +209,7 @@ func (f *Federation) RestartCoordinator(opts wal.Options) error {
 		return fmt.Errorf("core: restarting coordinator: %w", err)
 	}
 	c.OpTimeout = old.OpTimeout
-	c.OnCommit = f.InvalidateStats
+	c.OnFinish = f.invalidateWrites
 	f.coordMu.Lock()
 	f.coord = c
 	interval := f.detectInterval
@@ -282,40 +280,6 @@ func (f *Federation) Sites() []string {
 // DefineIntegrated validates and installs an integrated relation.
 func (f *Federation) DefineIntegrated(def *catalog.IntegratedDef) error {
 	return f.cat.Define(def)
-}
-
-// ---------------------------------------------------------------------
-// Statistics (for the cost-based strategy)
-
-// Stats implements planner.StatsProvider with a demand-filled cache.
-func (f *Federation) Stats(ctx context.Context, site, export string) (*storage.TableStats, bool) {
-	key := strings.ToLower(site) + "/" + strings.ToLower(export)
-	f.statsMu.Lock()
-	if ts, ok := f.stats[key]; ok {
-		f.statsMu.Unlock()
-		return ts, true
-	}
-	f.statsMu.Unlock()
-
-	conn, ok := f.Conn(site)
-	if !ok {
-		return nil, false
-	}
-	ts, err := conn.Stats(ctx, export)
-	if err != nil || ts == nil {
-		return nil, false
-	}
-	f.statsMu.Lock()
-	f.stats[key] = ts
-	f.statsMu.Unlock()
-	return ts, true
-}
-
-// InvalidateStats empties the statistics cache (e.g. after bulk loads).
-func (f *Federation) InvalidateStats() {
-	f.statsMu.Lock()
-	f.stats = make(map[string]*storage.TableStats)
-	f.statsMu.Unlock()
 }
 
 // ---------------------------------------------------------------------

@@ -28,6 +28,7 @@ import (
 
 	"myriad/internal/gateway"
 	"myriad/internal/schema"
+	"myriad/internal/sqlparser"
 	"myriad/internal/wal"
 )
 
@@ -128,14 +129,21 @@ type Coordinator struct {
 	// participant here).
 	TestHookBetweenPhases func()
 
-	// OnCommit, when set, runs after a global transaction commits (both
-	// one-phase and two-phase, including in-doubt transactions resolved
-	// to commit). The federation hooks it to invalidate its statistics
-	// cache: cached per-site stats steer bind-join choice and source
-	// pruning, so they must not survive writes the federation itself
-	// coordinated. Set it before the coordinator begins transactions;
-	// the callback must be safe to call from multiple goroutines.
-	OnCommit func()
+	// OnFinish, when set, receives the write set of every global
+	// transaction that issued ExecSite, once its writes have settled at
+	// the sites: after a commit (one-phase, two-phase, a commit that went
+	// in-doubt, and again when resolution finishes it) and after an abort
+	// (explicit, timeout, wound, prepare failure) — a site could have
+	// served the uncommitted values while they were in place. An entry
+	// replayed from the coordinator log has no live Txn and so no write
+	// set; when Recover finishes it, OnFinish receives a wildcard Write
+	// for every participant site. The federation hooks it to invalidate
+	// exactly those entries of its statistics cache: cached per-site
+	// stats drive source pruning, so they must not survive writes the
+	// federation itself coordinated. Set it before the coordinator
+	// begins transactions; the callback must be safe to call from
+	// multiple goroutines.
+	OnFinish func(writes []Write)
 
 	nextID atomic.Uint64
 	Stats  Stats
@@ -234,6 +242,14 @@ func (s txnState) String() string {
 	}
 }
 
+// Write names one export relation a global transaction wrote at one
+// site, in export-schema names as the ExecSite statement spelled them.
+// An empty Export stands for every export at Site: the coordinator
+// could not tell which relation the statement touched.
+type Write struct {
+	Site, Export string
+}
+
 // Txn is one global transaction.
 type Txn struct {
 	c  *Coordinator
@@ -242,6 +258,9 @@ type Txn struct {
 	mu       sync.Mutex
 	state    txnState
 	branches map[string]branch // by site
+	// writes is the write set; it only grows while stActive, so once
+	// Commit or an abort has claimed the transaction it is final.
+	writes []Write
 	// timedOut records that the abort was triggered by a local timeout.
 	timedOut bool
 	// wounded records that the abort was a deadlock-victim preemption.
@@ -416,8 +435,11 @@ func (t *Txn) QuerySite(ctx context.Context, site, sql string) (*schema.ResultSe
 	return rs, nil
 }
 
-// ExecSite runs canonical DML at one site inside the transaction.
+// ExecSite runs canonical DML at one site inside the transaction. The
+// statement's target joins the write set before it is shipped, so even
+// an Exec that fails part-way is covered when the transaction finishes.
 func (t *Txn) ExecSite(ctx context.Context, site, sql string) (int, error) {
+	t.noteWrite(Write{Site: site, Export: writeTarget(sql)})
 	br, err := t.branchFor(ctx, site)
 	if err != nil {
 		return 0, err
@@ -429,6 +451,55 @@ func (t *Txn) ExecSite(ctx context.Context, site, sql string) (int, error) {
 		return 0, t.handleErr(err)
 	}
 	return n, nil
+}
+
+// writeTarget names the export relation a DML statement writes, or ""
+// (every export at the site) when sql is not a parseable INSERT, UPDATE
+// or DELETE.
+func writeTarget(sql string) string {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return ""
+	}
+	switch s := stmt.(type) {
+	case *sqlparser.Insert:
+		return s.Table
+	case *sqlparser.Update:
+		return s.Table
+	case *sqlparser.Delete:
+		return s.Table
+	}
+	return ""
+}
+
+// noteWrite adds w to the write set of a still-active transaction; an
+// operation on a claimed transaction fails before it reaches a site.
+func (t *Txn) noteWrite(w Write) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != stActive {
+		return
+	}
+	for _, have := range t.writes {
+		if have == w {
+			return
+		}
+	}
+	t.writes = append(t.writes, w)
+}
+
+// writeSet returns the transaction's write set (final once claimed).
+func (t *Txn) writeSet() []Write {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.writes
+}
+
+// notifyFinish reports a settled write set to the OnFinish hook.
+func (c *Coordinator) notifyFinish(writes []Write) {
+	if hook := c.OnFinish; hook != nil && len(writes) > 0 {
+		hook(writes)
+	}
 }
 
 // Commit runs two-phase commit across every touched site: the global
@@ -550,6 +621,8 @@ func (t *Txn) Commit(ctx context.Context) error {
 		t.mu.Unlock()
 		t.c.retire(t)
 		t.c.Stats.InDoubt.Add(1)
+		// Some participants may already have applied the decided commit.
+		t.c.notifyFinish(t.writeSet())
 		return fmt.Errorf("%w: %v", ErrInDoubt, commitErr)
 	}
 	t.c.logEnd(t.id)
@@ -558,15 +631,8 @@ func (t *Txn) Commit(ctx context.Context) error {
 	t.mu.Unlock()
 	t.c.retire(t)
 	t.c.Stats.Committed.Add(1)
-	t.c.notifyCommit()
+	t.c.notifyFinish(t.writeSet())
 	return nil
-}
-
-// notifyCommit fires the OnCommit hook, if any.
-func (c *Coordinator) notifyCommit() {
-	if hook := c.OnCommit; hook != nil {
-		hook()
-	}
 }
 
 // commitOnePhase commits a transaction that touched at most one site:
@@ -590,7 +656,7 @@ func (t *Txn) commitOnePhase(ctx context.Context, branches map[string]branch) er
 	t.mu.Unlock()
 	t.c.retire(t)
 	t.c.Stats.Committed.Add(1)
-	t.c.notifyCommit()
+	t.c.notifyFinish(t.writeSet())
 	return nil
 }
 
@@ -662,6 +728,7 @@ func (t *Txn) finishAbortClaimed(branches map[string]branch, timeout, wounded bo
 	if wounded {
 		t.c.Stats.Wounded.Add(1)
 	}
+	t.c.notifyFinish(t.writeSet())
 	// The global transaction is finished only if every participant heard
 	// the abort; otherwise the pending entry stays for Recover to
 	// re-drive (an unresolved participant holds locks until then, or
@@ -688,7 +755,6 @@ func (t *Txn) resolveInDoubt(commit bool) {
 	t.c.Stats.InDoubt.Add(-1)
 	if commit {
 		t.c.Stats.Committed.Add(1)
-		t.c.notifyCommit()
 	} else {
 		t.c.Stats.Aborted.Add(1)
 	}

@@ -389,11 +389,17 @@ func (c *Coordinator) resolve(ctx context.Context, p *pendingGlobal) error {
 	}
 	c.logEnd(p.gid)
 	if p.txn != nil {
-		p.txn.resolveInDoubt(p.decided) // fires OnCommit for commits
-	} else if p.decided {
-		// Replayed from the log after a restart: no Txn to move, but the
-		// re-driven commit changed site state all the same.
-		c.notifyCommit()
+		p.txn.resolveInDoubt(p.decided)
+		c.notifyFinish(p.txn.writeSet())
+		return nil
 	}
+	// Replayed from the log after a restart: no Txn, so no write set.
+	// The re-driven outcome changed (or restored) site state all the
+	// same, so every export at every participant counts as written.
+	writes := make([]Write, len(p.sites))
+	for i, s := range p.sites {
+		writes[i] = Write{Site: s}
+	}
+	c.notifyFinish(writes)
 	return nil
 }

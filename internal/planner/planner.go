@@ -576,10 +576,13 @@ func (p *Planner) pushSelections(sel *sqlparser.Select, sets map[string]*ScanSet
 // Def.Sources — marked with the reason; the executor substitutes an
 // empty fragment instead of contacting the site.
 //
-// Pruning makes cached statistics correctness-bearing, so the stats
-// cache must be invalidated on writes; core wires gtm commits to
-// Federation.InvalidateStats, and out-of-band loads must call it
-// explicitly (see internal/planner/README.md).
+// Pruning makes cached statistics correctness-bearing: the stats must
+// cover every row a reader may see, or a pruned fragment silently
+// drops rows. core wires each finished global transaction's write set
+// to invalidate exactly the exports it wrote (a whole site when the
+// target is unknown or the transaction was replayed from the log);
+// writes the coordinator never saw must call
+// Federation.InvalidateStats (see internal/planner/README.md).
 func (p *Planner) pruneSources(ctx context.Context, sets map[string]*ScanSet) {
 	for _, ss := range sets {
 		changed := false
