@@ -1,7 +1,8 @@
-// Benchmark harness regenerating every experiment in EXPERIMENTS.md.
-// The paper (a one-page prototype description) publishes no numeric
-// tables; each benchmark operationalizes one capability claim from its
-// §2. Run with:
+// Micro-benchmarks, one per capability claim of the paper's §2 (the
+// paper, a one-page prototype description, publishes no numeric
+// tables). The end-to-end benchmark the repo's performance claims rest
+// on is bench/ (bash bench/run.sh; protocol and results in PERF.md).
+// Run these with:
 //
 //	go test -bench=. -benchmem
 package myriad_test

@@ -43,11 +43,6 @@ type Frame struct {
 	Count   int          // trailer: rows sent in the whole stream
 }
 
-// ErrNotStreamable is returned by a StreamHandler that cannot stream
-// the given request; the server falls back to running Handle and
-// framing its materialized Response.
-var ErrNotStreamable = errors.New("comm: request is not streamable")
-
 // KindError tags an error with the wire ErrKind a streaming trailer
 // should carry (handlers use it to report timeouts across the wire).
 type KindError struct {
@@ -90,8 +85,10 @@ type RowSink interface {
 
 // StreamHandler is implemented by handlers that can produce a query
 // result incrementally. The server writes the trailer itself from the
-// returned error (wrap with KindError to control the wire error kind);
-// returning ErrNotStreamable falls back to Handle + framed Response.
+// returned error (wrap with KindError to control the wire error kind).
+// A Stream=true request is only ever answered by HandleStream: against
+// a plain Handler, or for an op HandleStream refuses, the client gets
+// an error trailer and the connection stays reusable.
 type StreamHandler interface {
 	Handler
 	HandleStream(ctx context.Context, req *Request, sink RowSink) error
@@ -222,46 +219,12 @@ func (s *Server) serveStream(ctx context.Context, req *Request, conn net.Conn, e
 	if sh, ok := s.handler.(StreamHandler); ok {
 		herr = sh.HandleStream(ctx, req, w)
 	} else {
-		herr = ErrNotStreamable
-	}
-	if errors.Is(herr, ErrNotStreamable) {
-		// Materialized fallback: frame the Handle response so plain
-		// handlers remain reachable from streaming clients.
-		resp := s.handler.Handle(ctx, req)
-		if resp == nil {
-			resp = &Response{}
-		}
-		herr = w.frameResponse(resp)
+		herr = fmt.Errorf("comm: op %q does not stream", req.Op)
 	}
 	if w.writeErr != nil {
 		return false // client is gone; tear the conn down
 	}
 	return w.finish(herr) == nil
-}
-
-// frameResponse replays a materialized Response as header+batches; its
-// error (if any) becomes the trailer via the returned KindError.
-func (w *frameWriter) frameResponse(resp *Response) error {
-	if resp.Err != "" {
-		kind := resp.Kind
-		if kind == ErrNone {
-			kind = ErrGeneric
-		}
-		return &KindError{Kind: kind, Err: errors.New(resp.Err)}
-	}
-	rows := resp.Rows
-	if rows == nil {
-		rows = &schema.ResultSet{}
-	}
-	if err := w.Header(rows.Columns); err != nil {
-		return nil // transport error; writeErr is set
-	}
-	for _, r := range rows.Rows {
-		if err := w.Row(r); err != nil {
-			return nil
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------

@@ -17,8 +17,8 @@ import (
 // streamHandler serves OpQuery as a row stream. SQL encodes the script:
 // "rows:N" emits N rows, "rows:N:err" fails after N rows, "rows:N:slow"
 // sleeps between rows until the context dies, "rows:N:timeout" fails
-// after N rows with a timeout-kind error. Other ops fall back to the
-// echo handler.
+// after N rows with a timeout-kind error. Any other streamed request is
+// refused; plain requests go to the echo handler.
 type streamHandler struct {
 	echoHandler
 	started  atomic.Int64
@@ -27,7 +27,7 @@ type streamHandler struct {
 
 func (h *streamHandler) HandleStream(ctx context.Context, req *Request, sink RowSink) error {
 	if req.Op != OpQuery || !strings.HasPrefix(req.SQL, "rows:") {
-		return ErrNotStreamable
+		return fmt.Errorf("streamHandler: refusing %q", req.SQL)
 	}
 	h.started.Add(1)
 	defer h.finished.Add(1)
@@ -262,37 +262,38 @@ func TestStreamContextCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamFallbackForPlainHandler checks the synthesized frame path:
-// a streaming request against a handler without HandleStream (or an op
-// it refuses) must still come back as a valid frame sequence.
-func TestStreamFallbackForPlainHandler(t *testing.T) {
-	addr, _ := startServer(t) // echoHandler only: no StreamHandler
-	c := Dial(addr, 1)
-	defer c.Close()
-	ctx := context.Background()
-
-	st, err := c.DoStream(ctx, &Request{Op: OpQuery, SQL: "framed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := drainStream(t, st)
-	if len(rows) != 1 || rows[0][0].Text() != "framed" {
-		t.Fatalf("fallback frames wrong: %v", rows)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Error responses must also survive the fallback framing.
-	st, err = c.DoStream(ctx, &Request{Op: "nope"})
-	if err == nil {
-		st.Close()
-		t.Fatal("want framed error for bad op")
-	}
-	if !strings.Contains(err.Error(), "bad op") {
-		t.Fatalf("wrong framed error: %v", err)
-	}
-	if _, err := c.Do(ctx, &Request{Op: OpPing}); err != nil {
-		t.Fatalf("conn not reusable after framed error: %v", err)
+// TestStreamRefusedOpErrorsCleanly: a streamed request the handler does
+// not stream — no HandleStream at all, or an op HandleStream refuses —
+// comes back as an error out of DoStream, and the same pooled
+// connection then serves a plain request.
+func TestStreamRefusedOpErrorsCleanly(t *testing.T) {
+	plainAddr, _ := startServer(t) // echoHandler only: no StreamHandler
+	streamAddr, _ := startStreamServer(t)
+	for _, tc := range []struct {
+		name, addr, sql, want string
+	}{
+		{"plain handler", plainAddr, "framed", "does not stream"},
+		{"refused op", streamAddr, "framed", "refusing"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Dial(tc.addr, 1)
+			defer c.Close()
+			ctx := context.Background()
+			st, err := c.DoStream(ctx, &Request{Op: OpQuery, SQL: tc.sql})
+			if err == nil {
+				st.Close()
+				t.Fatal("unstreamed request answered with a stream")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("wrong error: %v", err)
+			}
+			if _, err := c.Do(ctx, &Request{Op: OpPing}); err != nil {
+				t.Fatalf("conn not reusable after refused stream: %v", err)
+			}
+			if n := len(c.all); n != 1 {
+				t.Fatalf("client dialed %d connections; the refused stream broke its conn", n)
+			}
+		})
 	}
 }
 

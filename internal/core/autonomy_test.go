@@ -165,6 +165,16 @@ func TestSiteAutonomy(t *testing.T) {
 	}
 }
 
+// queryTx runs a global SELECT inside txn and materializes it.
+func queryTx(ctx context.Context, fed *Federation, txn *gtm.Txn, sql string) (*schema.ResultSet, error) {
+	rows, _, err := fed.QueryTx(ctx, txn, sql, fed.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	return schema.DrainStream(ctx, rows)
+}
+
 // TestTransactionalReadIsolation verifies that a global-transaction
 // query acquires read locks at the sites, so concurrent writers cannot
 // slip between two reads of the same integrated relation (serializable,
@@ -174,7 +184,7 @@ func TestTransactionalReadIsolation(t *testing.T) {
 	ctx := context.Background()
 
 	txn := fed.Begin()
-	rs1, err := fed.QueryTx(ctx, txn, `SELECT COUNT(*) FROM ALL_STUDENTS`)
+	rs1, err := queryTx(ctx, fed, txn, `SELECT COUNT(*) FROM ALL_STUDENTS`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +204,7 @@ func TestTransactionalReadIsolation(t *testing.T) {
 	}
 
 	// ...so a second read inside the transaction sees the same count.
-	rs2, err := fed.QueryTx(ctx, txn, `SELECT COUNT(*) FROM ALL_STUDENTS`)
+	rs2, err := queryTx(ctx, fed, txn, `SELECT COUNT(*) FROM ALL_STUDENTS`)
 	if err != nil {
 		t.Fatal(err)
 	}

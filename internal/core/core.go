@@ -60,11 +60,9 @@ type Federation struct {
 
 	stats statsCache
 
-	// Strategy is the default optimizer for Query; QueryWith overrides.
+	// Strategy is the default optimizer for Query; the other query
+	// methods take the strategy explicitly.
 	Strategy Strategy
-	// QueryTimeout bounds each remote subquery of autocommit global
-	// queries; zero disables. Global transactions use LocalQueryTimeout.
-	QueryTimeout time.Duration
 	// FanIn selects how multi-source scan sets combine (FanInAuto keeps
 	// deterministic source order except where an ordered merge can
 	// satisfy an ORDER BY; FanInInterleave trades determinism for
@@ -285,43 +283,16 @@ func (f *Federation) DefineIntegrated(def *catalog.IntegratedDef) error {
 // ---------------------------------------------------------------------
 // Global queries
 
-// autocommitRunner ships subqueries outside any global transaction.
-type autocommitRunner struct {
-	f       *Federation
-	timeout time.Duration
-}
+// autocommitRunner ships subqueries outside any global transaction as
+// pipelined row-batch streams.
+type autocommitRunner struct{ f *Federation }
 
-func (r autocommitRunner) QuerySite(ctx context.Context, site, sql string) (*schema.ResultSet, error) {
+func (r autocommitRunner) QuerySite(ctx context.Context, site, sql string) (schema.RowStream, error) {
 	conn, ok := r.f.Conn(site)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown site %q", site)
 	}
-	if r.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.timeout)
-		defer cancel()
-	}
-	return conn.Query(ctx, 0, sql)
-}
-
-// QuerySiteStream implements executor.StreamRunner: subqueries ship as
-// pipelined row-batch streams. The per-subquery timeout stays armed for
-// the stream's whole life and disarms on Close.
-func (r autocommitRunner) QuerySiteStream(ctx context.Context, site, sql string) (schema.RowStream, error) {
-	conn, ok := r.f.Conn(site)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown site %q", site)
-	}
-	cancel := context.CancelFunc(func() {})
-	if r.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, r.timeout)
-	}
-	st, err := conn.QueryStream(ctx, 0, sql)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	return schema.StreamWithCleanup(st, cancel), nil
+	return conn.QueryStream(ctx, 0, sql)
 }
 
 func (f *Federation) plan(ctx context.Context, sql string, strategy Strategy) (*planner.Plan, error) {
@@ -337,67 +308,58 @@ func (f *Federation) plan(ctx context.Context, sql string, strategy Strategy) (*
 	return pl.Plan(ctx, sel, strategy)
 }
 
-// Query runs a global SELECT with the federation's default strategy.
-func (f *Federation) Query(ctx context.Context, sql string) (*schema.ResultSet, error) {
-	return f.QueryWith(ctx, sql, f.Strategy)
-}
-
-// QueryWith runs a global SELECT with an explicit strategy.
-func (f *Federation) QueryWith(ctx context.Context, sql string, strategy Strategy) (*schema.ResultSet, error) {
-	rs, _, err := f.QueryMetered(ctx, sql, strategy)
-	return rs, err
-}
-
-// execOpts packages the federation's executor tuning knobs.
-func (f *Federation) execOpts() executor.Options {
-	return executor.Options{
+// execute plans sql and runs it through the executor's one entry point,
+// shipping subqueries through runner.
+func (f *Federation) execute(ctx context.Context, sql string, strategy Strategy, runner executor.SiteRunner) (schema.RowStream, *executor.Metrics, error) {
+	plan, err := f.plan(ctx, sql, strategy)
+	if err != nil {
+		return nil, nil, err
+	}
+	return executor.Execute(ctx, plan, runner, executor.Options{
 		FanIn:      f.FanIn,
 		RowBudget:  f.StreamRowBudget,
 		ByteBudget: f.StreamByteBudget,
 		MemBudget:  f.MemBudget,
 		SpillDir:   f.SpillDir,
-	}
+	})
 }
 
-// QueryMetered additionally returns execution metrics (remote queries
-// issued, rows shipped, semijoin use) for the benchmark harness.
+// Query runs a global SELECT with the federation's default strategy.
+func (f *Federation) Query(ctx context.Context, sql string) (*schema.ResultSet, error) {
+	rs, _, err := f.QueryMetered(ctx, sql, f.Strategy)
+	return rs, err
+}
+
+// QueryMetered runs a global SELECT and materializes its result, also
+// returning execution metrics (remote queries issued, rows shipped,
+// semijoin use). The result stream is closed before it returns, so the
+// metrics are settled.
 func (f *Federation) QueryMetered(ctx context.Context, sql string, strategy Strategy) (*schema.ResultSet, *executor.Metrics, error) {
-	plan, err := f.plan(ctx, sql, strategy)
+	rows, m, err := f.QueryStreamMetered(ctx, sql, strategy)
 	if err != nil {
-		return nil, nil, err
+		return nil, m, err
 	}
-	return executor.ExecuteMeteredOpts(ctx, plan, autocommitRunner{f: f, timeout: f.QueryTimeout}, f.execOpts())
+	defer rows.Close()
+	rs, err := schema.DrainStream(ctx, rows)
+	return rs, m, err
 }
 
-// QueryStream runs a global SELECT and returns the result as a row
-// stream: remote fragments pipeline through integration into the
+// QueryStreamMetered runs a global SELECT and returns the result as a
+// row stream: remote fragments pipeline through integration into the
 // residual evaluation, whose rows the stream yields incrementally. The
-// caller must Close it (early Close tears down the execution).
-func (f *Federation) QueryStream(ctx context.Context, sql string, strategy Strategy) (schema.RowStream, error) {
-	rows, _, err := f.QueryStreamMetered(ctx, sql, strategy)
-	return rows, err
-}
-
-// QueryStreamMetered is QueryStream with execution metrics. On the
+// caller must Close it (early Close tears down the execution). On the
 // scratch-bypass path the remote scans stay live while the client
 // consumes, so per-source counters (RowsShipped, Sources) settle once
 // the stream has been closed.
 func (f *Federation) QueryStreamMetered(ctx context.Context, sql string, strategy Strategy) (schema.RowStream, *executor.Metrics, error) {
-	plan, err := f.plan(ctx, sql, strategy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return executor.ExecuteStreamOpts(ctx, plan, autocommitRunner{f: f, timeout: f.QueryTimeout}, f.execOpts())
+	return f.execute(ctx, sql, strategy, autocommitRunner{f})
 }
 
-// QueryTx runs a global SELECT inside a global transaction, giving the
+// QueryTx is QueryStreamMetered inside a global transaction: every
+// subquery runs in the transaction's branch at its site, giving the
 // query serializable semantics via the sites' strict 2PL.
-func (f *Federation) QueryTx(ctx context.Context, txn *gtm.Txn, sql string) (*schema.ResultSet, error) {
-	plan, err := f.plan(ctx, sql, f.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	return executor.Execute(ctx, plan, txn)
+func (f *Federation) QueryTx(ctx context.Context, txn *gtm.Txn, sql string, strategy Strategy) (schema.RowStream, *executor.Metrics, error) {
+	return f.execute(ctx, sql, strategy, txn)
 }
 
 // Explain plans the query and renders the plan, then asks each site's

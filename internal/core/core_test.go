@@ -162,7 +162,7 @@ func TestGlobalQueryBothStrategies(t *testing.T) {
 	}
 	for _, strat := range []Strategy{StrategySimple, StrategyCostBased} {
 		for _, q := range queries {
-			rs, err := fed.QueryWith(ctx, q.sql, strat)
+			rs, _, err := fed.QueryMetered(ctx, q.sql, strat)
 			if err != nil {
 				t.Fatalf("[%v] %s: %v", strat, q.sql, err)
 			}
@@ -260,7 +260,7 @@ func TestMergeOuterIntegration(t *testing.T) {
 	}
 
 	// Key predicates push through MergeOuter under the cost-based plan.
-	rs, err = fed.QueryWith(ctx, `SELECT email FROM DIRECTORY WHERE pid = 2`, StrategyCostBased)
+	rs, _, err = fed.QueryMetered(ctx, `SELECT email FROM DIRECTORY WHERE pid = 2`, StrategyCostBased)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestStrategiesAgreeOnRandomQueries(t *testing.T) {
 		t.Helper()
 		var outs [2][]string
 		for i, strat := range []core.Strategy{core.StrategySimple, core.StrategyCostBased} {
-			rs, err := fed.QueryWith(ctx, sql, strat)
+			rs, _, err := fed.QueryMetered(ctx, sql, strat)
 			if err != nil {
 				t.Fatalf("[%v] %s: %v", strat, sql, err)
 			}

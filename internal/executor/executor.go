@@ -25,8 +25,9 @@
 // Options.SpillDir past it; Metrics reports SpilledBytes/SpillRuns
 // once the result stream closes.
 //
-// The pre-streaming executor survives as ExecuteMaterialized; the
-// equivalence suite holds the two paths row-for-row identical.
+// Execute is the one entry point. ExecuteMaterialized — every fragment
+// drained whole before integration, then a scratch load — is kept only
+// as the reference the equivalence corpora compare Execute against.
 package executor
 
 import (
@@ -48,19 +49,12 @@ import (
 	"myriad/internal/value"
 )
 
-// SiteRunner executes one canonical subquery at a component site. The
-// autocommit runner and the global-transaction runner (gtm) both
-// implement it.
+// SiteRunner ships one canonical subquery to a component site and
+// returns its result as a row stream the caller must Close. The
+// autocommit runner (core) and the global-transaction runner (gtm.Txn)
+// both implement it.
 type SiteRunner interface {
-	QuerySite(ctx context.Context, site, sql string) (*schema.ResultSet, error)
-}
-
-// StreamRunner is a SiteRunner whose sites can stream results. Runners
-// that only materialize (the global-transaction path) still work: their
-// fragments are wrapped as streams.
-type StreamRunner interface {
-	SiteRunner
-	QuerySiteStream(ctx context.Context, site, sql string) (schema.RowStream, error)
+	QuerySite(ctx context.Context, site, sql string) (schema.RowStream, error)
 }
 
 // loadBatchRows is the scratch-load granularity: integrated rows are
@@ -205,51 +199,14 @@ type Metrics struct {
 	Sources []SourceMetrics
 }
 
-// Execute runs the plan and returns the final result.
-func Execute(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, error) {
-	rs, _, err := ExecuteMetered(ctx, plan, runner)
-	return rs, err
-}
-
-// ExecuteMetered runs the plan via the streaming path and materializes
-// the final result, also reporting execution metrics.
-func ExecuteMetered(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, *Metrics, error) {
-	return ExecuteMeteredOpts(ctx, plan, runner, Options{})
-}
-
-// ExecuteMeteredOpts is ExecuteMetered with explicit Options.
-func ExecuteMeteredOpts(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options) (*schema.ResultSet, *Metrics, error) {
-	stream, m, err := ExecuteStreamOpts(ctx, plan, runner, opts)
-	if err != nil {
-		return nil, m, err
-	}
-	defer stream.Close()
-	rs, err := schema.DrainStream(ctx, stream)
-	if err != nil {
-		return nil, m, err
-	}
-	return rs, m, nil
-}
-
-// ExecuteStream runs the plan and returns the result as a row stream.
-func ExecuteStream(ctx context.Context, plan *planner.Plan, runner SiteRunner) (schema.RowStream, error) {
-	stream, _, err := ExecuteStreamMetered(ctx, plan, runner)
-	return stream, err
-}
-
-// ExecuteStreamMetered runs the plan with default Options.
-func ExecuteStreamMetered(ctx context.Context, plan *planner.Plan, runner SiteRunner) (schema.RowStream, *Metrics, error) {
-	return ExecuteStreamOpts(ctx, plan, runner, Options{})
-}
-
-// ExecuteStreamOpts runs the plan's remote scans as pipelined streams
-// and returns the residual result as a stream the caller must Close.
+// Execute runs the plan's remote scans as pipelined streams and
+// returns the residual result as a stream the caller must Close.
 // On the scratch path the metrics are complete when it returns: every
 // fragment has been consumed (or its stream torn down) by then, only
 // the residual evaluation is lazy. On the bypass path the remote scans
 // are themselves lazy, so RowsShipped and Sources settle when the
 // returned stream is closed.
-func ExecuteStreamOpts(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options) (schema.RowStream, *Metrics, error) {
+func Execute(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options) (schema.RowStream, *Metrics, error) {
 	m := &Metrics{PrunedSources: countPrunedSources(plan)}
 	var mu sync.Mutex
 	budget := queryBudget(opts)
@@ -404,18 +361,7 @@ func openScanSet(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, in
 		wg.Add(1)
 		go func(i int, scan *planner.RemoteScan) {
 			defer wg.Done()
-			sel := scan.Select
-			if len(inList) > 0 && scan.SemiProbe != nil {
-				probe := &sqlparser.InExpr{E: scan.SemiProbe, List: inList}
-				reduced := *sel
-				if reduced.Where == nil {
-					reduced.Where = probe
-				} else {
-					reduced.Where = &sqlparser.BinaryExpr{Op: "AND", L: reduced.Where, R: probe}
-				}
-				sel = &reduced
-			}
-			st, err := openScan(ctx, runner, scan.Site, sqlparser.FormatStatement(sel, nil))
+			st, err := runner.QuerySite(ctx, scan.Site, scanSQL(scan, inList))
 			if err != nil {
 				errs[i] = fmt.Errorf("executor: scan at %s: %w", scan.Site, err)
 				return
@@ -515,17 +461,21 @@ func loadScanSet(ctx context.Context, scratch *localdb.DB, ss *planner.ScanSet, 
 	return flush()
 }
 
-// openScan streams when the runner can, else wraps the materialized
-// fragment (the global-transaction runner, fakes in tests).
-func openScan(ctx context.Context, runner SiteRunner, site, sql string) (schema.RowStream, error) {
-	if sr, ok := runner.(StreamRunner); ok {
-		return sr.QuerySiteStream(ctx, site, sql)
+// scanSQL renders a source scan's subquery, ANDing the bind-join
+// IN-list onto its WHERE when the scan is a probe.
+func scanSQL(scan *planner.RemoteScan, inList []sqlparser.Expr) string {
+	sel := scan.Select
+	if len(inList) > 0 && scan.SemiProbe != nil {
+		probe := &sqlparser.InExpr{E: scan.SemiProbe, List: inList}
+		reduced := *sel
+		if reduced.Where == nil {
+			reduced.Where = probe
+		} else {
+			reduced.Where = &sqlparser.BinaryExpr{Op: "AND", L: reduced.Where, R: probe}
+		}
+		sel = &reduced
 	}
-	rs, err := runner.QuerySite(ctx, site, sql)
-	if err != nil {
-		return nil, err
-	}
-	return schema.StreamOf(rs), nil
+	return sqlparser.FormatStatement(sel, nil)
 }
 
 // countedStream meters rows shipped from one site. The counts flush
@@ -948,29 +898,29 @@ func countPrunedSources(plan *planner.Plan) int {
 	return n
 }
 
-// runSemijoin executes the reduction of probe scan set ss by its
+// bindMaxKeys is the plan's bind-join key cap, defaulted.
+func bindMaxKeys(plan *planner.Plan) int {
+	if plan.BindMaxKeys > 0 {
+		return plan.BindMaxKeys
+	}
+	return defaultBindMaxKeys
+}
+
+// runSemijoin executes the bind join of probe scan set ss against its
 // already-loaded build side: collect the build side's distinct keys,
-// then load ss reduced by IN-list — for a bind join (SemiBind) in
-// MaxInList-sized batches shipped sequentially. The batches partition
-// the distinct keys, so each probe row matches exactly one batch and
-// per-batch combining stays exact for every combine kind. handled=false
-// (with SemijoinSkip set) means key collection overflowed the key cap
-// or the memory budget: the caller must load the fragments unreduced.
-// The fallback is decided before any probe scan opens, so no partial
-// temp-table state needs undoing.
+// then load ss reduced by IN-list in MaxInList-sized batches shipped
+// sequentially. The batches partition the distinct keys, so each probe
+// row matches exactly one batch and per-batch combining stays exact for
+// every combine kind. handled=false (with SemijoinSkip set) means key
+// collection overflowed the key cap or the memory budget: the caller
+// must load the fragments unreduced. The fallback is decided before any
+// probe scan opens, so no partial temp-table state needs undoing.
 func runSemijoin(ctx context.Context, scratch *localdb.DB, ss, build *planner.ScanSet, plan *planner.Plan, runner SiteRunner, bound int64, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) (bool, error) {
 	maxIn := plan.MaxInList
 	if maxIn <= 0 {
 		maxIn = 1000
 	}
-	keyCap := maxIn // legacy single-shot semijoin: one IN-list or nothing
-	if ss.SemiBind {
-		keyCap = plan.BindMaxKeys
-		if keyCap <= 0 {
-			keyCap = defaultBindMaxKeys
-		}
-	}
-	vals, reserved, over, err := semiValues(ctx, scratch, build.TempTable, ss.SemiBuildCol, keyCap, budget)
+	vals, reserved, over, err := semiValues(ctx, scratch, build.TempTable, ss.SemiBuildCol, bindMaxKeys(plan), budget)
 	if budget != nil {
 		defer budget.Release(reserved)
 	}
@@ -1032,9 +982,6 @@ func semiValues(ctx context.Context, scratch *localdb.DB, table, col string, max
 		return nil, 0, false, fmt.Errorf("executor: semijoin build values: %w", qerr)
 	}
 	defer rows.Close()
-	if max <= 0 {
-		max = defaultBindMaxKeys
-	}
 	seen := make(map[string]bool)
 	var keys []value.Value
 	for {
@@ -1078,27 +1025,20 @@ func semiValues(ctx context.Context, scratch *localdb.DB, table, col string, max
 }
 
 // ---------------------------------------------------------------------
-// Materialized reference path (the pre-streaming executor)
+// Materialized reference path
 
-// ExecuteMaterialized runs the plan the way the pre-streaming executor
-// did: every fragment ships as one whole ResultSet, integration runs
-// over materialized fragments, and the scratch engine loads en bloc.
-// It is kept as the reference implementation for the streaming
-// equivalence suite and the transport benchmarks.
-func ExecuteMaterialized(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, error) {
-	rs, _, err := ExecuteMaterializedMetered(ctx, plan, runner)
-	return rs, err
-}
-
-// ExecuteMaterializedMetered is ExecuteMaterialized with metrics.
-func ExecuteMaterializedMetered(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, *Metrics, error) {
+// ExecuteMaterialized runs the plan without pipelining: every fragment
+// is drained whole, integration runs over the materialized fragments,
+// the bind join ships its whole key set as one IN-list (IN-reduction
+// never changes the residual's result, so single-shot and batched stay
+// row-identical), and the scratch engine loads en bloc. It is the
+// reference the equivalence corpora compare Execute against.
+func ExecuteMaterialized(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, *Metrics, error) {
 	m := &Metrics{PrunedSources: countPrunedSources(plan)}
 	scratch := localdb.NewScratch(spill.EnvBudget())
 
 	var wave1, wave2 []*planner.ScanSet
-	byAlias := make(map[string]*planner.ScanSet)
 	for _, ss := range plan.ScanSets {
-		byAlias[strings.ToLower(ss.Alias)] = ss
 		if ss.SemiFrom == "" {
 			wave1 = append(wave1, ss)
 		} else {
@@ -1124,17 +1064,7 @@ func ExecuteMaterializedMetered(ctx context.Context, plan *planner.Plan, runner 
 						errs[i] = fmt.Errorf("executor: semijoin build side %q missing", ss.SemiFrom)
 						return
 					}
-					max := plan.MaxInList
-					if ss.SemiBind {
-						// The reference path ships the whole key set as
-						// one IN-list; IN-reduction never changes the
-						// residual's result, so single-shot vs batched
-						// stay row-identical.
-						if max = plan.BindMaxKeys; max <= 0 {
-							max = defaultBindMaxKeys
-						}
-					}
-					vals, over := distinctValues(build, ss.SemiBuildCol, max)
+					vals, over := distinctValues(build, ss.SemiBuildCol, bindMaxKeys(plan))
 					probes := 0
 					for _, sc := range ss.Scans {
 						if sc.Pruned == "" && sc.SemiProbe != nil {
@@ -1201,8 +1131,8 @@ func ExecuteMaterializedMetered(ctx context.Context, plan *planner.Plan, runner 
 	return rs, m, nil
 }
 
-// materializeScanSet runs every source scan (in parallel), aligns the
-// fragments, and applies the integration combinator.
+// materializeScanSet drains every source scan whole (in parallel),
+// aligns the fragments, and applies the integration combinator.
 func materializeScanSet(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, inList []sqlparser.Expr, m *Metrics, mmu *sync.Mutex) (*schema.ResultSet, error) {
 	frags := make([]*schema.ResultSet, len(ss.Scans))
 	errs := make([]error, len(ss.Scans))
@@ -1217,18 +1147,7 @@ func materializeScanSet(ctx context.Context, ss *planner.ScanSet, runner SiteRun
 		wg.Add(1)
 		go func(i int, scan *planner.RemoteScan) {
 			defer wg.Done()
-			sel := scan.Select
-			if len(inList) > 0 && scan.SemiProbe != nil {
-				probe := &sqlparser.InExpr{E: scan.SemiProbe, List: inList}
-				reduced := *sel
-				if reduced.Where == nil {
-					reduced.Where = probe
-				} else {
-					reduced.Where = &sqlparser.BinaryExpr{Op: "AND", L: reduced.Where, R: probe}
-				}
-				sel = &reduced
-			}
-			rs, err := runner.QuerySite(ctx, scan.Site, sqlparser.FormatStatement(sel, nil))
+			rs, err := drainSite(ctx, runner, scan.Site, scanSQL(scan, inList))
 			if err != nil {
 				errs[i] = fmt.Errorf("executor: scan at %s: %w", scan.Site, err)
 				return
@@ -1249,15 +1168,22 @@ func materializeScanSet(ctx context.Context, ss *planner.ScanSet, runner SiteRun
 	return integration.Combine(ss.Spec, frags)
 }
 
+// drainSite runs one subquery and drains its stream whole.
+func drainSite(ctx context.Context, runner SiteRunner, site, sql string) (*schema.ResultSet, error) {
+	st, err := runner.QuerySite(ctx, site, sql)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	return schema.DrainStream(ctx, st)
+}
+
 // distinctValues extracts up to max distinct non-NULL literals of the
 // named column; over=true when the bound is exceeded.
 func distinctValues(rs *schema.ResultSet, col string, max int) ([]sqlparser.Expr, bool) {
 	ci := rs.ColIndex(col)
 	if ci < 0 {
 		return nil, true
-	}
-	if max <= 0 {
-		max = 1000
 	}
 	seen := make(map[string]bool)
 	var vals []value.Value

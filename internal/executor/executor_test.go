@@ -93,12 +93,24 @@ func buildJoinFederation(t *testing.T, customers, orders int) (*core.Federation,
 
 type fedRunner struct{ fed *core.Federation }
 
-func (r fedRunner) QuerySite(ctx context.Context, site, sql string) (*schema.ResultSet, error) {
+func (r fedRunner) QuerySite(ctx context.Context, site, sql string) (schema.RowStream, error) {
 	conn, ok := r.fed.Conn(site)
 	if !ok {
 		return nil, fmt.Errorf("no site %q", site)
 	}
-	return conn.Query(ctx, 0, sql)
+	return conn.QueryStream(ctx, 0, sql)
+}
+
+// execute runs plan through executor.Execute and materializes the
+// result; the stream is closed before the metrics are returned.
+func execute(ctx context.Context, plan *planner.Plan, runner executor.SiteRunner, opts executor.Options) (*schema.ResultSet, *executor.Metrics, error) {
+	rows, m, err := executor.Execute(ctx, plan, runner, opts)
+	if err != nil {
+		return nil, m, err
+	}
+	defer rows.Close()
+	rs, err := schema.DrainStream(ctx, rows)
+	return rs, m, err
 }
 
 func planFor(t *testing.T, p *planner.Planner, sql string) *planner.Plan {
@@ -120,7 +132,7 @@ func TestSemijoinExecution(t *testing.T) {
 	        WHERE c.tier = 'gold' GROUP BY c.cid ORDER BY c.cid`
 	plan := planFor(t, p, sql)
 
-	rs, m, err := executor.ExecuteMetered(context.Background(), plan, fedRunner{fed})
+	rs, m, err := execute(context.Background(), plan, fedRunner{fed}, executor.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +149,7 @@ func TestSemijoinExecution(t *testing.T) {
 	}
 
 	// The reduced result must equal the unreduced one.
-	simple, err := fed.QueryWith(context.Background(), sql, core.StrategySimple)
+	simple, _, err := fed.QueryMetered(context.Background(), sql, core.StrategySimple)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +176,7 @@ func TestSemijoinFallbackWhenListTooLarge(t *testing.T) {
 	// themselves.
 	plan.BindMaxKeys = 50
 
-	rs, m, err := executor.ExecuteMetered(context.Background(), plan, fedRunner{fed})
+	rs, m, err := execute(context.Background(), plan, fedRunner{fed}, executor.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +199,7 @@ func TestExecutorSiteError(t *testing.T) {
 	plan := planFor(t, p, `SELECT COUNT(*) FROM CUSTOMERS`)
 	// Detach the site so the scan fails.
 	fed.DetachSite("crm")
-	_, err := executor.Execute(context.Background(), plan, fedRunner{fed})
+	_, _, err := execute(context.Background(), plan, fedRunner{fed}, executor.Options{})
 	if err == nil || !strings.Contains(err.Error(), "crm") {
 		t.Fatalf("site failure not surfaced: %v", err)
 	}
@@ -198,7 +210,7 @@ func TestExecutorContextCancellation(t *testing.T) {
 	plan := planFor(t, p, `SELECT COUNT(*) FROM ORDERS`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := executor.Execute(ctx, plan, fedRunner{fed}); err == nil {
+	if _, _, err := execute(ctx, plan, fedRunner{fed}, executor.Options{}); err == nil {
 		if !errors.Is(ctx.Err(), context.Canceled) {
 			t.Error("cancelled context not honored")
 		}
@@ -229,11 +241,11 @@ func TestScratchBypassEquivalence(t *testing.T) {
 		`SELECT oid FROM ORDERS WHERE amt > 50 AND amt < 900 LIMIT 20`,
 	} {
 		plan := planFor(t, p, sql)
-		want, err := executor.ExecuteMaterialized(ctx, plan, fedRunner{fed})
+		want, _, err := executor.ExecuteMaterialized(ctx, plan, fedRunner{fed})
 		if err != nil {
 			t.Fatalf("%s: materialized: %v", sql, err)
 		}
-		got, m, err := executor.ExecuteMetered(ctx, plan, fedRunner{fed})
+		got, m, err := execute(ctx, plan, fedRunner{fed}, executor.Options{})
 		if err != nil {
 			t.Fatalf("%s: streaming: %v", sql, err)
 		}
@@ -243,7 +255,7 @@ func TestScratchBypassEquivalence(t *testing.T) {
 		assertResultsEqual(t, sql, want, got)
 
 		// Forcing the scratch path must agree too.
-		ref, m2, err := executor.ExecuteMeteredOpts(ctx, plan, fedRunner{fed}, executor.Options{NoBypass: true})
+		ref, m2, err := execute(ctx, plan, fedRunner{fed}, executor.Options{NoBypass: true})
 		if err != nil {
 			t.Fatalf("%s: NoBypass: %v", sql, err)
 		}
@@ -265,7 +277,7 @@ func TestBypassNotUsedWhenResidualComputes(t *testing.T) {
 		`SELECT c.cid FROM CUSTOMERS c, ORDERS o WHERE c.cid = o.cust`,
 	} {
 		plan := planFor(t, p, sql)
-		_, m, err := executor.ExecuteMetered(ctx, plan, fedRunner{fed})
+		_, m, err := execute(ctx, plan, fedRunner{fed}, executor.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -279,7 +291,7 @@ func TestBypassNotUsedWhenResidualComputes(t *testing.T) {
 func TestPerSourceMetrics(t *testing.T) {
 	fed, p := buildJoinFederation(t, 30, 90)
 	plan := planFor(t, p, `SELECT c.cid FROM CUSTOMERS c, ORDERS o WHERE c.cid = o.cust`)
-	_, m, err := executor.ExecuteMetered(context.Background(), plan, fedRunner{fed})
+	_, m, err := execute(context.Background(), plan, fedRunner{fed}, executor.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,17 +39,11 @@ func (cl *Client) Close() error { return cl.c.Close() }
 
 func (cl *Client) do(ctx context.Context, req *comm.Request) (*comm.Response, error) {
 	resp, err := cl.c.Do(ctx, req)
+	if err == nil {
+		err = resp.AsError()
+	}
 	if err != nil {
-		return nil, err
-	}
-	if resp.Kind == comm.ErrTimeout {
-		return nil, fmt.Errorf("%w: %s", ErrDeadlockAbort, resp.Err)
-	}
-	if resp.Kind == comm.ErrWounded {
-		return nil, fmt.Errorf("%w: %s", ErrWounded, resp.Err)
-	}
-	if err := resp.AsError(); err != nil {
-		return nil, err
+		return nil, mapWireErr(err)
 	}
 	return resp, nil
 }
@@ -63,12 +57,7 @@ func (cl *Client) Ping(ctx context.Context) error {
 // Query poses a global SELECT (autocommit). The result travels over
 // the streaming frame protocol and is materialized client-side.
 func (cl *Client) Query(ctx context.Context, sql string) (*schema.ResultSet, error) {
-	rows, err := cl.QueryStream(ctx, sql)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	return schema.DrainStream(ctx, rows)
+	return cl.query(ctx, 0, sql)
 }
 
 // QueryStream poses a global SELECT (autocommit) and returns the
@@ -76,16 +65,31 @@ func (cl *Client) Query(ctx context.Context, sql string) (*schema.ResultSet, err
 // batches as it produces them. The caller must Close the stream;
 // closing early cancels the remaining result.
 func (cl *Client) QueryStream(ctx context.Context, sql string) (schema.RowStream, error) {
-	st, err := cl.c.DoStream(ctx, &comm.Request{Op: comm.OpQuery, SQL: sql})
+	return cl.queryStream(ctx, 0, sql)
+}
+
+// queryStream poses a global SELECT inside global transaction txn (0 =
+// autocommit); queries only ever travel as frame streams.
+func (cl *Client) queryStream(ctx context.Context, txn uint64, sql string) (schema.RowStream, error) {
+	st, err := cl.c.DoStream(ctx, &comm.Request{Op: comm.OpQuery, TxnID: txn, SQL: sql})
 	if err != nil {
 		return nil, mapWireErr(err)
 	}
 	return st.AsRowStream(mapWireErr), nil
 }
 
+// query is queryStream materialized client-side.
+func (cl *Client) query(ctx context.Context, txn uint64, sql string) (*schema.ResultSet, error) {
+	rows, err := cl.queryStream(ctx, txn, sql)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	return schema.DrainStream(ctx, rows)
+}
+
 // mapWireErr surfaces server-reported timeouts as deadlock aborts and
-// wounds as ErrWounded, the same mapping do applies on the Response
-// path.
+// wounds as ErrWounded, on the Response and the stream path alike.
 func mapWireErr(err error) error {
 	if errors.Is(err, comm.TimeoutError) {
 		return fmt.Errorf("%w: %v", ErrDeadlockAbort, err)
@@ -158,16 +162,10 @@ func (cl *Client) Begin(ctx context.Context) (*Txn, error) {
 // ID returns the global transaction id.
 func (t *Txn) ID() uint64 { return t.id }
 
-// Query poses a global SELECT inside the transaction.
+// Query poses a global SELECT inside the transaction, over the same
+// frame stream as an autocommit Query.
 func (t *Txn) Query(ctx context.Context, sql string) (*schema.ResultSet, error) {
-	resp, err := t.cl.do(ctx, &comm.Request{Op: comm.OpQuery, TxnID: t.id, SQL: sql})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Rows == nil {
-		resp.Rows = &schema.ResultSet{}
-	}
-	return resp.Rows, nil
+	return t.cl.query(ctx, t.id, sql)
 }
 
 // ExecSite runs DML at one component site inside the transaction.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,4 +259,159 @@ func TestDeadlockAbortCrossesWire(t *testing.T) {
 	}
 	t1.Abort(ctx) //nolint:errcheck
 	t2.Abort(ctx) //nolint:errcheck
+}
+
+// TestTxnQueryStreamsLikeAutocommit: a transactional read travels the
+// same frame stream as an autocommit one and returns the same rows, and
+// its read locks still block a writer until the transaction commits
+// (strict 2PL is unchanged by streaming).
+func TestTxnQueryStreamsLikeAutocommit(t *testing.T) {
+	client, _ := startFederation(t)
+	ctx := context.Background()
+	const sql = `SELECT k, v, site FROM ALL_KV ORDER BY site, k`
+	want, err := client.Query(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The writer is older than the reader, so it parks behind the
+	// reader's locks instead of being refused by wound-wait.
+	writer, err := client.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := client.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := reader.Query(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != len(want.Rows) || len(got.Rows) != 6 {
+		t.Fatalf("txn read %d rows, autocommit %d", len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		for j := range want.Rows[i] {
+			if got.Rows[i][j].Text() != want.Rows[i][j].Text() {
+				t.Fatalf("row %d: txn %v, autocommit %v", i, got.Rows[i], want.Rows[i])
+			}
+		}
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := writer.ExecSite(ctx, "s0", `UPDATE KV SET v = 'w' WHERE k = 1`)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("writer not blocked by the transactional read: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := reader.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("writer after reader commit: %v", err)
+	}
+	if err := writer.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTxnQueryLockTimeoutAborts: a transactional read blocked past
+// LocalQueryTimeout is a presumed deadlock — it aborts the transaction
+// and crosses the wire as ErrDeadlockAbort.
+func TestTxnQueryLockTimeoutAborts(t *testing.T) {
+	client, fed := startFederation(t)
+	fed.SetLocalQueryTimeout(100 * time.Millisecond)
+	ctx := context.Background()
+	// The reader is older than the writer, so it waits (and times out)
+	// rather than being refused by wound-wait.
+	reader, err := client.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := client.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Abort(ctx) //nolint:errcheck
+	if _, err := writer.ExecSite(ctx, "s0", `UPDATE KV SET v = 'w' WHERE k = 1`); err != nil {
+		t.Fatal(err)
+	}
+	_, err = reader.Query(ctx, `SELECT COUNT(*) FROM ALL_KV`)
+	if !errors.Is(err, fedclient.ErrDeadlockAbort) {
+		t.Fatalf("want ErrDeadlockAbort, got %v", err)
+	}
+	if reader.AliveAfter(err) {
+		t.Error("AliveAfter reports alive after a lock-timeout abort")
+	}
+}
+
+// shippedConn counts the rows a site ships to the federation.
+type shippedConn struct {
+	gateway.Conn
+	rows *atomic.Int64
+}
+
+func (c shippedConn) QueryStream(ctx context.Context, txn uint64, sql string) (schema.RowStream, error) {
+	st, err := c.Conn.QueryStream(ctx, txn, sql)
+	if err != nil {
+		return nil, err
+	}
+	return &countedStream{RowStream: st, n: c.rows}, nil
+}
+
+type countedStream struct {
+	schema.RowStream
+	n *atomic.Int64
+}
+
+func (s *countedStream) Next(ctx context.Context) (schema.Row, error) {
+	r, err := s.RowStream.Next(ctx)
+	if r != nil {
+		s.n.Add(1)
+	}
+	return r, err
+}
+
+// TestTxnQueryHonorsStrategyPrefix: the "simple:" prefix selects the
+// simple strategy inside a transaction too — the whole fragments ship —
+// while the default cost-based plan pushes the filter down.
+func TestTxnQueryHonorsStrategyPrefix(t *testing.T) {
+	client, fed := startFederation(t)
+	ctx := context.Background()
+	var shipped atomic.Int64
+	for _, site := range fed.Sites() {
+		conn, _ := fed.Conn(site)
+		if err := fed.AttachSite(ctx, shippedConn{Conn: conn, rows: &shipped}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txn, err := client.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txn.Abort(ctx) //nolint:errcheck
+	for _, tc := range []struct {
+		sql     string
+		shipped int64
+	}{
+		{`SELECT v FROM ALL_KV WHERE k = 1`, 2},        // k = 1 pushed to both sites
+		{`simple:SELECT v FROM ALL_KV WHERE k = 1`, 6}, // both exports whole
+	} {
+		shipped.Store(0)
+		rs, err := txn.Query(ctx, tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if len(rs.Rows) != 2 {
+			t.Errorf("%s: %d rows, want 2", tc.sql, len(rs.Rows))
+		}
+		if got := shipped.Load(); got != tc.shipped {
+			t.Errorf("%s: sites shipped %d rows, want %d", tc.sql, got, tc.shipped)
+		}
+	}
 }

@@ -89,43 +89,33 @@ func New(fed *core.Federation) *Server {
 	return &Server{fed: fed, txns: make(map[uint64]*gtm.Txn)}
 }
 
-func fail(err error) *comm.Response {
-	kind := comm.ErrGeneric
+// errKind maps a federation error to the wire error kind that both a
+// Response and a streaming trailer carry.
+func errKind(err error) comm.ErrKind {
 	switch {
 	case errors.Is(err, gtm.ErrWounded) || errors.Is(err, gateway.ErrWounded):
-		kind = comm.ErrWounded
+		return comm.ErrWounded
 	case errors.Is(err, gtm.ErrDeadlockAbort) || errors.Is(err, gateway.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):
-		kind = comm.ErrTimeout
+		return comm.ErrTimeout
 	case errors.Is(err, gtm.ErrInDoubt):
-		kind = comm.ErrInDoubt
+		return comm.ErrInDoubt
 	}
-	return &comm.Response{Err: err.Error(), Kind: kind}
+	return comm.ErrGeneric
 }
 
-// Handle implements comm.Handler for the federation protocol.
+func fail(err error) *comm.Response {
+	return &comm.Response{Err: err.Error(), Kind: errKind(err)}
+}
+
+// streamErr tags a federation error with its wire kind for the trailer.
+func streamErr(err error) error { return &comm.KindError{Kind: errKind(err), Err: err} }
+
+// Handle implements comm.Handler for the federation protocol. OpQuery is
+// not among its ops: queries are served only by HandleStream.
 func (s *Server) Handle(ctx context.Context, req *comm.Request) *comm.Response {
 	switch req.Op {
 	case comm.OpPing:
 		return &comm.Response{}
-
-	case comm.OpQuery:
-		sql, strategy := stripStrategy(req.SQL, s.fed.Strategy)
-		if req.TxnID == 0 {
-			rs, err := s.fed.QueryWith(ctx, sql, strategy)
-			if err != nil {
-				return fail(err)
-			}
-			return &comm.Response{Rows: rs}
-		}
-		txn, ok := s.txn(req.TxnID)
-		if !ok {
-			return fail(fmt.Errorf("fedserver: unknown global transaction %d", req.TxnID))
-		}
-		rs, err := s.fed.QueryTx(ctx, txn, sql)
-		if err != nil {
-			return fail(err)
-		}
-		return &comm.Response{Rows: rs}
 
 	case comm.OpExecAt:
 		txn, ok := s.txn(req.TxnID)
@@ -213,16 +203,28 @@ func (s *Server) Handle(ctx context.Context, req *comm.Request) *comm.Response {
 	}
 }
 
-// HandleStream implements comm.StreamHandler: autocommit global
-// queries stream their residual rows to the client as the federation
-// produces them, completing the pipeline site → federation → client.
-// Transaction-scoped queries and every other op fall back to Handle.
+// HandleStream implements comm.StreamHandler and is the only way OpQuery
+// is served: global queries — autocommit, or inside the global
+// transaction TxnID names — stream their residual rows to the client as
+// the federation produces them, completing the pipeline site →
+// federation → client. Every other op is a Handle request.
 func (s *Server) HandleStream(ctx context.Context, req *comm.Request, sink comm.RowSink) error {
-	if req.Op != comm.OpQuery || req.TxnID != 0 {
-		return comm.ErrNotStreamable
+	if req.Op != comm.OpQuery {
+		return fmt.Errorf("fedserver: op %q does not stream", req.Op)
 	}
 	sql, strategy := stripStrategy(req.SQL, s.fed.Strategy)
-	rows, m, err := s.fed.QueryStreamMetered(ctx, sql, strategy)
+	var (
+		rows schema.RowStream
+		m    *executor.Metrics
+		err  error
+	)
+	if req.TxnID == 0 {
+		rows, m, err = s.fed.QueryStreamMetered(ctx, sql, strategy)
+	} else if txn, ok := s.txn(req.TxnID); ok {
+		rows, m, err = s.fed.QueryTx(ctx, txn, sql, strategy)
+	} else {
+		err = fmt.Errorf("fedserver: unknown global transaction %d", req.TxnID)
+	}
 	if err != nil {
 		return streamErr(err)
 	}
@@ -260,18 +262,6 @@ func (s *Server) logSources(sql string, m *executor.Metrics) {
 	}
 	s.Logf("fedserver: query sources: bypass=%v shipped=%d spill_runs=%d spilled_bytes=%d%s sql=%q",
 		m.ScratchBypassed, m.RowsShipped, m.SpillRuns, m.SpilledBytes, b.String(), sql)
-}
-
-// streamErr tags federation errors with the wire kind their streaming
-// trailer carries (mirrors fail's mapping on the Response path).
-func streamErr(err error) error {
-	if errors.Is(err, gtm.ErrWounded) || errors.Is(err, gateway.ErrWounded) {
-		return &comm.KindError{Kind: comm.ErrWounded, Err: err}
-	}
-	if errors.Is(err, gtm.ErrDeadlockAbort) || errors.Is(err, gateway.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
-		return &comm.KindError{Kind: comm.ErrTimeout, Err: err}
-	}
-	return err
 }
 
 func (s *Server) txn(id uint64) (*gtm.Txn, bool) {

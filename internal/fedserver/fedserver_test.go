@@ -46,8 +46,7 @@ func TestHandleErrors(t *testing.T) {
 
 	for _, req := range []*comm.Request{
 		{Op: "bogus"},
-		{Op: comm.OpQuery, SQL: "SELECT FROM"},
-		{Op: comm.OpQuery, TxnID: 999, SQL: "SELECT k FROM T"},
+		{Op: comm.OpQuery, SQL: "SELECT k FROM T"}, // queries only stream
 		{Op: comm.OpExecAt, TxnID: 999, Table: "s0", SQL: "DELETE FROM KV"},
 		{Op: comm.OpCommit, TxnID: 999},
 		{Op: comm.OpDefine, SQL: "{not json"},
@@ -57,6 +56,15 @@ func TestHandleErrors(t *testing.T) {
 	} {
 		if resp := s.Handle(ctx, req); resp.AsError() == nil {
 			t.Errorf("op %q with bad input succeeded", req.Op)
+		}
+	}
+	for _, req := range []*comm.Request{
+		{Op: comm.OpPing},
+		{Op: comm.OpQuery, SQL: "SELECT FROM"},
+		{Op: comm.OpQuery, TxnID: 999, SQL: "SELECT k FROM T"},
+	} {
+		if err := s.HandleStream(ctx, req, &collectSink{}); err == nil {
+			t.Errorf("streamed op %q (%q) with bad input succeeded", req.Op, req.SQL)
 		}
 	}
 	// Abort of an unknown transaction is benign (idempotent).
@@ -128,12 +136,12 @@ func TestQueryStrategyPrefix(t *testing.T) {
 		"simple:SELECT v FROM T WHERE k = 1",
 		"cost:SELECT v FROM T WHERE k = 1",
 	} {
-		resp := s.Handle(ctx, &comm.Request{Op: comm.OpQuery, SQL: sql})
-		if resp.AsError() != nil {
-			t.Fatalf("%q: %v", sql, resp.AsError())
+		sink := &collectSink{}
+		if err := s.HandleStream(ctx, &comm.Request{Op: comm.OpQuery, SQL: sql}, sink); err != nil {
+			t.Fatalf("%q: %v", sql, err)
 		}
-		if len(resp.Rows.Rows) != 1 || resp.Rows.Rows[0][0].Text() != "a" {
-			t.Errorf("%q: %v", sql, resp.Rows.Rows)
+		if len(sink.rows) != 1 || sink.rows[0][0].Text() != "a" {
+			t.Errorf("%q: %v", sql, sink.rows)
 		}
 	}
 }

@@ -24,10 +24,10 @@ type Conn interface {
 	// ordered range / pk point, with selectivity estimates). Planning
 	// only; nothing executes at the site.
 	Explain(ctx context.Context, sql string) (string, error)
-	Query(ctx context.Context, txn uint64, sql string) (*schema.ResultSet, error)
-	// QueryStream runs a canonical SELECT and returns the result as a
-	// row stream: batches pipeline from the site while the federation
-	// consumes, and closing the stream early terminates the remote scan.
+	// QueryStream runs a canonical SELECT (inside branch txn, or
+	// autocommit when txn is 0) and returns the result as a row stream:
+	// batches pipeline from the site while the federation consumes, and
+	// closing the stream early terminates the remote scan.
 	QueryStream(ctx context.Context, txn uint64, sql string) (schema.RowStream, error)
 	Exec(ctx context.Context, txn uint64, sql string) (int, error)
 	// Begin opens a transaction branch on behalf of global transaction
@@ -66,11 +66,6 @@ func (c *LocalConn) Stats(ctx context.Context, export string) (*storage.TableSta
 // Explain renders the site engine's chosen access paths for sql.
 func (c *LocalConn) Explain(ctx context.Context, sql string) (string, error) {
 	return c.G.Explain(ctx, sql)
-}
-
-// Query runs a canonical SELECT at the site.
-func (c *LocalConn) Query(ctx context.Context, txn uint64, sql string) (*schema.ResultSet, error) {
-	return c.G.Query(ctx, txn, sql)
 }
 
 // QueryStream runs a canonical SELECT at the site, streaming rows
@@ -180,18 +175,6 @@ func (c *RemoteConn) Explain(ctx context.Context, sql string) (string, error) {
 		}
 	}
 	return strings.Join(lines, "\n"), nil
-}
-
-// Query runs a canonical SELECT at the remote site.
-func (c *RemoteConn) Query(ctx context.Context, txn uint64, sql string) (*schema.ResultSet, error) {
-	resp, err := c.do(ctx, &comm.Request{Op: comm.OpQuery, TxnID: txn, SQL: sql})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Rows == nil {
-		resp.Rows = &schema.ResultSet{}
-	}
-	return resp.Rows, nil
 }
 
 // QueryStream runs a canonical SELECT at the remote site over the

@@ -263,45 +263,15 @@ func (g *Gateway) Explain(ctx context.Context, sql string) (string, error) {
 	return out, nil
 }
 
-// Query executes a canonical SELECT over export relations. txn 0 runs
-// autocommit; otherwise the statement joins the local branch txn.
-func (g *Gateway) Query(ctx context.Context, txn uint64, sql string) (*schema.ResultSet, error) {
-	ctx, cancel := g.withTimeout(ctx)
-	defer cancel()
-	g.simulateLatency()
-
-	translated, relSel, err := g.prepareSelect(sql)
-	if err != nil {
-		return nil, err
-	}
-
-	var rs *schema.ResultSet
-	if txn == 0 {
-		rs, err = g.db.QueryStmt(ctx, relSel)
-	} else {
-		branch, ok := g.db.Resume(lockmgr.TxnID(txn))
-		if !ok {
-			return nil, fmt.Errorf("gateway %s: unknown transaction %d", g.site, txn)
-		}
-		rs, err = branch.QueryStmt(ctx, relSel)
-	}
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	// The dialect round trip may have re-cased identifiers; restore the
-	// federation-requested output names from the translated AST.
-	restoreColumnNames(rs, translated)
-	return rs, nil
-}
-
-// QueryStream executes a canonical SELECT over export relations and
-// returns the result as a row stream driven directly by the component
-// engine's iterator pipeline — the gateway never materializes the
-// result, so a LIMIT 10 over a 100k-row export ships 10 rows and the
-// underlying scan terminates when the stream closes. Autocommit only
-// streams end-to-end; a statement inside a transaction branch (txn != 0)
-// snapshots its result first, because the branch interleaves with other
-// requests and cannot stay pinned to an open cursor between them.
+// QueryStream executes a canonical SELECT over export relations — the
+// gateway's only query entry point. Autocommit (txn 0) streams straight
+// off the component engine's iterator pipeline: nothing materializes,
+// so a LIMIT 10 over a 100k-row export ships 10 rows and the scan
+// terminates when the stream closes. A statement inside a transaction
+// branch (txn != 0) runs to completion under the branch — taking its
+// locks before QueryStream returns — and streams the snapshot, because
+// the branch interleaves with other requests and cannot stay pinned to
+// an open cursor between them.
 func (g *Gateway) QueryStream(ctx context.Context, txn uint64, sql string) (schema.RowStream, error) {
 	sctx, cancel := g.withTimeout(ctx)
 	g.simulateLatency()
@@ -882,14 +852,14 @@ func rewriteUnqualified(e sqlparser.Expr, b *exportBinding) (sqlparser.Expr, err
 // ---------------------------------------------------------------------
 // comm.Handler: serve the gateway protocol
 
-// HandleStream implements comm.StreamHandler: OpQuery responses are
-// framed straight off the component engine's iterator pipeline — header,
-// row batches, trailer — instead of materializing a ResultSet. Sink
-// errors mean the client is gone; the deferred Close tears the scan
-// down and releases its locks. Every other op falls back to Handle.
+// HandleStream implements comm.StreamHandler and is the only way OpQuery
+// is served: results are framed straight off QueryStream — header, row
+// batches, trailer. Sink errors mean the client is gone; the deferred
+// Close tears the scan down and releases its locks. Every other op is a
+// Handle request.
 func (g *Gateway) HandleStream(ctx context.Context, req *comm.Request, sink comm.RowSink) error {
 	if req.Op != comm.OpQuery {
-		return comm.ErrNotStreamable
+		return fmt.Errorf("gateway %s: op %q does not stream", g.site, req.Op)
 	}
 	rows, err := g.QueryStream(ctx, req.TxnID, req.SQL)
 	if err != nil {
@@ -913,30 +883,26 @@ func (g *Gateway) HandleStream(ctx context.Context, req *comm.Request, sink comm
 	}
 }
 
-// streamErr tags gateway errors with the wire error kind a streaming
-// trailer carries (mirrors the kind mapping of the Response path).
-func streamErr(err error) error {
-	if errors.Is(err, ErrWounded) || errors.Is(err, lockmgr.ErrWounded) {
-		return &comm.KindError{Kind: comm.ErrWounded, Err: err}
+// errKind maps a gateway error to the wire error kind that both a
+// Response and a streaming trailer carry.
+func errKind(err error) comm.ErrKind {
+	switch {
+	case errors.Is(err, ErrWounded) || errors.Is(err, lockmgr.ErrWounded):
+		return comm.ErrWounded
+	case errors.Is(err, ErrTimeout) || errors.Is(err, lockmgr.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):
+		return comm.ErrTimeout
 	}
-	if errors.Is(err, ErrTimeout) || errors.Is(err, lockmgr.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
-		return &comm.KindError{Kind: comm.ErrTimeout, Err: err}
-	}
-	return err
+	return comm.ErrGeneric
 }
+
+// streamErr tags a gateway error with its wire kind for the trailer.
+func streamErr(err error) error { return &comm.KindError{Kind: errKind(err), Err: err} }
 
 // Handle implements comm.Handler so a Gateway can be served over TCP by
 // comm.Server (see cmd/gatewayd).
 func (g *Gateway) Handle(ctx context.Context, req *comm.Request) *comm.Response {
 	fail := func(err error) *comm.Response {
-		kind := comm.ErrGeneric
-		switch {
-		case errors.Is(err, ErrWounded) || errors.Is(err, lockmgr.ErrWounded):
-			kind = comm.ErrWounded
-		case errors.Is(err, ErrTimeout) || errors.Is(err, lockmgr.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):
-			kind = comm.ErrTimeout
-		}
-		return &comm.Response{Err: err.Error(), Kind: kind}
+		return &comm.Response{Err: err.Error(), Kind: errKind(err)}
 	}
 	switch req.Op {
 	case comm.OpPing:
@@ -953,12 +919,6 @@ func (g *Gateway) Handle(ctx context.Context, req *comm.Request) *comm.Response 
 			return fail(err)
 		}
 		return &comm.Response{Stats: ts}
-	case comm.OpQuery:
-		rs, err := g.Query(ctx, req.TxnID, req.SQL)
-		if err != nil {
-			return fail(err)
-		}
-		return &comm.Response{Rows: rs}
 	case comm.OpExplain:
 		out, err := g.Explain(ctx, req.SQL)
 		if err != nil {

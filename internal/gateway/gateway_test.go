@@ -10,7 +10,21 @@ import (
 	"myriad/internal/comm"
 	"myriad/internal/dialect"
 	"myriad/internal/localdb"
+	"myriad/internal/schema"
 )
+
+// query runs sql through QueryStream — the only query entry point of a
+// Gateway or a Conn — and materializes the result.
+func query(ctx context.Context, q interface {
+	QueryStream(context.Context, uint64, string) (schema.RowStream, error)
+}, txn uint64, sql string) (*schema.ResultSet, error) {
+	rows, err := q.QueryStream(ctx, txn, sql)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	return schema.DrainStream(ctx, rows)
+}
 
 func testGateway(t *testing.T, d *dialect.Dialect) (*Gateway, *localdb.DB) {
 	t.Helper()
@@ -80,7 +94,7 @@ func TestQueryTranslation(t *testing.T) {
 		g, _ := testGateway(t, d)
 		ctx := context.Background()
 
-		rs, err := g.Query(ctx, 0, `SELECT name FROM STUDENT WHERE id = 2`)
+		rs, err := query(ctx, g, 0, `SELECT name FROM STUDENT WHERE id = 2`)
 		if err != nil {
 			t.Fatalf("[%s] %v", d.Name, err)
 		}
@@ -92,7 +106,7 @@ func TestQueryTranslation(t *testing.T) {
 			t.Errorf("[%s] header: %v", d.Name, rs.Columns)
 		}
 
-		rs, err = g.Query(ctx, 0, `SELECT * FROM STUDENT ORDER BY gpa DESC LIMIT 2`)
+		rs, err = query(ctx, g, 0, `SELECT * FROM STUDENT ORDER BY gpa DESC LIMIT 2`)
 		if err != nil {
 			t.Fatalf("[%s] star: %v", d.Name, err)
 		}
@@ -100,7 +114,7 @@ func TestQueryTranslation(t *testing.T) {
 			t.Errorf("[%s] star+limit: %v %v", d.Name, rs.Columns, rs.Rows)
 		}
 
-		rs, err = g.Query(ctx, 0, `SELECT COUNT(*) AS n, ROUND(AVG(gpa), 2) AS avg FROM STUDENT WHERE gpa > 3`)
+		rs, err = query(ctx, g, 0, `SELECT COUNT(*) AS n, ROUND(AVG(gpa), 2) AS avg FROM STUDENT WHERE gpa > 3`)
 		if err != nil {
 			t.Fatalf("[%s] agg: %v", d.Name, err)
 		}
@@ -109,7 +123,7 @@ func TestQueryTranslation(t *testing.T) {
 		}
 
 		// Self-join through aliases.
-		rs, err = g.Query(ctx, 0, `SELECT a.name, b.name FROM STUDENT a JOIN STUDENT b ON a.id = b.id - 1 WHERE a.id = 1`)
+		rs, err = query(ctx, g, 0, `SELECT a.name, b.name FROM STUDENT a JOIN STUDENT b ON a.id = b.id - 1 WHERE a.id = 1`)
 		if err != nil {
 			t.Fatalf("[%s] join: %v", d.Name, err)
 		}
@@ -122,19 +136,19 @@ func TestQueryTranslation(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	g, _ := testGateway(t, dialect.Oracle())
 	ctx := context.Background()
-	if _, err := g.Query(ctx, 0, `SELECT x FROM GHOST`); err == nil {
+	if _, err := query(ctx, g, 0, `SELECT x FROM GHOST`); err == nil {
 		t.Error("unknown export accepted")
 	}
-	if _, err := g.Query(ctx, 0, `SELECT ghost FROM STUDENT`); err == nil {
+	if _, err := query(ctx, g, 0, `SELECT ghost FROM STUDENT`); err == nil {
 		t.Error("unknown export column accepted")
 	}
-	if _, err := g.Query(ctx, 0, `SELECT yr FROM STUDENT`); err == nil {
+	if _, err := query(ctx, g, 0, `SELECT yr FROM STUDENT`); err == nil {
 		t.Error("unexported column accessible")
 	}
-	if _, err := g.Query(ctx, 0, `UPDATE STUDENT SET gpa = 4`); err == nil {
+	if _, err := query(ctx, g, 0, `UPDATE STUDENT SET gpa = 4`); err == nil {
 		t.Error("Query accepted DML")
 	}
-	if _, err := g.Query(ctx, 99, `SELECT name FROM STUDENT`); err == nil {
+	if _, err := query(ctx, g, 99, `SELECT name FROM STUDENT`); err == nil {
 		t.Error("unknown txn accepted")
 	}
 }
@@ -149,7 +163,7 @@ func TestPredicatedExport(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := g.Query(ctx, 0, `SELECT name FROM HONOR_STUDENT`)
+	rs, err := query(ctx, g, 0, `SELECT name FROM HONOR_STUDENT`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +175,7 @@ func TestPredicatedExport(t *testing.T) {
 		t.Error("write to predicated export accepted")
 	}
 	// The predicate applies per-alias in joins.
-	rs, err = g.Query(ctx, 0, `SELECT COUNT(*) FROM HONOR_STUDENT h JOIN STUDENT s ON h.id = s.id`)
+	rs, err = query(ctx, g, 0, `SELECT COUNT(*) FROM HONOR_STUDENT h JOIN STUDENT s ON h.id = s.id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +317,10 @@ func TestHandleProtocol(t *testing.T) {
 	if len(resp.Schemas) != 1 {
 		t.Errorf("schemas: %v", resp.Schemas)
 	}
+	// Queries only ever stream (HandleStream); Handle refuses them.
 	resp = g.Handle(ctx, &comm.Request{Op: comm.OpQuery, SQL: `SELECT name FROM STUDENT WHERE id = 1`})
-	if resp.AsError() != nil || resp.Rows.Rows[0][0].Text() != "ann" {
-		t.Errorf("query: %v %v", resp.Err, resp.Rows)
+	if resp.AsError() == nil {
+		t.Errorf("Handle served a query: %v", resp.Rows)
 	}
 	resp = g.Handle(ctx, &comm.Request{Op: comm.OpStats, Table: "STUDENT"})
 	if resp.Stats == nil || resp.Stats.Rows != 3 {
@@ -350,7 +365,7 @@ func TestRemoteConnOverTCP(t *testing.T) {
 	if err != nil || len(scs) != 1 {
 		t.Fatalf("schemas over TCP: %v %v", scs, err)
 	}
-	rs, err := conn.Query(ctx, 0, `SELECT name FROM STUDENT ORDER BY id`)
+	rs, err := query(ctx, conn, 0, `SELECT name FROM STUDENT ORDER BY id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +385,18 @@ func TestRemoteConnOverTCP(t *testing.T) {
 	if _, err := conn.Exec(ctx, txn, `UPDATE STUDENT SET gpa = 1.1 WHERE id = 2`); err != nil {
 		t.Fatal(err)
 	}
+	// A branch read streams over TCP and sees the branch's own write.
+	rs, err = query(ctx, conn, txn, `SELECT gpa FROM STUDENT WHERE id = 2`)
+	if err != nil || rs.Rows[0][0].Text() != "1.1" {
+		t.Errorf("branch read over TCP: %v %v", rs, err)
+	}
 	if err := conn.Prepare(ctx, txn); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.Commit(ctx, txn); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = conn.Query(ctx, 0, `SELECT gpa FROM STUDENT WHERE id = 2`)
+	rs, err = query(ctx, conn, 0, `SELECT gpa FROM STUDENT WHERE id = 2`)
 	if err != nil || rs.Rows[0][0].Text() != "1.1" {
 		t.Errorf("committed value over TCP: %v %v", rs.Rows, err)
 	}
@@ -402,7 +422,7 @@ func TestDialectRoundTripPreservesStrings(t *testing.T) {
 	if _, err := g.Exec(ctx, 0, `INSERT INTO STUDENT (id, name, gpa) VALUES (20, 'o''brien', 3.0)`); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := g.Query(ctx, 0, `SELECT name FROM STUDENT WHERE id = 20`)
+	rs, err := query(ctx, g, 0, `SELECT name FROM STUDENT WHERE id = 20`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +442,7 @@ func TestQueryLimitPushdownAcrossDialects(t *testing.T) {
 	for _, d := range []*dialect.Dialect{dialect.Canonical(), dialect.Postgres(), dialect.Oracle()} {
 		g, _ := testGateway(t, d)
 		ctx := context.Background()
-		rs, err := g.Query(ctx, 0, `SELECT name FROM STUDENT ORDER BY gpa DESC LIMIT 2`)
+		rs, err := query(ctx, g, 0, `SELECT name FROM STUDENT ORDER BY gpa DESC LIMIT 2`)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
@@ -433,7 +453,7 @@ func TestQueryLimitPushdownAcrossDialects(t *testing.T) {
 			t.Errorf("%s: top-2 order wrong: %v", d.Name, rs.Rows)
 		}
 		// OFFSET too.
-		rs, err = g.Query(ctx, 0, `SELECT name FROM STUDENT ORDER BY gpa DESC LIMIT 2 OFFSET 1`)
+		rs, err = query(ctx, g, 0, `SELECT name FROM STUDENT ORDER BY gpa DESC LIMIT 2 OFFSET 1`)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}

@@ -418,21 +418,42 @@ func (t *Txn) handleErr(err error) error {
 	return err
 }
 
-// QuerySite runs a canonical SELECT at one site inside the transaction.
-// It implements executor.SiteRunner, so global queries can run with
-// transactional (serializable) semantics.
-func (t *Txn) QuerySite(ctx context.Context, site, sql string) (*schema.ResultSet, error) {
+// QuerySite streams a canonical SELECT at one site inside the
+// transaction. It implements executor.SiteRunner, so global queries run
+// with transactional (serializable) semantics. The OpTimeout stays
+// armed until the stream closes, and a wound or lock timeout — at open
+// or mid-stream — aborts the whole global transaction.
+func (t *Txn) QuerySite(ctx context.Context, site, sql string) (schema.RowStream, error) {
 	br, err := t.branchFor(ctx, site)
 	if err != nil {
 		return nil, err
 	}
 	opctx, cancel := t.opCtx(ctx)
-	defer cancel()
-	rs, err := br.conn.Query(opctx, br.id, sql)
+	st, err := br.conn.QueryStream(opctx, br.id, sql)
 	if err != nil {
+		cancel()
 		return nil, t.handleErr(err)
 	}
-	return rs, nil
+	return &txnStream{RowStream: st, t: t, cancel: cancel}, nil
+}
+
+// txnStream routes a branch stream's errors through handleErr and
+// disarms the operation timeout on Close.
+type txnStream struct {
+	schema.RowStream
+	t      *Txn
+	cancel context.CancelFunc
+}
+
+func (s *txnStream) Next(ctx context.Context) (schema.Row, error) {
+	r, err := s.RowStream.Next(ctx)
+	return r, s.t.handleErr(err)
+}
+
+func (s *txnStream) Close() error {
+	err := s.RowStream.Close()
+	s.cancel()
+	return err
 }
 
 // ExecSite runs canonical DML at one site inside the transaction. The

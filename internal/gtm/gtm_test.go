@@ -11,6 +11,7 @@ import (
 	"myriad/internal/gateway"
 	"myriad/internal/schema"
 	"myriad/internal/storage"
+	"myriad/internal/value"
 )
 
 // fakeConn is a scriptable gateway.Conn for coordinator fault injection.
@@ -24,7 +25,8 @@ type fakeConn struct {
 	aborts   int
 
 	failPrepare bool
-	failExec    error
+	failExec    error // Exec, and QueryStream at open
+	failNext    error // QueryStream mid-stream: one row, then this error
 	failCommit  error
 	// waits and waitErr script this site's WaitGraph answer for
 	// detector tests.
@@ -53,18 +55,14 @@ func (f *fakeConn) Stats(context.Context, string) (*storage.TableStats, error) {
 	return &storage.TableStats{}, nil
 }
 func (f *fakeConn) Explain(context.Context, string) (string, error) { return "", nil }
-func (f *fakeConn) Query(ctx context.Context, txn uint64, sql string) (*schema.ResultSet, error) {
+func (f *fakeConn) QueryStream(ctx context.Context, txn uint64, sql string) (schema.RowStream, error) {
 	if f.failExec != nil {
 		return nil, f.failExec
 	}
-	return &schema.ResultSet{}, nil
-}
-func (f *fakeConn) QueryStream(ctx context.Context, txn uint64, sql string) (schema.RowStream, error) {
-	rs, err := f.Query(ctx, txn, sql)
-	if err != nil {
-		return nil, err
+	if f.failNext != nil {
+		return &failingStream{err: f.failNext}, nil
 	}
-	return schema.StreamOf(rs), nil
+	return schema.StreamOf(&schema.ResultSet{}), nil
 }
 func (f *fakeConn) Exec(ctx context.Context, txn uint64, sql string) (int, error) {
 	if f.failExec != nil {
@@ -121,6 +119,33 @@ func (f *fakeConn) Abort(_ context.Context, txn uint64) error {
 	return nil
 }
 func (f *fakeConn) Close() error { return nil }
+
+// failingStream yields one row, then fails every Next with err.
+type failingStream struct {
+	err  error
+	sent bool
+}
+
+func (s *failingStream) Columns() []string { return []string{"x"} }
+func (s *failingStream) Next(context.Context) (schema.Row, error) {
+	if !s.sent {
+		s.sent = true
+		return schema.Row{value.NewInt(1)}, nil
+	}
+	return nil, s.err
+}
+func (s *failingStream) Close() error { return nil }
+
+// querySite runs one transactional subquery to completion.
+func querySite(ctx context.Context, txn *Txn, site, sql string) error {
+	rows, err := txn.QuerySite(ctx, site, sql)
+	if err != nil {
+		return err
+	}
+	defer rows.Close()
+	_, err = schema.DrainStream(ctx, rows)
+	return err
+}
 
 type fakeProvider map[string]*fakeConn
 
@@ -237,8 +262,84 @@ func TestTimeoutAbortsGlobally(t *testing.T) {
 		t.Error("transaction still active")
 	}
 	// Later operations report the deadlock abort.
-	if _, err := txn.QuerySite(ctx, "a", "x"); !errors.Is(err, ErrDeadlockAbort) {
+	if err := querySite(ctx, txn, "a", "x"); !errors.Is(err, ErrDeadlockAbort) {
 		t.Errorf("post-abort query: %v", err)
+	}
+}
+
+// TestQueryStreamFailureAbortsTxn: transactional reads stream, and a
+// lock timeout or a wound — whether the site reports it when the stream
+// opens or mid-Next — aborts the whole global transaction with the
+// matching error, rolling back every branch.
+func TestQueryStreamFailureAbortsTxn(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		siteErr error
+		want    error
+	}{
+		{"lock timeout", gateway.ErrTimeout, ErrDeadlockAbort},
+		{"wound", gateway.ErrWounded, ErrWounded},
+	} {
+		for _, midStream := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/midStream=%v", tc.name, midStream), func(t *testing.T) {
+				p, c := twoSites()
+				ctx := context.Background()
+				txn := c.Begin()
+				if err := querySite(ctx, txn, "a", "q"); err != nil {
+					t.Fatal(err)
+				}
+				if midStream {
+					p["b"].failNext = fmt.Errorf("site b: %w", tc.siteErr)
+				} else {
+					p["b"].failExec = fmt.Errorf("site b: %w", tc.siteErr)
+				}
+				if err := querySite(ctx, txn, "b", "q"); !errors.Is(err, tc.want) {
+					t.Fatalf("want %v, got %v", tc.want, err)
+				}
+				if txn.Active() {
+					t.Error("transaction still active")
+				}
+				if p["a"].aborts != 1 {
+					t.Errorf("site a aborts = %d, want 1", p["a"].aborts)
+				}
+				if err := txn.Commit(ctx); !errors.Is(err, tc.want) {
+					t.Errorf("commit after abort: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestConcurrentQueryStreamFailures: scan streams failing at two sites
+// at once (the executor reads sites in parallel) abort the transaction
+// exactly once, and both readers see the wound.
+func TestConcurrentQueryStreamFailures(t *testing.T) {
+	p, c := twoSites()
+	ctx := context.Background()
+	txn := c.Begin()
+	for _, site := range []string{"a", "b"} {
+		p[site].failNext = fmt.Errorf("site %s: %w", site, gateway.ErrWounded)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, site := range []string{"a", "b"} {
+		wg.Add(1)
+		go func(i int, site string) {
+			defer wg.Done()
+			errs[i] = querySite(ctx, txn, site, "q")
+		}(i, site)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrWounded) {
+			t.Errorf("reader %d: want ErrWounded, got %v", i, err)
+		}
+	}
+	if txn.Active() {
+		t.Error("transaction still active")
+	}
+	if got := c.Stats.Aborted.Load(); got != 1 {
+		t.Errorf("aborted %d times, want 1", got)
 	}
 }
 
@@ -298,7 +399,7 @@ func TestConcurrentBranchCreation(t *testing.T) {
 			if i%2 == 0 {
 				site = "b"
 			}
-			if _, err := txn.QuerySite(ctx, site, "q"); err != nil {
+			if err := querySite(ctx, txn, site, "q"); err != nil {
 				t.Error(err)
 			}
 		}(i)

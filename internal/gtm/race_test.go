@@ -151,7 +151,7 @@ func TestCommitAbortStress(t *testing.T) {
 		go func() { defer wg.Done(); txn.Abort(ctx) }()
 		go func() {
 			defer wg.Done()
-			txn.QuerySite(ctx, "a", "q") //nolint:errcheck
+			querySite(ctx, txn, "a", "q") //nolint:errcheck
 		}()
 		wg.Wait()
 

@@ -100,7 +100,7 @@ func TestReadOnlyReportsNothing(t *testing.T) {
 	c.OnFinish = l.hook
 	for _, commit := range []bool{true, false} {
 		txn := c.Begin()
-		if _, err := txn.QuerySite(ctx, "a", `SELECT id FROM acct`); err != nil {
+		if err := querySite(ctx, txn, "a", `SELECT id FROM acct`); err != nil {
 			t.Fatal(err)
 		}
 		if commit {

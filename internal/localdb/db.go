@@ -320,22 +320,6 @@ func (db *DB) Query(ctx context.Context, sql string) (*schema.ResultSet, error) 
 	return rs, nil
 }
 
-// QueryStmt executes an already-parsed SELECT in autocommit mode,
-// skipping the format/re-parse round trip (the gateways are the hot
-// caller: every remote subquery of every federated query lands here).
-func (db *DB) QueryStmt(ctx context.Context, sel *sqlparser.Select) (*schema.ResultSet, error) {
-	tx := db.Begin()
-	rs, err := tx.QueryStmt(ctx, sel)
-	if err != nil {
-		tx.Rollback()
-		return nil, err
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	return rs, nil
-}
-
 // MustExec is a test/fixture helper: it panics on error.
 func (db *DB) MustExec(sql string) {
 	if _, err := db.Exec(context.Background(), sql); err != nil {

@@ -89,19 +89,15 @@ type ScanSet struct {
 	Scans     []*RemoteScan
 	Spec      *integration.Spec
 
-	// Semijoin reduction: when SemiFrom is non-empty the executor must
-	// materialize that scan set first, collect the distinct values of
-	// SemiBuildCol, and attach them as an IN-list to each scan's
-	// SemiProbe expression (skipped when the list exceeds MaxInList).
+	// Bind join: when SemiFrom is non-empty the executor loads that scan
+	// set first, collects the distinct values of SemiBuildCol, and ships
+	// the probe subqueries once per MaxInList-sized batch of them, each
+	// batch ANDed onto the scans' SemiProbe expression as an IN-list
+	// (the batches partition the keys, so per-batch combining is exact).
+	// A key set larger than Plan.BindMaxKeys falls back to shipping the
+	// fragments whole.
 	SemiFrom     string
 	SemiBuildCol string
-
-	// SemiBind authorizes the batched bind join: the executor may split
-	// the collected keys into MaxInList-sized batches and ship the probe
-	// subqueries once per batch (the batches partition the keys, so
-	// per-batch combining is exact). Without it a key set larger than
-	// MaxInList falls back to shipping the fragments whole.
-	SemiBind bool
 	// EstKeys/EstBatches are the planner's distinct-key and batch-count
 	// estimates for the bind join (EXPLAIN only).
 	EstKeys    float64
@@ -140,12 +136,9 @@ func (p *Plan) Describe() string {
 	fmt.Fprintf(&b, "strategy: %s\n", p.Strategy)
 	for _, ss := range p.ScanSets {
 		fmt.Fprintf(&b, "scan-set %s (%s, est %.0f rows)", ss.Alias, ss.Def.Name, ss.EstRows)
-		switch {
-		case ss.SemiFrom != "" && ss.SemiBind:
+		if ss.SemiFrom != "" {
 			fmt.Fprintf(&b, " [bind-join probe of %s on %s, ~%.0f keys in ~%d batches]",
 				ss.SemiFrom, ss.SemiBuildCol, ss.EstKeys, ss.EstBatches)
-		case ss.SemiFrom != "":
-			fmt.Fprintf(&b, " [semijoin probe of %s on %s]", ss.SemiFrom, ss.SemiBuildCol)
 		}
 		b.WriteByte('\n')
 		for _, sc := range ss.Scans {
@@ -948,7 +941,6 @@ func (p *Planner) chooseSemijoin(ctx context.Context, sel *sqlparser.Select, set
 		for i := range big.Scans {
 			big.Scans[i].SemiProbe = probeExprs[i]
 		}
-		big.SemiBind = true
 		big.EstKeys = keys
 		big.EstBatches = int(math.Ceil(keys / float64(maxIn)))
 		if big.EstBatches < 1 {

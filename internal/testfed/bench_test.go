@@ -16,10 +16,10 @@ import (
 )
 
 // BenchmarkFederatedStreamLimit measures LIMIT 10 over a 100k-row
-// remote site (real TCP), streaming vs. the old materialized executor,
-// under both strategies. cost pushes the LIMIT to the site; simple
-// fetches the export essentially whole, so there the transport decides
-// whether 100k rows materialize at the gateway (materialized) or the
+// remote site (real TCP), streaming vs. the materialized reference
+// executor, under both strategies. cost pushes the LIMIT to the site;
+// simple fetches the export essentially whole, so there the executor
+// decides whether all 100k rows are drained (materialized) or the
 // federation half-closes the stream after ~10 rows (streaming).
 func BenchmarkFederatedStreamLimit(b *testing.B) {
 	fx := twoSiteUnion(b, integration.UnionAll, 0, 100_000, false, 0)
@@ -32,7 +32,7 @@ func BenchmarkFederatedStreamLimit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var n int
 			if streaming {
-				rs, err := fx.Fed.QueryWith(ctx, sql, strategy)
+				rs, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -91,7 +91,7 @@ func BenchmarkTwoSiteUnion(b *testing.B) {
 	b.Run("first-row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := fx.Fed.QueryStream(ctx, sql, core.StrategyCostBased)
+			rows, _, err := fx.Fed.QueryStreamMetered(ctx, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func BenchmarkUnorderedFirstRow(b *testing.B) {
 		fx.Fed.FanIn = policy
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := fx.Fed.QueryStream(ctx, sql, core.StrategyCostBased)
+			rows, _, err := fx.Fed.QueryStreamMetered(ctx, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -152,12 +152,12 @@ func BenchmarkScratchBypass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner := fx.StreamRunner()
+	runner := fx.Runner()
 
 	run := func(b *testing.B, opts executor.Options) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, m, err := executor.ExecuteMeteredOpts(ctx, plan, runner, opts)
+			rs, m, err := execute(ctx, plan, runner, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -185,12 +185,12 @@ func BenchmarkExternalSort(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner := fx.StreamRunner()
+	runner := fx.Runner()
 
 	run := func(b *testing.B, opts executor.Options, wantSpill bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, m, err := executor.ExecuteMeteredOpts(ctx, plan, runner, opts)
+			rs, m, err := execute(ctx, plan, runner, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -367,12 +367,12 @@ func BenchmarkOuterMergeSpill(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner := fx.StreamRunner()
+	runner := fx.Runner()
 
 	run := func(b *testing.B, opts executor.Options, wantSpill bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, m, err := executor.ExecuteMeteredOpts(ctx, plan, runner, opts)
+			rs, m, err := execute(ctx, plan, runner, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -229,23 +229,9 @@ func TestBindJoinMultiBatchMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan.MaxInList = 2 // every corpus query's driving side holds >2 distinct keys
-		stream, m, err := executor.ExecuteStreamMetered(ctx, plan, fx.StreamRunner())
+		got, m, err := execute(ctx, plan, fx.Runner(), executor.Options{})
 		if err != nil {
 			t.Fatalf("%s: streaming: %v", sql, err)
-		}
-		got := &schema.ResultSet{Columns: stream.Columns()}
-		for {
-			r, err := stream.Next(ctx)
-			if err != nil {
-				t.Fatalf("%s: next: %v", sql, err)
-			}
-			if r == nil {
-				break
-			}
-			got.Rows = append(got.Rows, r)
-		}
-		if err := stream.Close(); err != nil {
-			t.Fatalf("%s: close: %v", sql, err)
 		}
 		if !m.SemijoinUsed || m.BindJoinBatches < 2 {
 			t.Fatalf("%s: batching did not engage: used=%v batches=%d", sql, m.SemijoinUsed, m.BindJoinBatches)
@@ -364,7 +350,7 @@ func BenchmarkBindJoin(b *testing.B) {
 	}
 	bound := false
 	for _, ss := range bindPlan.ScanSets {
-		if ss.SemiFrom != "" && ss.SemiBind {
+		if ss.SemiFrom != "" {
 			bound = true
 		}
 	}
@@ -376,18 +362,18 @@ func BenchmarkBindJoin(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, ss := range shipAllPlan.ScanSets {
-		ss.SemiFrom, ss.SemiBind, ss.EstKeys, ss.EstBatches = "", false, 0, 0
+		ss.SemiFrom, ss.EstKeys, ss.EstBatches = "", 0, 0
 		for i := range ss.Scans {
 			ss.Scans[i].SemiProbe = nil
 		}
 	}
-	runner := fx.StreamRunner()
+	runner := fx.Runner()
 
 	var bindShipped, allShipped int
 	run := func(b *testing.B, plan *planner.Plan, shipped *int, wantSemi bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, m, err := executor.ExecuteMetered(ctx, plan, runner)
+			rs, m, err := execute(ctx, plan, runner, executor.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -78,7 +78,7 @@ var equivalenceCorpus = []string{
 }
 
 // TestStreamingMatchesMaterialized holds the streaming executor
-// row-for-row equal to the pre-streaming materialized path for the
+// row-for-row equal to the materialized reference executor for the
 // whole corpus, under both optimizer strategies.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	fx := equivalenceFixture(t)

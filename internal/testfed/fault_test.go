@@ -251,7 +251,7 @@ func TestStalledSiteDoesNotGateUnorderedFirstRow(t *testing.T) {
 	ch := make(chan firstRow, 1)
 	closed := make(chan error, 1)
 	go func() {
-		rows, err := fx.Fed.QueryStream(context.Background(), `SELECT id, v FROM R`, fx.Fed.Strategy)
+		rows, _, err := fx.Fed.QueryStreamMetered(context.Background(), `SELECT id, v FROM R`, fx.Fed.Strategy)
 		if err != nil {
 			ch <- firstRow{err: err}
 			return

@@ -1,15 +1,30 @@
 package testfed
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"myriad/internal/catalog"
+	"myriad/internal/executor"
 	"myriad/internal/gateway"
 	"myriad/internal/integration"
+	"myriad/internal/planner"
 	"myriad/internal/schema"
 	"myriad/internal/value"
 )
+
+// execute runs plan through executor.Execute and materializes the
+// result; the stream is closed before the metrics are returned.
+func execute(ctx context.Context, plan *planner.Plan, runner executor.SiteRunner, opts executor.Options) (*schema.ResultSet, *executor.Metrics, error) {
+	rows, m, err := executor.Execute(ctx, plan, runner, opts)
+	if err != nil {
+		return nil, m, err
+	}
+	defer rows.Close()
+	rs, err := schema.DrainStream(ctx, rows)
+	return rs, m, err
+}
 
 const createT = `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)`
 

@@ -119,7 +119,7 @@ func TestFederatedRangeScanScansFraction(t *testing.T) {
 	beforeB := fx.Site("b").DB.ScannedRows()
 	// ids/vs: a holds 0..n-1, b holds n..2n-1. A 500-wide slice of each.
 	sql := fmt.Sprintf(`SELECT id, v FROM R WHERE v >= %d AND v < %d`, n-500, n+500)
-	rs, err := fx.Fed.QueryWith(ctx, sql, core.StrategyCostBased)
+	rs, _, err := fx.Fed.QueryMetered(ctx, sql, core.StrategyCostBased)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestOrderedIndexEquivalenceFederated(t *testing.T) {
 			for _, sql := range equivalenceCorpus {
 				name := fmt.Sprintf("%v/%v/%s", policy, strategy, sql)
 				t.Run(name, func(t *testing.T) {
-					want, err := plain.Fed.QueryWith(ctx, sql, strategy)
+					want, _, err := plain.Fed.QueryMetered(ctx, sql, strategy)
 					if err != nil {
 						t.Fatalf("plain: %v", err)
 					}
-					got, err := indexed.Fed.QueryWith(ctx, sql, strategy)
+					got, _, err := indexed.Fed.QueryMetered(ctx, sql, strategy)
 					if err != nil {
 						t.Fatalf("indexed: %v", err)
 					}
@@ -231,7 +231,7 @@ func BenchmarkFederatedOrderedMerge(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rs, err := fx.Fed.QueryWith(ctx, sql, core.StrategyCostBased)
+			rs, _, err := fx.Fed.QueryMetered(ctx, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -255,7 +255,7 @@ func BenchmarkFederatedRangeScan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rs, err := fx.Fed.QueryWith(ctx, sql, core.StrategyCostBased)
+			rs, _, err := fx.Fed.QueryMetered(ctx, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -323,11 +323,11 @@ func TestFederatedCompositeIndexEquivalence(t *testing.T) {
 	for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
 		for _, sql := range corpus {
 			t.Run(fmt.Sprintf("%v/%s", strategy, sql), func(t *testing.T) {
-				want, err := plain.Fed.QueryWith(ctx, sql, strategy)
+				want, _, err := plain.Fed.QueryMetered(ctx, sql, strategy)
 				if err != nil {
 					t.Fatalf("plain: %v", err)
 				}
-				got, err := indexed.Fed.QueryWith(ctx, sql, strategy)
+				got, _, err := indexed.Fed.QueryMetered(ctx, sql, strategy)
 				if err != nil {
 					t.Fatalf("indexed: %v", err)
 				}

@@ -198,15 +198,16 @@ func (fx *Fixture) Query(ctx context.Context, sql string) (*schema.ResultSet, er
 	return fx.Fed.Query(ctx, sql)
 }
 
-// RefQuery runs a global SELECT through the pre-streaming materialized
-// executor over the same wire protocol's Response path — the reference
-// the equivalence suite compares the streaming path against.
+// RefQuery runs a global SELECT through executor.ExecuteMaterialized —
+// every fragment drained whole before integration — the reference the
+// equivalence corpora compare the pipelined path against.
 func (fx *Fixture) RefQuery(ctx context.Context, sql string, strategy core.Strategy) (*schema.ResultSet, error) {
 	plan, err := fx.Plan(ctx, sql, strategy)
 	if err != nil {
 		return nil, err
 	}
-	return executor.ExecuteMaterialized(ctx, plan, refRunner{fx.Fed})
+	rs, _, err := executor.ExecuteMaterialized(ctx, plan, fx.Runner())
+	return rs, err
 }
 
 // Plan builds the global plan for sql (exposed for benchmarks that
@@ -223,32 +224,13 @@ func (fx *Fixture) Plan(ctx context.Context, sql string, strategy core.Strategy)
 	return planner.New(fx.Fed.Catalog(), fx.Fed).Plan(ctx, sel, strategy)
 }
 
-// Runner returns a materialized SiteRunner over the fixture's gateway
-// connections (no streaming), for driving executor paths directly.
-func (fx *Fixture) Runner() executor.SiteRunner { return refRunner{fx.Fed} }
+// Runner returns an autocommit SiteRunner over the fixture's gateway
+// connections, for driving executor paths directly.
+func (fx *Fixture) Runner() executor.SiteRunner { return siteRunner{fx.Fed} }
 
-// refRunner ships subqueries as whole ResultSets via Conn.Query.
-type refRunner struct{ f *core.Federation }
+type siteRunner struct{ f *core.Federation }
 
-func (r refRunner) QuerySite(ctx context.Context, site, sql string) (*schema.ResultSet, error) {
-	conn, ok := r.f.Conn(site)
-	if !ok {
-		return nil, fmt.Errorf("testfed: unknown site %q", site)
-	}
-	return conn.Query(ctx, 0, sql)
-}
-
-// StreamRunner returns the streaming autocommit runner the federation
-// itself uses (exposed for phase-level benchmarks).
-func (fx *Fixture) StreamRunner() executor.SiteRunner { return streamRunner{fx.Fed} }
-
-type streamRunner struct{ f *core.Federation }
-
-func (r streamRunner) QuerySite(ctx context.Context, site, sql string) (*schema.ResultSet, error) {
-	return refRunner{r.f}.QuerySite(ctx, site, sql)
-}
-
-func (r streamRunner) QuerySiteStream(ctx context.Context, site, sql string) (schema.RowStream, error) {
+func (r siteRunner) QuerySite(ctx context.Context, site, sql string) (schema.RowStream, error) {
 	conn, ok := r.f.Conn(site)
 	if !ok {
 		return nil, fmt.Errorf("testfed: unknown site %q", site)

@@ -50,7 +50,7 @@ func TestBuildOrders(t *testing.T) {
 	if rs.Rows[0][0].Text() != "500" {
 		t.Errorf("every order should join a customer: %s", rs.Rows[0][0].Text())
 	}
-	rs, err = dep.Fed.QueryWith(ctx, `SELECT COUNT(*) FROM CUSTOMERS WHERE tier = 'gold'`, core.StrategySimple)
+	rs, _, err = dep.Fed.QueryMetered(ctx, `SELECT COUNT(*) FROM CUSTOMERS WHERE tier = 'gold'`, core.StrategySimple)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ type (
 	ResultSet = schema.ResultSet
 	// RowStream is a pull-based streaming query result; federated
 	// queries pipeline remote fragments into it without materializing
-	// (Federation.QueryStream, FederationClient.QueryStream).
+	// (Federation.QueryStreamMetered, FederationClient.QueryStream).
 	RowStream = schema.RowStream
 	// Value is one SQL value.
 	Value = value.Value
