@@ -8,7 +8,8 @@
 //   - Request/Response: one synchronous round trip (Client.Do), used
 //     for control operations (ping, schema, stats, transactions, DML).
 //   - Request/Frame-stream: a Stream=true request (Client.DoStream) is
-//     answered by a header frame (columns), gob-encoded row batches,
+//     answered by a header frame (columns), row batches (each one gob
+//     frame whose payload holds its rows in the shared value row codec),
 //     and a trailer (error + row count), letting query results pipeline
 //     site → federation → client without materializing. See PROTOCOL.md.
 //
@@ -134,6 +135,11 @@ var InDoubtError = errors.New("comm: commit in doubt (decision logged, acknowled
 // wound-wait fast path or the coordinator's detector), must abort, and
 // may be retried under a fresh global id.
 var WoundedError = errors.New("comm: transaction wounded (deadlock victim, retry)")
+
+// ProtocolError wraps every violation of the streaming frame contract
+// detected client-side — an out-of-sequence frame or a malformed batch
+// payload. The stream's connection is never reused after one.
+var ProtocolError = errors.New("comm: protocol error")
 
 // socketBufferBytes fixes SO_RCVBUF/SO_SNDBUF on every protocol
 // connection. A fixed window turns the transport's backpressure into

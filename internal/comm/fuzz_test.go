@@ -4,102 +4,158 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"myriad/internal/schema"
 	"myriad/internal/value"
 )
 
-// FuzzBatchFraming round-trips a fuzzer-shaped frame sequence (header,
-// row batches of every value kind, trailer) through the gob encoder and
-// decoder and asserts the decoded stream is identical — the framing
-// invariant every streaming query rides on.
+// FuzzBatchFraming drives the real data path end to end: a
+// fuzzer-shaped result (header, rows of every value kind and width,
+// optional error trailer) goes through frameWriter, the gob envelope
+// and Stream.Next, and must come back identical — the framing
+// invariant every streaming query rides on. The same input is then
+// replayed as a raw batch frame whose payload is the fuzz bytes
+// themselves: the client must reject it as a ProtocolError or decode
+// exactly the claimed rows, and never panic.
 func FuzzBatchFraming(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0})
 	f.Add([]byte("the quick brown fox"))
 	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x7f}, 40))
+	f.Add(value.AppendRow([]byte{3, 1}, []value.Value{value.NewText("\xff"), value.NewFloat(math.NaN())}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames := framesFrom(data)
+		r := &byteReader{data: data}
+		ncols := int(r.next() % 5)
+		cols := make([]string, ncols)
+		for i := range cols {
+			cols[i] = fmt.Sprintf("c%d_%d", i, r.next())
+		}
+		batchRows := 1 + int(r.next()%8)
+		rows := make([]schema.Row, int(r.next()%40))
+		for i := range rows {
+			rows[i] = make(schema.Row, ncols)
+			for c := range rows[i] {
+				rows[i][c] = fuzzValue(r)
+			}
+		}
+		var herr error
+		if r.next()%3 == 0 {
+			herr = errors.New("boom: " + string(r.take(int(r.next()%32))))
+			if r.next()%2 == 0 {
+				herr = &KindError{Kind: ErrTimeout, Err: herr}
+			}
+		}
 
 		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for _, fr := range frames {
-			if err := enc.Encode(fr); err != nil {
-				t.Fatalf("encode: %v", err)
+		w := newFrameWriter(gob.NewEncoder(&buf), batchRows)
+		if err := w.Header(cols); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if err := w.Row(row); err != nil {
+				t.Fatal(err)
 			}
+		}
+		if err := w.finish(herr); err != nil {
+			t.Fatal(err)
 		}
 
-		dec := gob.NewDecoder(&buf)
-		for i, want := range frames {
-			var got Frame
-			if err := dec.Decode(&got); err != nil {
-				t.Fatalf("decode frame %d: %v", i, err)
-			}
-			assertFrameEqual(t, i, want, &got)
+		st := bufferStream(&buf)
+		if err := st.readHeader(); err != nil {
+			t.Fatalf("header: %v", err)
 		}
-		var extra Frame
-		if err := dec.Decode(&extra); err != io.EOF {
-			t.Fatalf("stream has trailing garbage: %v", err)
+		if fmt.Sprint(st.Columns()) != fmt.Sprint(cols) {
+			t.Fatalf("columns %q, want %q", st.Columns(), cols)
+		}
+		// An error trailer supersedes the unflushed partial batch.
+		want := rows
+		if herr != nil {
+			want = rows[:len(rows)/batchRows*batchRows]
+		}
+		got, err := drain(st)
+		if herr == nil && err != nil {
+			t.Fatalf("clean stream failed: %v", err)
+		}
+		if herr != nil && (err == nil || !strings.HasSuffix(err.Error(), herr.Error()) ||
+			errors.Is(err, TimeoutError) != (kindOf(herr) == ErrTimeout)) {
+			t.Fatalf("trailer error %v, want %v", err, herr)
+		}
+		assertRowsEqual(t, got, want)
+		if st.RowCount() != len(want) {
+			t.Fatalf("trailer count %d, want %d", st.RowCount(), len(want))
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%d bytes left after the trailer", buf.Len())
+		}
+
+		// The fuzz bytes as a raw batch payload, its claimed row count
+		// taken from the first byte.
+		buf.Reset()
+		enc := gob.NewEncoder(&buf)
+		n := 0
+		if len(data) > 0 {
+			n = int(data[0]) - 8 // negative counts are corrupt too
+		}
+		for _, fr := range []*Frame{
+			{Kind: FrameHeader, Columns: cols},
+			{Kind: FrameBatch, N: n, Payload: data},
+			{Kind: FrameTrailer, Count: n},
+		} {
+			if err := enc.Encode(fr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st = bufferStream(&buf)
+		if err := st.readHeader(); err != nil {
+			t.Fatalf("header: %v", err)
+		}
+		got, err = drain(st)
+		if err != nil {
+			if !errors.Is(err, ProtocolError) || !errors.Is(err, value.ErrCorrupt) {
+				t.Fatalf("malformed payload surfaced as %v, want a ProtocolError", err)
+			}
+			if st.done {
+				t.Fatal("a stream failed on a malformed payload claims a clean conn")
+			}
+		} else if len(got) != n {
+			t.Fatalf("decoded %d rows from a payload claiming %d", len(got), n)
 		}
 	})
 }
 
-// framesFrom deterministically shapes the fuzz input into a legal frame
-// sequence: every byte steers column counts, batch sizes, value kinds
-// and payloads.
-func framesFrom(data []byte) []*Frame {
-	r := &byteReader{data: data}
-	ncols := 1 + int(r.next()%5)
-	header := &Frame{Kind: FrameHeader}
-	for i := 0; i < ncols; i++ {
-		header.Columns = append(header.Columns, fmt.Sprintf("c%d_%d", i, r.next()))
-	}
-	frames := []*Frame{header}
-
-	nbatches := int(r.next() % 4)
-	total := 0
-	for b := 0; b < nbatches; b++ {
-		nrows := 1 + int(r.next()%8)
-		batch := &Frame{Kind: FrameBatch}
-		for i := 0; i < nrows; i++ {
-			row := make(schema.Row, ncols)
-			for c := range row {
-				row[c] = fuzzValue(r)
-			}
-			batch.Rows = append(batch.Rows, row)
-			total++
-		}
-		frames = append(frames, batch)
-	}
-
-	trailer := &Frame{Kind: FrameTrailer, Count: total}
-	if r.next()%3 == 0 {
-		trailer.Err = string(r.take(int(r.next() % 32)))
-		trailer.ErrKind = ErrGeneric
-		if r.next()%2 == 0 {
-			trailer.ErrKind = ErrTimeout
-		}
-	}
-	return append(frames, trailer)
+// bufferStream is a client Stream reading frames from buf instead of a
+// pooled connection (nothing that touches the conn may be called).
+func bufferStream(buf *bytes.Buffer) *Stream {
+	return &Stream{c: &Client{addr: "fuzz"}, cc: &clientConn{dec: gob.NewDecoder(buf)}}
 }
 
+func drain(st *Stream) ([]schema.Row, error) {
+	var rows []schema.Row
+	for {
+		row, err := st.Next()
+		if err != nil || row == nil {
+			return rows, err
+		}
+		rows = append(rows, row)
+	}
+}
+
+// fuzzValue shapes fuzz bytes into a value of any kind, including the
+// edge cases: raw float bits (NaN, -0.0, ±Inf) and non-UTF-8 text.
 func fuzzValue(r *byteReader) value.Value {
 	switch r.next() % 5 {
 	case 0:
 		return value.Null()
 	case 1:
-		var raw [8]byte
-		copy(raw[:], r.take(8))
-		return value.NewInt(int64(binary.LittleEndian.Uint64(raw[:])))
+		return value.NewInt(int64(binary.LittleEndian.Uint64(r.take(8))))
 	case 2:
-		// Finite float from raw bits (NaN would break equality).
-		var raw [8]byte
-		copy(raw[:], r.take(8))
-		return value.NewFloat(float64(int64(binary.LittleEndian.Uint64(raw[:]))) / 257.0)
+		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(r.take(8))))
 	case 3:
 		return value.NewText(string(r.take(int(r.next() % 24))))
 	default:
@@ -130,31 +186,22 @@ func (r *byteReader) take(n int) []byte {
 	return out
 }
 
-func assertFrameEqual(t *testing.T, i int, want, got *Frame) {
+// assertRowsEqual requires bit-identical values (floats by their bits,
+// so NaN and -0.0 count) and non-nil rows, zero-column ones included.
+func assertRowsEqual(t *testing.T, got, want []schema.Row) {
 	t.Helper()
-	if got.Kind != want.Kind || got.Count != want.Count || got.Err != want.Err || got.ErrKind != want.ErrKind {
-		t.Fatalf("frame %d metadata mismatch: want %+v, got %+v", i, want, got)
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
 	}
-	if len(got.Columns) != len(want.Columns) {
-		t.Fatalf("frame %d: %d columns, want %d", i, len(got.Columns), len(want.Columns))
-	}
-	for c := range want.Columns {
-		if got.Columns[c] != want.Columns[c] {
-			t.Fatalf("frame %d column %d: %q != %q", i, c, got.Columns[c], want.Columns[c])
+	for i := range want {
+		if got[i] == nil || len(got[i]) != len(want[i]) {
+			t.Fatalf("row %d: %v, want %v", i, got[i], want[i])
 		}
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("frame %d: %d rows, want %d", i, len(got.Rows), len(want.Rows))
-	}
-	for ri := range want.Rows {
-		wr, gr := want.Rows[ri], got.Rows[ri]
-		if len(gr) != len(wr) {
-			t.Fatalf("frame %d row %d: arity %d != %d", i, ri, len(gr), len(wr))
-		}
-		for ci := range wr {
-			wv, gv := wr[ci], gr[ci]
-			if wv.K != gv.K || wv.IsNull() != gv.IsNull() || (!wv.IsNull() && wv.Text() != gv.Text()) {
-				t.Fatalf("frame %d row %d col %d: %s != %s", i, ri, ci, gv, wv)
+		for c, w := range want[i] {
+			g := got[i][c]
+			if g.K != w.K || g.I != w.I || g.S != w.S || g.B != w.B ||
+				math.Float64bits(g.F) != math.Float64bits(w.F) {
+				t.Fatalf("row %d col %d: %#v, want %#v", i, c, g, w)
 			}
 		}
 	}

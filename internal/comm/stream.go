@@ -9,12 +9,15 @@ import (
 	"time"
 
 	"myriad/internal/schema"
+	"myriad/internal/value"
 )
 
 // The streaming response protocol: a Request with Stream=true is
 // answered not by one Response but by a sequence of gob-encoded Frames
 // on the same connection — one header (column names), zero or more row
-// batches, and exactly one trailer (error + row count). See PROTOCOL.md
+// batches, and exactly one trailer (error + row count). A batch's rows
+// travel as one opaque payload in the shared row codec (value.AppendRow),
+// so gob frames the batch but never reflects over a row. See PROTOCOL.md
 // for the wire contract.
 
 // FrameKind discriminates streaming frames.
@@ -28,19 +31,21 @@ const (
 )
 
 // DefaultBatchRows is how many rows a server packs per batch frame when
-// no explicit batch size is configured: large enough to amortize gob
-// framing, small enough that the first batch flushes quickly and a
-// LIMIT 10 never drags hundreds of rows over the wire.
+// no explicit batch size is configured: large enough to amortize the
+// per-frame cost (one gob envelope, one write syscall), small enough
+// that the first batch flushes quickly and a LIMIT 10 never drags
+// hundreds of rows over the wire.
 const DefaultBatchRows = 256
 
 // Frame is one message of a streaming response.
 type Frame struct {
 	Kind    FrameKind
-	Columns []string     // header
-	Rows    []schema.Row // batch
-	Err     string       // trailer
-	ErrKind ErrKind      // trailer
-	Count   int          // trailer: rows sent in the whole stream
+	Columns []string // header
+	N       int      // batch: rows in Payload
+	Payload []byte   // batch: N rows, each value.AppendRow-encoded
+	Err     string   // trailer
+	ErrKind ErrKind  // trailer
+	Count   int      // trailer: rows sent in the whole stream
 }
 
 // KindError tags an error with the wire ErrKind a streaming trailer
@@ -107,7 +112,8 @@ type frameWriter struct {
 	conn         net.Conn
 	writeTimeout time.Duration
 
-	buf        []schema.Row
+	payload    []byte // pending batch, reused across frames
+	pending    int    // rows in payload
 	count      int
 	headerSent bool
 	writeErr   error // transport failure: the conn is dead
@@ -156,26 +162,28 @@ func (w *frameWriter) Row(row schema.Row) error {
 	if !w.headerSent {
 		return errors.New("comm: stream row before header")
 	}
-	w.buf = append(w.buf, row)
-	if len(w.buf) >= w.batchRows {
+	w.payload = value.AppendRow(w.payload, row)
+	w.pending++
+	if w.pending >= w.batchRows {
 		return w.flush()
 	}
 	return nil
 }
 
 func (w *frameWriter) flush() error {
-	if len(w.buf) == 0 {
+	if w.pending == 0 {
 		return w.writeErr
 	}
-	frame := &Frame{Kind: FrameBatch, Rows: w.buf}
-	err := w.encode(frame)
+	// Encode copies the payload into the gob buffer before returning,
+	// so the next batch can reuse it.
+	err := w.encode(&Frame{Kind: FrameBatch, N: w.pending, Payload: w.payload})
 	if err == nil {
 		// Count only what actually went out: an error trailer may
 		// supersede a pending batch, and its Count must not include
 		// rows that were buffered but never sent.
-		w.count += len(w.buf)
+		w.count += w.pending
 	}
-	w.buf = w.buf[:0]
+	w.payload, w.pending = w.payload[:0], 0
 	if err != nil {
 		w.writeErr = err
 	}
@@ -240,6 +248,7 @@ type Stream struct {
 	cc *clientConn
 
 	cols  []string
+	frame Frame // decode target, its Payload reused across batches
 	batch []schema.Row
 	bpos  int
 	count int
@@ -279,30 +288,30 @@ func (c *Client) DoStream(ctx context.Context, req *Request) (*Stream, error) {
 	}
 	st := &Stream{c: c, cc: cc, stop: make(chan struct{})}
 	go st.watch(ctx)
-
-	var first Frame
-	if err := cc.dec.Decode(&first); err != nil {
-		st.fail(fmt.Errorf("comm: receive from %s: %w", c.addr, err))
+	if err := st.readHeader(); err != nil {
 		st.Close()
-		return nil, st.err
+		return nil, err
+	}
+	return st, nil
+}
+
+// readHeader consumes the stream's first frame: the header, or a
+// trailer standing in for it (an error before any rows).
+func (s *Stream) readHeader() error {
+	var first Frame
+	if err := s.cc.dec.Decode(&first); err != nil {
+		return s.fail(fmt.Errorf("comm: receive from %s: %w", s.c.addr, err))
 	}
 	switch first.Kind {
 	case FrameHeader:
-		st.cols = first.Columns
-		return st, nil
+		s.cols = first.Columns
+		return nil
 	case FrameTrailer:
-		// Error before the header (or an empty degenerate stream).
-		st.consumeTrailer(&first)
-		err := st.err
-		st.Close()
-		if err == nil {
-			err = errors.New("comm: stream ended before header")
-		}
-		return nil, err
+		// A trailer error wins; an empty degenerate stream gets this one.
+		s.consumeTrailer(&first)
+		return s.fail(errors.New("comm: stream ended before header"))
 	default:
-		st.fail(fmt.Errorf("comm: protocol error: first frame kind %d", first.Kind))
-		st.Close()
-		return nil, st.err
+		return s.fail(fmt.Errorf("%w: first frame kind %d", ProtocolError, first.Kind))
 	}
 }
 
@@ -333,12 +342,15 @@ func (s *Stream) Columns() []string { return s.cols }
 // once Next has returned (nil, nil).
 func (s *Stream) RowCount() int { return s.count }
 
-func (s *Stream) fail(err error) {
+// fail records err as the terminal error unless one is already set,
+// and returns whichever is.
+func (s *Stream) fail(err error) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.err == nil {
 		s.err = err
 	}
-	s.mu.Unlock()
+	return s.err
 }
 
 func (s *Stream) consumeTrailer(f *Frame) {
@@ -366,26 +378,32 @@ func (s *Stream) Next() (schema.Row, error) {
 		return nil, nil
 	}
 	for s.bpos >= len(s.batch) {
-		var f Frame
-		if err := s.cc.dec.Decode(&f); err != nil {
-			s.fail(fmt.Errorf("comm: receive from %s: %w", s.c.addr, err))
-			s.mu.Lock()
-			err = s.err
-			s.mu.Unlock()
-			return nil, err
+		// gob leaves fields absent from the wire untouched: reset all
+		// but the payload buffer, which it refills in place.
+		s.frame = Frame{Payload: s.frame.Payload[:0]}
+		f := &s.frame
+		if err := s.cc.dec.Decode(f); err != nil {
+			return nil, s.fail(fmt.Errorf("comm: receive from %s: %w", s.c.addr, err))
 		}
 		switch f.Kind {
 		case FrameBatch:
-			s.batch, s.bpos = f.Rows, 0
+			// The rows must not alias the payload buffer (consumers keep
+			// them); the decoder copies every text out of it.
+			batch, err := value.DecodeRows(s.batch[:0], f.N, f.Payload)
+			if err != nil {
+				// Unread frames may follow; the trailer is never consumed,
+				// so Close marks the conn broken.
+				return nil, s.fail(fmt.Errorf("%w: batch from %s: %w", ProtocolError, s.c.addr, err))
+			}
+			s.batch, s.bpos = batch, 0
 		case FrameTrailer:
-			s.consumeTrailer(&f)
+			s.consumeTrailer(f)
 			s.mu.Lock()
 			err := s.err
 			s.mu.Unlock()
 			return nil, err
 		default:
-			s.fail(fmt.Errorf("comm: protocol error: frame kind %d mid-stream", f.Kind))
-			return nil, s.err
+			return nil, s.fail(fmt.Errorf("%w: frame kind %d mid-stream", ProtocolError, f.Kind))
 		}
 	}
 	r := s.batch[s.bpos]

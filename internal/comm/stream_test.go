@@ -2,8 +2,10 @@ package comm
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -363,4 +365,62 @@ func TestStreamTeardownReleasesServer(t *testing.T) {
 	}
 	t.Fatalf("server handler still producing after client half-close (%d started, %d finished)",
 		h.started.Load(), h.finished.Load())
+}
+
+// TestMalformedBatchBreaksConn serves a batch whose payload does not
+// hold the rows it claims: Next must return a ProtocolError (wrapping
+// the codec's ErrCorrupt) rather than panic or yield rows, and the conn
+// — its trailer never consumed — must not return to the pool.
+func TestMalformedBatchBreaksConn(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			go func() {
+				defer conn.Close()
+				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+				for {
+					var req Request
+					if dec.Decode(&req) != nil {
+						return
+					}
+					for _, f := range []*Frame{
+						{Kind: FrameHeader, Columns: []string{"i"}},
+						{Kind: FrameBatch, N: 3, Payload: []byte{1, 1}}, // one truncated row
+						{Kind: FrameTrailer, Count: 3},
+					} {
+						if enc.Encode(f) != nil {
+							return
+						}
+					}
+				}
+			}()
+		}
+	}()
+
+	c := Dial(ln.Addr().String(), 1)
+	defer c.Close()
+	for i := 1; i <= 2; i++ {
+		st, err := c.DoStream(context.Background(), &Request{Op: OpQuery, Stream: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, err := st.Next()
+		if !errors.Is(err, ProtocolError) || !errors.Is(err, value.ErrCorrupt) || row != nil {
+			t.Fatalf("stream %d: Next = %v, %v; want a ProtocolError", i, row, err)
+		}
+		st.Close()
+		if got := accepted.Load(); got != int64(i) {
+			t.Fatalf("stream %d ran on conn %d: a conn that saw a malformed batch was reused", i, got)
+		}
+	}
 }

@@ -9,8 +9,10 @@
 // ballooning the mediator.
 //
 // Run format: a run is one temp file ("myriad-spill-*.run" under the
-// budget's directory) holding gob-encoded batches of rows (up to
-// runBatchRows rows per gob value), written in sorted order. Stability
+// budget's directory) holding batches of up to runBatchRows rows in
+// sorted order. A batch is uvarint row count, uvarint byte length, then
+// that many bytes of rows in the shared row codec (value.AppendRow) —
+// the encoding WAL records and comm batch frames use. Stability
 // is preserved end to end: rows are assigned to runs in arrival order,
 // sorted stably within a run, and every merge — run compaction and the
 // final read-back — breaks key ties toward the lower run index, so the
@@ -22,7 +24,8 @@ package spill
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,10 +34,11 @@ import (
 	"sync"
 
 	"myriad/internal/schema"
+	"myriad/internal/value"
 )
 
 const (
-	// runBatchRows is the gob batching granularity inside a run file.
+	// runBatchRows is the batching granularity inside a run file.
 	runBatchRows = 128
 	// maxMergeFanIn bounds how many runs a single merge reads at once;
 	// past it runs are compacted level-wise into larger runs first, so
@@ -468,56 +472,101 @@ func (r *runFile) close() {
 	}
 }
 
-// countingWriter tallies bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
+// runWriter appends sorted rows to a new run file in length-prefixed
+// codec batches.
+type runWriter struct {
+	budget  *Budget
+	f       *os.File
+	rf      *runFile
+	bw      *bufio.Writer
+	batch   []byte // pending rows, encoded
+	pending int
+	written int64
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+func newRunWriter(budget *Budget) (*runWriter, error) {
+	f, err := os.CreateTemp(budget.Dir(), "myriad-spill-*.run")
+	if err != nil {
+		return nil, fmt.Errorf("spill: creating run: %w", err)
+	}
+	return &runWriter{budget: budget, f: f, rf: &runFile{name: f.Name()}, bw: bufio.NewWriter(f)}, nil
+}
+
+func (w *runWriter) add(row schema.Row) error {
+	w.batch = value.AppendRow(w.batch, row)
+	w.pending++
+	if w.pending == runBatchRows {
+		return w.flush()
+	}
+	return nil
+}
+
+func (w *runWriter) flush() error {
+	if w.pending == 0 {
+		return nil
+	}
+	var hdr [2 * binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(hdr[:0], uint64(w.pending))
+	h = binary.AppendUvarint(h, uint64(len(w.batch)))
+	_, err := w.bw.Write(h)
+	if err == nil {
+		_, err = w.bw.Write(w.batch)
+	}
+	if err != nil {
+		return fmt.Errorf("spill: writing run: %w", err)
+	}
+	w.written += int64(len(h) + len(w.batch))
+	w.batch, w.pending = w.batch[:0], 0
+	return nil
+}
+
+// finish flushes and closes the run, handing it back for the merge to
+// reopen; on any failure the file is removed.
+func (w *runWriter) finish() (*runFile, error) {
+	err := w.flush()
+	if err == nil {
+		err = w.bw.Flush()
+		if cerr := w.f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			err = fmt.Errorf("spill: writing run: %w", err)
+		}
+	}
+	if err != nil {
+		w.abandon()
+		return nil, err
+	}
+	w.budget.noteRun(w.written)
+	return w.rf, nil
+}
+
+// abandon closes and removes a run that will not be finished.
+func (w *runWriter) abandon() {
+	w.f.Close()
+	w.rf.close()
 }
 
 // writeRun writes already-sorted rows as one run file and closes the
 // descriptor; the merge reopens it.
 func writeRun(budget *Budget, rows []schema.Row) (*runFile, error) {
-	f, err := os.CreateTemp(budget.Dir(), "myriad-spill-*.run")
+	w, err := newRunWriter(budget)
 	if err != nil {
-		return nil, fmt.Errorf("spill: creating run: %w", err)
+		return nil, err
 	}
-	rf := &runFile{name: f.Name()}
-	bw := bufio.NewWriter(f)
-	cw := &countingWriter{w: bw}
-	enc := gob.NewEncoder(cw)
-	for i := 0; i < len(rows); i += runBatchRows {
-		j := i + runBatchRows
-		if j > len(rows) {
-			j = len(rows)
-		}
-		if err := enc.Encode(rows[i:j]); err != nil {
-			f.Close()
-			rf.close()
-			return nil, fmt.Errorf("spill: writing run: %w", err)
+	for _, row := range rows {
+		if err := w.add(row); err != nil {
+			w.abandon()
+			return nil, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		rf.close()
-		return nil, fmt.Errorf("spill: writing run: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		rf.close()
-		return nil, fmt.Errorf("spill: writing run: %w", err)
-	}
-	budget.noteRun(cw.n)
-	return rf, nil
+	return w.finish()
 }
 
 // runCursor reads one run back in order.
 type runCursor struct {
-	dec   *gob.Decoder
+	r     *bufio.Reader
+	buf   []byte // one encoded batch, reused
 	batch []schema.Row
 	pos   int
 	done  bool
@@ -528,9 +577,7 @@ func (c *runCursor) next() (schema.Row, error) {
 		if c.done {
 			return nil, nil
 		}
-		c.batch = nil
-		c.pos = 0
-		if err := c.dec.Decode(&c.batch); err != nil {
+		if err := c.readBatch(); err != nil {
 			if err == io.EOF {
 				c.done = true
 				return nil, nil
@@ -541,6 +588,39 @@ func (c *runCursor) next() (schema.Row, error) {
 	r := c.batch[c.pos]
 	c.pos++
 	return r, nil
+}
+
+// readBatch loads the next batch; io.EOF means the run ended cleanly
+// on a batch boundary.
+func (c *runCursor) readBatch() error {
+	n, err := binary.ReadUvarint(c.r)
+	if err != nil {
+		return err // io.EOF only when no byte of a header was read
+	}
+	size, err := binary.ReadUvarint(c.r)
+	if err != nil {
+		return noEOF(err)
+	}
+	if uint64(cap(c.buf)) < size {
+		c.buf = make([]byte, size)
+	}
+	c.buf = c.buf[:size]
+	if _, err := io.ReadFull(c.r, c.buf); err != nil {
+		return noEOF(err)
+	}
+	// Rows decode into fresh values (texts are copied out of buf), so
+	// only the row headers' slice is reused.
+	c.batch, err = value.DecodeRows(c.batch[:0], int(n), c.buf)
+	c.pos = 0
+	return err
+}
+
+// noEOF turns an EOF inside a batch into the truncation it is.
+func noEOF(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // runMerge is a stable k-way merge over sorted runs: minimum key wins,
@@ -565,7 +645,7 @@ func newRunMerge(cmp func(a, b schema.Row) int, runs []*runFile) (*runMerge, err
 			return nil, fmt.Errorf("spill: reopening run: %w", err)
 		}
 		m.files[i] = f
-		m.curs[i] = &runCursor{dec: gob.NewDecoder(bufio.NewReader(f))}
+		m.curs[i] = &runCursor{r: bufio.NewReader(f)}
 		h, err := m.curs[i].next()
 		if err != nil {
 			m.close()
@@ -621,55 +701,21 @@ func compactRuns(budget *Budget, cmp func(a, b schema.Row) int, group []*runFile
 		return nil, err
 	}
 	defer m.close() // removes the inputs
-	f, err := os.CreateTemp(budget.Dir(), "myriad-spill-*.run")
+	w, err := newRunWriter(budget)
 	if err != nil {
-		return nil, fmt.Errorf("spill: creating run: %w", err)
-	}
-	rf := &runFile{name: f.Name()}
-	fail := func(err error) (*runFile, error) {
-		f.Close()
-		rf.close()
 		return nil, err
-	}
-	bw := bufio.NewWriter(f)
-	cw := &countingWriter{w: bw}
-	enc := gob.NewEncoder(cw)
-	batch := make([]schema.Row, 0, runBatchRows)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := enc.Encode(batch); err != nil {
-			return fmt.Errorf("spill: writing run: %w", err)
-		}
-		batch = batch[:0]
-		return nil
 	}
 	for {
 		r, err := m.next()
+		if err == nil && r != nil {
+			err = w.add(r)
+		}
 		if err != nil {
-			return fail(err)
+			w.abandon()
+			return nil, err
 		}
 		if r == nil {
-			break
-		}
-		batch = append(batch, r)
-		if len(batch) == runBatchRows {
-			if err := flush(); err != nil {
-				return fail(err)
-			}
+			return w.finish()
 		}
 	}
-	if err := flush(); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(fmt.Errorf("spill: writing run: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		rf.close()
-		return nil, fmt.Errorf("spill: writing run: %w", err)
-	}
-	budget.noteRun(cw.n)
-	return rf, nil
 }

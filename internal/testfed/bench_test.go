@@ -135,7 +135,7 @@ func BenchmarkUnorderedFirstRow(b *testing.B) {
 	}
 	b.Run("interleave-healthy", func(b *testing.B) { run(b, core.FanInInterleave) })
 	b.Run("source-order-healthy", func(b *testing.B) { run(b, core.FanInSourceOrder) })
-	fx.Site("a").Proxy.StallAfter(2_000)
+	fx.Site("a").Proxy.StallAfter(headerFrameBytes(b, "id", "v"))
 	b.Run("interleave-stalled-site", func(b *testing.B) { run(b, core.FanInInterleave) })
 	fx.Fed.FanIn = core.FanInAuto
 }

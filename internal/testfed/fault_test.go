@@ -1,12 +1,15 @@
 package testfed
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"myriad/internal/comm"
 	"myriad/internal/core"
 	"myriad/internal/gateway"
 	"myriad/internal/integration"
@@ -50,6 +53,22 @@ func warm(t testing.TB, fx *Fixture) {
 	if _, err := fx.Query(context.Background(), `SELECT id FROM R WHERE id = 0`); err != nil {
 		t.Fatalf("warmup query: %v", err)
 	}
+}
+
+// headerFrameBytes bounds a stream header's wire size from above: the
+// gob encoding of a header frame carrying cols, with the frame type's
+// definition a fresh encoder prepends (a pooled conn that already sent
+// the type sends less). Armed at this offset, a stall lets the header
+// through and wedges the stream before its first batch is complete —
+// whatever the row codec packs into a batch — as long as that batch
+// outweighs the type definition, which any multi-row batch does.
+func headerFrameBytes(t testing.TB, cols ...string) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&comm.Frame{Kind: comm.FrameHeader, Columns: cols}); err != nil {
+		t.Fatal(err)
+	}
+	return int64(buf.Len())
 }
 
 // TestMidStreamDropSurfacesError wounds site b after ~50KB of response
@@ -201,7 +220,7 @@ func TestSatisfiedLimitNotBlockedByStalledSite(t *testing.T) {
 	// Stall just past the stream header, mid first batch: site b's
 	// feeder is left blocked in a wire read with an empty prefetch
 	// window — the posture only a context cancellation can unblock.
-	fx.Site("b").Proxy.StallAfter(2_000)
+	fx.Site("b").Proxy.StallAfter(headerFrameBytes(t, "id", "v"))
 
 	res := await(t, runAsync(context.Background(), fx, `SELECT id, v FROM R LIMIT 10`), 30*time.Second)
 	if res.err != nil {
@@ -242,7 +261,7 @@ func TestStalledSiteDoesNotGateUnorderedFirstRow(t *testing.T) {
 	// Stall just past the stream header, mid first batch: source 0's
 	// feeder blocks in a wire read with nothing delivered — the exact
 	// posture that head-of-line blocks a source-ordered fan-in.
-	fx.Site("a").Proxy.StallAfter(2_000)
+	fx.Site("a").Proxy.StallAfter(headerFrameBytes(t, "id", "v"))
 
 	type firstRow struct {
 		row schema.Row

@@ -1,0 +1,177 @@
+package value
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+)
+
+// The row codec: the one byte format rows take wherever they leave
+// memory — WAL records, comm batch frames and spill runs. A row is
+//
+//	uvarint ncols, then per value: byte tag, then
+//	  tagNull   nothing
+//	  tagInt    zigzag varint
+//	  tagFloat  8-byte little-endian IEEE 754 bits
+//	  tagText   uvarint length + raw bytes (not required to be UTF-8)
+//	  tagBool   one byte (0 = false, anything else = true)
+//
+// The format is the WAL's original value encoding, so logs written
+// before the codec was shared replay unchanged.
+
+// Value tags. Distinct from Kind so the byte format does not silently
+// shift if the in-memory enum does.
+const (
+	tagNull  byte = 0
+	tagInt   byte = 1
+	tagFloat byte = 2
+	tagText  byte = 3
+	tagBool  byte = 4
+)
+
+// ErrCorrupt is wrapped by every decoding error.
+var ErrCorrupt = errors.New("value: corrupt row encoding")
+
+// AppendRow appends the encoding of row to b.
+func AppendRow(b []byte, row []Value) []byte {
+	b = binary.AppendUvarint(b, uint64(len(row)))
+	for _, v := range row {
+		b = appendValue(b, v)
+	}
+	return b
+}
+
+func appendValue(b []byte, v Value) []byte {
+	switch v.K {
+	case KindInt:
+		b = append(b, tagInt)
+		return binary.AppendVarint(b, v.I)
+	case KindFloat:
+		b = append(b, tagFloat)
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+	case KindText:
+		b = append(b, tagText)
+		b = binary.AppendUvarint(b, uint64(len(v.S)))
+		return append(b, v.S...)
+	case KindBool:
+		if v.B {
+			return append(b, tagBool, 1)
+		}
+		return append(b, tagBool, 0)
+	default:
+		return append(b, tagNull)
+	}
+}
+
+// DecodeRow decodes the row at the front of b, appending its values to
+// dst, and returns the extended slice and the number of bytes consumed.
+// The result is never nil, even for a zero-column row. It bounds-checks
+// every read: corrupt input is an error wrapping ErrCorrupt, never a
+// panic, and since every value costs at least one byte a column count
+// beyond len(b) fails before anything is allocated.
+func DecodeRow(dst []Value, b []byte) ([]Value, int, error) {
+	ncols, off := binary.Uvarint(b)
+	if off <= 0 {
+		return dst, 0, corrupt("truncated column count")
+	}
+	if ncols > uint64(len(b)-off) {
+		return dst, 0, corrupt("column count %d exceeds %d remaining bytes", ncols, len(b)-off)
+	}
+	if dst == nil {
+		dst = make([]Value, 0, ncols)
+	} else {
+		dst = slices.Grow(dst, int(ncols))
+	}
+	for i := uint64(0); i < ncols; i++ {
+		v, n, err := decodeValue(b[off:])
+		if err != nil {
+			return dst, 0, fmt.Errorf("%w (column %d at byte %d)", err, i, off)
+		}
+		dst = append(dst, v)
+		off += n
+	}
+	return dst, off, nil
+}
+
+func decodeValue(b []byte) (Value, int, error) {
+	if len(b) == 0 {
+		return Value{}, 0, corrupt("truncated value")
+	}
+	switch tag := b[0]; tag {
+	case tagNull:
+		return Null(), 1, nil
+	case tagInt:
+		i, n := binary.Varint(b[1:])
+		if n <= 0 {
+			return Value{}, 0, corrupt("truncated integer")
+		}
+		return NewInt(i), 1 + n, nil
+	case tagFloat:
+		if len(b) < 9 {
+			return Value{}, 0, corrupt("truncated float")
+		}
+		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), 9, nil
+	case tagText:
+		l, n := binary.Uvarint(b[1:])
+		if n <= 0 {
+			return Value{}, 0, corrupt("truncated text length")
+		}
+		start := 1 + n
+		if l > uint64(len(b)-start) {
+			return Value{}, 0, corrupt("%d-byte text overruns %d remaining bytes", l, len(b)-start)
+		}
+		end := start + int(l)
+		return NewText(string(b[start:end])), end, nil
+	case tagBool:
+		if len(b) < 2 {
+			return Value{}, 0, corrupt("truncated boolean")
+		}
+		return NewBool(b[1] != 0), 2, nil
+	default:
+		return Value{}, 0, corrupt("unknown value tag %d", tag)
+	}
+}
+
+// DecodeRows decodes exactly n rows that fill all of b — a batch of
+// AppendRow encodings — appending them to dst. The rows share one
+// backing array of values (each capped at its own length, so appending
+// to one never clobbers its neighbour). A row count beyond len(b) is an
+// error, not an allocation: every row costs at least one byte.
+func DecodeRows[R ~[]Value](dst []R, n int, b []byte) ([]R, error) {
+	if n < 0 || n > len(b) {
+		return dst, corrupt("row count %d for a %d-byte batch", n, len(b))
+	}
+	dst = slices.Grow(dst, n)
+	var vals []Value
+	off := 0
+	for i := 0; i < n; i++ {
+		start := len(vals)
+		var used int
+		var err error
+		vals, used, err = DecodeRow(vals, b[off:])
+		if err != nil {
+			return dst, fmt.Errorf("%w (row %d of %d)", err, i, n)
+		}
+		off += used
+		if i == 0 && n > 1 {
+			// Size the shared array from the first row's width, capped
+			// by what the remaining bytes could possibly hold.
+			want := (n - 1) * len(vals)
+			if rest := len(b) - off; want > rest {
+				want = rest
+			}
+			vals = slices.Grow(vals, want)
+		}
+		dst = append(dst, R(vals[start:len(vals):len(vals)]))
+	}
+	if off != len(b) {
+		return dst, corrupt("%d trailing bytes after %d rows", len(b)-off, n)
+	}
+	return dst, nil
+}
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+}

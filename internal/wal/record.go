@@ -33,20 +33,10 @@ import (
 //	coordDecision: uvarint gid; byte commit
 //	coordEnd:      uvarint gid
 //
-// where string/bytes = uvarint length + raw bytes, and a row =
-// uvarint ncols followed by one value each: byte kind tag, then
-// nothing (NULL), zigzag varint (INTEGER), 8-byte LE IEEE bits
-// (FLOAT), string (TEXT), or one byte (BOOLEAN).
-
-// Value tags in the row encoding. Distinct from value.Kind so the
-// on-disk format does not silently shift if the in-memory enum does.
-const (
-	tagNull  byte = 0
-	tagInt   byte = 1
-	tagFloat byte = 2
-	tagText  byte = 3
-	tagBool  byte = 4
-)
+// where string/bytes = uvarint length + raw bytes, and a row is the
+// shared row codec's encoding (value.AppendRow: uvarint ncols, then a
+// tagged value each) — the same bytes comm batch frames and spill runs
+// carry.
 
 func encodeRecord(r *Record) []byte {
 	b := binary.AppendUvarint(nil, r.LSN)
@@ -114,10 +104,7 @@ func appendOps(b []byte, ops []Op) []byte {
 		b = appendString(b, op.Table)
 		b = binary.AppendUvarint(b, uint64(op.Row))
 		if op.Kind != OpDelete {
-			b = binary.AppendUvarint(b, uint64(len(op.Vals)))
-			for _, v := range op.Vals {
-				b = appendValue(b, v)
-			}
+			b = value.AppendRow(b, op.Vals)
 		}
 	}
 	return b
@@ -126,28 +113,6 @@ func appendOps(b []byte, ops []Op) []byte {
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-func appendValue(b []byte, v value.Value) []byte {
-	switch v.K {
-	case value.KindInt:
-		b = append(b, tagInt)
-		return binary.AppendVarint(b, v.I)
-	case value.KindFloat:
-		b = append(b, tagFloat)
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
-	case value.KindText:
-		b = append(b, tagText)
-		return appendString(b, v.S)
-	case value.KindBool:
-		b = append(b, tagBool)
-		if v.B {
-			return append(b, 1)
-		}
-		return append(b, 0)
-	default:
-		return append(b, tagNull)
-	}
 }
 
 // decoder reads the payload with bounds checks everywhere; it never
@@ -172,19 +137,6 @@ func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
 		d.fail("wal: truncated uvarint at %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("wal: truncated varint at %d", d.off)
 		return 0
 	}
 	d.off += n
@@ -220,31 +172,18 @@ func (d *decoder) bytes() []byte {
 
 func (d *decoder) string() string { return string(d.bytes()) }
 
-func (d *decoder) value() value.Value {
-	switch tag := d.byte(); tag {
-	case tagNull:
-		return value.Null()
-	case tagInt:
-		return value.NewInt(d.varint())
-	case tagFloat:
-		if d.err != nil {
-			return value.Null()
-		}
-		if len(d.b)-d.off < 8 {
-			d.fail("wal: truncated float at %d", d.off)
-			return value.Null()
-		}
-		bits := binary.LittleEndian.Uint64(d.b[d.off:])
-		d.off += 8
-		return value.NewFloat(math.Float64frombits(bits))
-	case tagText:
-		return value.NewText(d.string())
-	case tagBool:
-		return value.NewBool(d.byte() != 0)
-	default:
-		d.fail("wal: unknown value tag %d at %d", tag, d.off)
-		return value.Null()
+// row decodes one row in the shared value codec.
+func (d *decoder) row() []value.Value {
+	if d.err != nil {
+		return nil
 	}
+	row, n, err := value.DecodeRow(nil, d.b[d.off:])
+	if err != nil {
+		d.fail("wal: row at %d: %w", d.off, err)
+		return nil
+	}
+	d.off += n
+	return row
 }
 
 // ops decodes a RecCommit/RecPrepare op batch.
@@ -269,18 +208,7 @@ func (d *decoder) ops() []Op {
 		op.Row = int64(slot)
 		switch op.Kind {
 		case OpInsert, OpUpdate:
-			ncols := d.uvarint()
-			if d.err != nil {
-				break
-			}
-			if ncols > uint64(len(d.b)) {
-				d.fail("wal: column count %d exceeds payload", ncols)
-				break
-			}
-			op.Vals = make([]value.Value, 0, ncols)
-			for j := uint64(0); j < ncols && d.err == nil; j++ {
-				op.Vals = append(op.Vals, d.value())
-			}
+			op.Vals = d.row()
 		case OpDelete:
 		default:
 			d.fail("wal: unknown op kind %d", op.Kind)
