@@ -4,9 +4,17 @@
 
 BENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off
 
-.PHONY: check
+.PHONY: check check-modes
 check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	go vet ./...
 	go build ./... && go test ./...
 	cd bench && $(BENCH_ENV) go vet ./... && $(BENCH_ENV) go test ./...
+
+# `make check-modes` runs the race suite the way CI's test-spill and
+# test-durable jobs do: every blocking operator under a forced 4 KB
+# memory budget, then every component database and coordinator log
+# forced durable with 4 KB checkpoints.
+check-modes:
+	MYRIAD_TEST_MEM_BUDGET=4096 go test -race -timeout 300s ./...
+	MYRIAD_TEST_DURABLE=4096 go test -race -timeout 600s ./...

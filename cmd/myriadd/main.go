@@ -67,9 +67,10 @@ type config struct {
 	// clients (0 = comm.DefaultBatchRows).
 	StreamBatchRows int `json:"stream_batch_rows,omitempty"`
 	// FanIn selects the fan-in policy for multi-source scan sets:
-	// "auto" (default), "source-order", "interleave" (batches emit in
-	// completion order; first-row latency bound by the fastest site),
-	// or "merge" (ordered k-way merge where source ordering is known).
+	// "auto" (default: source order, or an ordered merge where it
+	// satisfies the ORDER BY) or "interleave" (batches emit in
+	// completion order; first-row latency bound by the fastest site).
+	// Any other value fails at boot.
 	FanIn string `json:"fan_in,omitempty"`
 	// StreamRowBudget caps integrated rows in flight per scan set
 	// across its source streams (0 = executor default); per-source

@@ -93,10 +93,8 @@ type FanInPolicy = executor.FanInPolicy
 
 // Fan-in policies.
 const (
-	FanInAuto        = executor.FanInAuto
-	FanInSourceOrder = executor.FanInSourceOrder
-	FanInInterleave  = executor.FanInInterleave
-	FanInMerge       = executor.FanInMerge
+	FanInAuto       = executor.FanInAuto
+	FanInInterleave = executor.FanInInterleave
 )
 
 // New creates an empty federation.

@@ -10,6 +10,7 @@ import (
 
 	"myriad/internal/core"
 	"myriad/internal/schema"
+	"myriad/internal/testfed"
 	"myriad/internal/workload"
 )
 
@@ -17,12 +18,22 @@ import (
 // test: the simple and cost-based strategies must return identical
 // results for randomly generated queries, across every rewrite the
 // cost-based planner can choose (selection pushdown, projection
-// pruning, top-K, partial aggregation, semijoin, join reordering).
+// pruning, top-K, partial aggregation, semijoin, join reordering) — and
+// each must also match the single-database oracle, the third voice that
+// shares no planner code, so a mistake both strategies make is caught.
 func TestStrategiesAgreeOnRandomQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(941223)) // SIGMOD '94 vintage
 	parts := workload.BuildParts(workload.PartsSpec{Sites: 3, RowsPerSite: 400, Seed: 5})
 	orders := workload.BuildOrders(workload.OrdersSpec{Customers: 60, Orders: 600, HotPercent: 0.2, Seed: 5})
 	ctx := context.Background()
+	oracles := make(map[*core.Federation]*testfed.Oracle)
+	for _, fed := range []*core.Federation{parts.Fed, orders.Fed} {
+		o, err := testfed.NewOracle(ctx, fed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracles[fed] = o
+	}
 
 	preds := []string{
 		"",
@@ -53,6 +64,9 @@ func TestStrategiesAgreeOnRandomQueries(t *testing.T) {
 		for i, strat := range []core.Strategy{core.StrategySimple, core.StrategyCostBased} {
 			rs, _, err := fed.QueryMetered(ctx, sql, strat)
 			if err != nil {
+				t.Fatalf("[%v] %s: %v", strat, sql, err)
+			}
+			if err := oracles[fed].Check(ctx, sql, rs); err != nil {
 				t.Fatalf("[%v] %s: %v", strat, sql, err)
 			}
 			outs[i] = canonRows(rs)

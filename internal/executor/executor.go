@@ -25,9 +25,9 @@
 // Options.SpillDir past it; Metrics reports SpilledBytes/SpillRuns
 // once the result stream closes.
 //
-// Execute is the one entry point. ExecuteMaterialized — every fragment
-// drained whole before integration, then a scratch load — is kept only
-// as the reference the equivalence corpora compare Execute against.
+// Execute is the one entry point. Its answers are checked against a
+// planner-independent single-database oracle (internal/testfed), not
+// against another execution of the same plan.
 package executor
 
 import (
@@ -68,17 +68,12 @@ type FanInPolicy uint8
 const (
 	// FanInAuto picks per plan: an ordered merge when it can satisfy the
 	// residual ORDER BY on the bypass path, deterministic source order
-	// everywhere else (matching the materialized reference row-for-row).
+	// everywhere else.
 	FanInAuto FanInPolicy = iota
-	// FanInSourceOrder forces deterministic source order.
-	FanInSourceOrder
 	// FanInInterleave emits batches in completion order: first-row
 	// latency is bound by the fastest site, row order is
 	// nondeterministic.
 	FanInInterleave
-	// FanInMerge forces the ordered k-way merge where source ordering
-	// metadata exists, degrading to source order where it does not.
-	FanInMerge
 )
 
 // String names the policy (the inverse of ParseFanIn).
@@ -86,30 +81,22 @@ func (p FanInPolicy) String() string {
 	switch p {
 	case FanInAuto:
 		return "auto"
-	case FanInSourceOrder:
-		return "source-order"
 	case FanInInterleave:
 		return "interleave"
-	case FanInMerge:
-		return "merge"
 	default:
 		return fmt.Sprintf("FanInPolicy(%d)", uint8(p))
 	}
 }
 
-// ParseFanIn maps config text to a FanInPolicy.
+// ParseFanIn maps config text to a FanInPolicy ("" is auto).
 func ParseFanIn(s string) (FanInPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "auto":
 		return FanInAuto, nil
-	case "source-order", "sourceorder", "ordered":
-		return FanInSourceOrder, nil
-	case "interleave", "unordered":
+	case "interleave":
 		return FanInInterleave, nil
-	case "merge":
-		return FanInMerge, nil
 	default:
-		return 0, fmt.Errorf("executor: unknown fan-in policy %q", s)
+		return 0, fmt.Errorf("executor: unknown fan-in policy %q (want \"auto\" or \"interleave\")", s)
 	}
 }
 
@@ -122,10 +109,6 @@ type Options struct {
 	// prefetch windows shrink as sources multiply so N sites share the
 	// same budget two would.
 	RowBudget int
-	// NoBypass forces the scratch-engine path even for bare
-	// projections (the reference for equivalence tests and the bypass
-	// benchmarks).
-	NoBypass bool
 	// ByteBudget additionally caps the bytes in flight per scan set (0
 	// = rows-only backpressure): feeders shrink their batches once
 	// observed row bytes reach the per-batch cap, so wide rows cannot
@@ -331,11 +314,11 @@ func Execute(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Op
 	return schema.StreamWithCleanup(rows, flushSpill), m, nil
 }
 
-// loadModeFor resolves the fan-in mode for a scratch load. Auto (and
-// Merge, which buys nothing when the scratch engine re-sorts anyway)
-// keep deterministic source order so the loaded temp table matches the
-// materialized reference byte for byte; only an explicit Interleave
-// trades that determinism for drain speed.
+// loadModeFor resolves the fan-in mode for a scratch load. Auto keeps
+// deterministic source order — the temp table holds the integrated
+// relation in the order a single database loaded source by source
+// would, so ties under the residual's stable sort break the same way;
+// only an explicit Interleave trades that determinism for drain speed.
 func loadModeFor(opts Options) integration.FanInMode {
 	if opts.FanIn == FanInInterleave {
 		return integration.FanInInterleave
@@ -569,9 +552,9 @@ func (b *bypassPlan) identity() bool {
 // scan set's columns filters inline on the fan-in (expressions the
 // predicate compiler rejects fall back to the scratch engine);
 // LIMIT/OFFSET apply inline after it. Returns nil when the scratch
-// engine is needed (or forced).
+// engine is needed.
 func planBypass(plan *planner.Plan, opts Options) *bypassPlan {
-	if opts.NoBypass || len(plan.ScanSets) != 1 {
+	if len(plan.ScanSets) != 1 {
 		return nil
 	}
 	ss := plan.ScanSets[0]
@@ -639,7 +622,7 @@ func planBypass(plan *planner.Plan, opts Options) *bypassPlan {
 		// An ORDER BY is only bypassable when the merge fan-in can
 		// reproduce it, which needs (1) every source pre-sorted on
 		// exactly these keys and (2) a policy that allows merging.
-		if opts.FanIn != FanInAuto && opts.FanIn != FanInMerge {
+		if opts.FanIn != FanInAuto {
 			return nil
 		}
 		if len(ss.ScanOrdering) != len(r.OrderBy) {
@@ -693,10 +676,6 @@ func execBypass(ctx context.Context, bp *bypassPlan, runner SiteRunner, opts Opt
 		mode = integration.FanInMergeOrdered
 	case opts.FanIn == FanInInterleave:
 		mode = integration.FanInInterleave
-	case opts.FanIn == FanInMerge && bp.ss.ScanOrdering != nil:
-		// Order costs nothing here and gives the client sorted rows.
-		bp.mergeKeys = bp.ss.ScanOrdering
-		mode = integration.FanInMergeOrdered
 	}
 	if mode == integration.FanInMergeOrdered {
 		// Cross-check the planner's sorted-source claim against any
@@ -856,8 +835,9 @@ func (b *bypassStream) Close() error {
 // ordering, dedup or aggregate that could need more input. -1 means
 // unbounded. This is what turns a federated LIMIT into an early
 // half-close of the remote streams even when the per-site pushdown
-// could not absorb it (multi-source sets). The bypass path subsumes
-// this case; the bound still guards NoBypass runs.
+// could not absorb it (multi-source sets). The bypass subsumes bare
+// column projections; the bound still guards the computed projections
+// it refuses.
 func streamBound(plan *planner.Plan) int64 {
 	if len(plan.ScanSets) != 1 {
 		return -1
@@ -1022,194 +1002,4 @@ func semiValues(ctx context.Context, scratch *localdb.DB, table, col string, max
 		vals[i] = &sqlparser.Literal{Val: v}
 	}
 	return vals, reserved, false, nil
-}
-
-// ---------------------------------------------------------------------
-// Materialized reference path
-
-// ExecuteMaterialized runs the plan without pipelining: every fragment
-// is drained whole, integration runs over the materialized fragments,
-// the bind join ships its whole key set as one IN-list (IN-reduction
-// never changes the residual's result, so single-shot and batched stay
-// row-identical), and the scratch engine loads en bloc. It is the
-// reference the equivalence corpora compare Execute against.
-func ExecuteMaterialized(ctx context.Context, plan *planner.Plan, runner SiteRunner) (*schema.ResultSet, *Metrics, error) {
-	m := &Metrics{PrunedSources: countPrunedSources(plan)}
-	scratch := localdb.NewScratch(spill.EnvBudget())
-
-	var wave1, wave2 []*planner.ScanSet
-	for _, ss := range plan.ScanSets {
-		if ss.SemiFrom == "" {
-			wave1 = append(wave1, ss)
-		} else {
-			wave2 = append(wave2, ss)
-		}
-	}
-
-	materialized := make(map[string]*schema.ResultSet)
-	var mu sync.Mutex
-	runWave := func(wave []*planner.ScanSet) error {
-		var wg sync.WaitGroup
-		errs := make([]error, len(wave))
-		for i, ss := range wave {
-			wg.Add(1)
-			go func(i int, ss *planner.ScanSet) {
-				defer wg.Done()
-				var inList []sqlparser.Expr
-				if ss.SemiFrom != "" {
-					mu.Lock()
-					build := materialized[strings.ToLower(ss.SemiFrom)]
-					mu.Unlock()
-					if build == nil {
-						errs[i] = fmt.Errorf("executor: semijoin build side %q missing", ss.SemiFrom)
-						return
-					}
-					vals, over := distinctValues(build, ss.SemiBuildCol, bindMaxKeys(plan))
-					probes := 0
-					for _, sc := range ss.Scans {
-						if sc.Pruned == "" && sc.SemiProbe != nil {
-							probes++
-						}
-					}
-					mu.Lock()
-					if over {
-						m.SemijoinSkip = true
-					} else {
-						m.SemijoinUsed = true
-						inList = vals
-						if len(vals) > 0 {
-							m.BindJoinBatches++
-							m.ShippedKeys += len(vals) * probes
-						}
-					}
-					mu.Unlock()
-				}
-				rs, err := materializeScanSet(ctx, ss, runner, inList, m, &mu)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				mu.Lock()
-				materialized[strings.ToLower(ss.Alias)] = rs
-				mu.Unlock()
-			}(i, ss)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := runWave(wave1); err != nil {
-		return nil, m, err
-	}
-	if err := runWave(wave2); err != nil {
-		return nil, m, err
-	}
-
-	// Load the scratch engine.
-	for _, ss := range plan.ScanSets {
-		if err := scratch.CreateTableDirect(ss.Schema); err != nil {
-			return nil, m, err
-		}
-		rs := materialized[strings.ToLower(ss.Alias)]
-		if rs == nil {
-			continue
-		}
-		if err := scratch.Load(ss.TempTable, rs.Rows); err != nil {
-			return nil, m, fmt.Errorf("executor: loading %s: %w", ss.TempTable, err)
-		}
-	}
-
-	// Residual evaluation.
-	rs, err := scratch.Query(ctx, sqlparser.FormatStatement(plan.Residual, nil))
-	if err != nil {
-		return nil, m, fmt.Errorf("executor: residual: %w", err)
-	}
-	return rs, m, nil
-}
-
-// materializeScanSet drains every source scan whole (in parallel),
-// aligns the fragments, and applies the integration combinator.
-func materializeScanSet(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, inList []sqlparser.Expr, m *Metrics, mmu *sync.Mutex) (*schema.ResultSet, error) {
-	frags := make([]*schema.ResultSet, len(ss.Scans))
-	errs := make([]error, len(ss.Scans))
-	var wg sync.WaitGroup
-	for i, scan := range ss.Scans {
-		if scan.Pruned != "" {
-			// Source selection: the fragment is provably empty; align
-			// positionally without contacting the site.
-			frags[i] = &schema.ResultSet{Columns: append([]string(nil), ss.Spec.Columns...)}
-			continue
-		}
-		wg.Add(1)
-		go func(i int, scan *planner.RemoteScan) {
-			defer wg.Done()
-			rs, err := drainSite(ctx, runner, scan.Site, scanSQL(scan, inList))
-			if err != nil {
-				errs[i] = fmt.Errorf("executor: scan at %s: %w", scan.Site, err)
-				return
-			}
-			mmu.Lock()
-			m.RemoteQueries++
-			m.RowsShipped += len(rs.Rows)
-			mmu.Unlock()
-			frags[i] = rs
-		}(i, scan)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return integration.Combine(ss.Spec, frags)
-}
-
-// drainSite runs one subquery and drains its stream whole.
-func drainSite(ctx context.Context, runner SiteRunner, site, sql string) (*schema.ResultSet, error) {
-	st, err := runner.QuerySite(ctx, site, sql)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	return schema.DrainStream(ctx, st)
-}
-
-// distinctValues extracts up to max distinct non-NULL literals of the
-// named column; over=true when the bound is exceeded.
-func distinctValues(rs *schema.ResultSet, col string, max int) ([]sqlparser.Expr, bool) {
-	ci := rs.ColIndex(col)
-	if ci < 0 {
-		return nil, true
-	}
-	seen := make(map[string]bool)
-	var vals []value.Value
-	for _, r := range rs.Rows {
-		v := r[ci]
-		if v.IsNull() {
-			continue
-		}
-		k := fmt.Sprintf("%d|%s", v.K, v.Text())
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		vals = append(vals, v)
-		if len(vals) > max {
-			return nil, true
-		}
-	}
-	// Deterministic order helps tests and plan caching.
-	sort.Slice(vals, func(a, b int) bool {
-		c, ok := value.Compare(vals[a], vals[b])
-		return ok && c < 0
-	})
-	out := make([]sqlparser.Expr, len(vals))
-	for i, v := range vals {
-		out[i] = &sqlparser.Literal{Val: v}
-	}
-	return out, false
 }

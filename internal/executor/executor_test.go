@@ -16,6 +16,7 @@ import (
 	"myriad/internal/planner"
 	"myriad/internal/schema"
 	"myriad/internal/sqlparser"
+	"myriad/internal/testfed"
 )
 
 // buildJoinFederation creates crm (small CUSTOMERS) + oltp (large
@@ -224,10 +225,14 @@ func TestExecutorContextCancellation(t *testing.T) {
 
 // TestScratchBypassEquivalence: a bare projection over a single scan
 // set streams straight off the fan-in; the result must match the
-// scratch-engine path exactly, with the bypass recorded in metrics.
+// single-database oracle, with the bypass recorded in metrics.
 func TestScratchBypassEquivalence(t *testing.T) {
 	fed, p := buildJoinFederation(t, 50, 200)
 	ctx := context.Background()
+	oracle, err := testfed.NewOracle(ctx, fed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sql := range []string{
 		`SELECT cid, tier FROM CUSTOMERS LIMIT 7`,
 		`SELECT tier AS t, cid FROM CUSTOMERS`,
@@ -241,10 +246,6 @@ func TestScratchBypassEquivalence(t *testing.T) {
 		`SELECT oid FROM ORDERS WHERE amt > 50 AND amt < 900 LIMIT 20`,
 	} {
 		plan := planFor(t, p, sql)
-		want, _, err := executor.ExecuteMaterialized(ctx, plan, fedRunner{fed})
-		if err != nil {
-			t.Fatalf("%s: materialized: %v", sql, err)
-		}
 		got, m, err := execute(ctx, plan, fedRunner{fed}, executor.Options{})
 		if err != nil {
 			t.Fatalf("%s: streaming: %v", sql, err)
@@ -252,17 +253,9 @@ func TestScratchBypassEquivalence(t *testing.T) {
 		if !m.ScratchBypassed {
 			t.Errorf("%s: scratch engine not bypassed", sql)
 		}
-		assertResultsEqual(t, sql, want, got)
-
-		// Forcing the scratch path must agree too.
-		ref, m2, err := execute(ctx, plan, fedRunner{fed}, executor.Options{NoBypass: true})
-		if err != nil {
-			t.Fatalf("%s: NoBypass: %v", sql, err)
+		if err := oracle.Check(ctx, sql, got); err != nil {
+			t.Fatalf("%s: %v", sql, err)
 		}
-		if m2.ScratchBypassed {
-			t.Errorf("%s: NoBypass still bypassed", sql)
-		}
-		assertResultsEqual(t, sql+" (NoBypass)", want, ref)
 	}
 }
 
@@ -318,25 +311,20 @@ func TestPerSourceMetrics(t *testing.T) {
 	}
 }
 
-func assertResultsEqual(t *testing.T, label string, want, got *schema.ResultSet) {
-	t.Helper()
-	if len(want.Columns) != len(got.Columns) {
-		t.Fatalf("%s: columns %v vs %v", label, want.Columns, got.Columns)
-	}
-	for i := range want.Columns {
-		if want.Columns[i] != got.Columns[i] {
-			t.Fatalf("%s: column %d %q vs %q", label, i, want.Columns[i], got.Columns[i])
+// TestParseFanIn: the two policies that behave differently parse; the
+// retired ones fail with an error naming the accepted values.
+func TestParseFanIn(t *testing.T) {
+	for s, want := range map[string]executor.FanInPolicy{
+		"": executor.FanInAuto, "auto": executor.FanInAuto, " Interleave ": executor.FanInInterleave,
+	} {
+		if got, err := executor.ParseFanIn(s); err != nil || got != want {
+			t.Errorf("ParseFanIn(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if len(want.Rows) != len(got.Rows) {
-		t.Fatalf("%s: rows %d vs %d", label, len(want.Rows), len(got.Rows))
-	}
-	for ri := range want.Rows {
-		for ci := range want.Rows[ri] {
-			wv, gv := want.Rows[ri][ci], got.Rows[ri][ci]
-			if wv.IsNull() != gv.IsNull() || (!wv.IsNull() && (wv.K != gv.K || wv.Text() != gv.Text())) {
-				t.Fatalf("%s: row %d col %d: %s vs %s", label, ri, ci, wv, gv)
-			}
+	for _, s := range []string{"merge", "source-order", "ordered"} {
+		_, err := executor.ParseFanIn(s)
+		if err == nil || !strings.Contains(err.Error(), `"auto" or "interleave"`) {
+			t.Errorf("ParseFanIn(%q) err = %v", s, err)
 		}
 	}
 }

@@ -265,6 +265,11 @@ type Txn struct {
 	timedOut bool
 	// wounded records that the abort was a deadlock-victim preemption.
 	wounded bool
+	// aborted is closed once an abort has rolled back every branch and
+	// settled the stats. A caller that loses the abort claim to another
+	// party (the detector's Wound, say) waits on it, so an ErrWounded it
+	// returns means the victim's locks are already released.
+	aborted chan struct{}
 }
 
 type branch struct {
@@ -277,7 +282,7 @@ type branch struct {
 // seniority order wound-wait preemption and victim selection use.
 func (c *Coordinator) Begin() *Txn {
 	c.Stats.Begun.Add(1)
-	t := &Txn{c: c, id: c.nextID.Add(1), branches: make(map[string]branch)}
+	t := &Txn{c: c, id: c.nextID.Add(1), branches: make(map[string]branch), aborted: make(chan struct{})}
 	c.liveMu.Lock()
 	if c.live == nil {
 		c.live = make(map[uint64]*Txn)
@@ -313,7 +318,7 @@ func (c *Coordinator) Wound(gid uint64) bool {
 	if !claimed {
 		return false
 	}
-	t.abortInternal(false, true)
+	t.abortInternal(context.Background(), false, true)
 	return true
 }
 
@@ -343,7 +348,13 @@ func (t *Txn) branchFor(ctx context.Context, site string) (branch, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.state != stActive {
-		return branch{}, t.doneErr()
+		err := t.doneErr()
+		if t.state == stAborting {
+			t.mu.Unlock()
+			t.awaitAbort(ctx)
+			t.mu.Lock()
+		}
+		return branch{}, err
 	}
 	if br, ok := t.branches[site]; ok {
 		return br, nil
@@ -403,16 +414,16 @@ func (c *Coordinator) phaseTimeout() time.Duration {
 // out — the paper's presumed-deadlock rule. The abort only takes
 // effect while the transaction is still active: once Commit has begun,
 // a stale timeout cannot roll back branches mid-phase.
-func (t *Txn) handleErr(err error) error {
+func (t *Txn) handleErr(ctx context.Context, err error) error {
 	if err == nil {
 		return nil
 	}
 	if errors.Is(err, gateway.ErrWounded) {
-		t.abortInternal(false, true)
+		t.abortInternal(ctx, false, true)
 		return fmt.Errorf("%w (site error: %v)", ErrWounded, err)
 	}
 	if errors.Is(err, gateway.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
-		t.abortInternal(true, false)
+		t.abortInternal(ctx, true, false)
 		return fmt.Errorf("%w (site error: %v)", ErrDeadlockAbort, err)
 	}
 	return err
@@ -432,7 +443,7 @@ func (t *Txn) QuerySite(ctx context.Context, site, sql string) (schema.RowStream
 	st, err := br.conn.QueryStream(opctx, br.id, sql)
 	if err != nil {
 		cancel()
-		return nil, t.handleErr(err)
+		return nil, t.handleErr(ctx, err)
 	}
 	return &txnStream{RowStream: st, t: t, cancel: cancel}, nil
 }
@@ -447,7 +458,7 @@ type txnStream struct {
 
 func (s *txnStream) Next(ctx context.Context) (schema.Row, error) {
 	r, err := s.RowStream.Next(ctx)
-	return r, s.t.handleErr(err)
+	return r, s.t.handleErr(ctx, err)
 }
 
 func (s *txnStream) Close() error {
@@ -469,7 +480,7 @@ func (t *Txn) ExecSite(ctx context.Context, site, sql string) (int, error) {
 	defer cancel()
 	n, err := br.conn.Exec(opctx, br.id, sql)
 	if err != nil {
-		return 0, t.handleErr(err)
+		return 0, t.handleErr(ctx, err)
 	}
 	return n, nil
 }
@@ -682,19 +693,27 @@ func (t *Txn) commitOnePhase(ctx context.Context, branches map[string]branch) er
 }
 
 // Abort rolls back every branch. It is idempotent, and a no-op once
-// Commit has claimed the transaction.
+// Commit has claimed the transaction. An abort already under way
+// elsewhere is waited for, bounded by ctx.
 func (t *Txn) Abort(ctx context.Context) {
-	t.abortInternal(false, false)
+	t.abortInternal(ctx, false, false)
 }
 
 // abortInternal aborts an ACTIVE transaction (local timeouts, deadlock
 // wounds, and explicit Abort). Any other state is someone else's
 // transaction to finish: Commit past stActive owns the outcome, and a
-// terminal state is final.
-func (t *Txn) abortInternal(timeout, wounded bool) {
+// terminal state is final. A caller that finds another party's abort
+// in flight waits for it to finish (bounded by ctx), so it never
+// reports the abort before the branches are rolled back and the stats
+// settled.
+func (t *Txn) abortInternal(ctx context.Context, timeout, wounded bool) {
 	t.mu.Lock()
 	if t.state != stActive {
+		aborting := t.state == stAborting
 		t.mu.Unlock()
+		if aborting {
+			t.awaitAbort(ctx)
+		}
 		return
 	}
 	t.state = stAborting
@@ -706,6 +725,15 @@ func (t *Txn) abortInternal(timeout, wounded bool) {
 	}
 	t.mu.Unlock()
 	t.finishAbortClaimed(branches, timeout, wounded)
+}
+
+// awaitAbort waits for an abort claimed elsewhere to finish, or for
+// ctx to end.
+func (t *Txn) awaitAbort(ctx context.Context) {
+	select {
+	case <-t.aborted:
+	case <-ctx.Done():
+	}
 }
 
 // finishAbort drives an abort from inside Commit (prepare failure or a
@@ -757,6 +785,7 @@ func (t *Txn) finishAbortClaimed(branches map[string]branch, timeout, wounded bo
 	if acked.Load() {
 		t.c.logEnd(t.id)
 	}
+	close(t.aborted)
 }
 
 // resolveInDoubt moves an in-doubt transaction to its final state after

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"myriad/internal/comm"
 	"myriad/internal/gateway"
@@ -39,6 +40,12 @@ type fakeConn struct {
 	// test freeze the coordinator mid-phase-one. Single-use.
 	prepareStarted chan struct{}
 	prepareHold    chan struct{}
+	// execStarted/execHold and abortStarted/abortHold freeze Exec and
+	// Abort the same way. Single-use.
+	execStarted  chan struct{}
+	execHold     chan struct{}
+	abortStarted chan struct{}
+	abortHold    chan struct{}
 }
 
 var _ gateway.Conn = (*fakeConn)(nil)
@@ -65,6 +72,10 @@ func (f *fakeConn) QueryStream(ctx context.Context, txn uint64, sql string) (sch
 	return schema.StreamOf(&schema.ResultSet{}), nil
 }
 func (f *fakeConn) Exec(ctx context.Context, txn uint64, sql string) (int, error) {
+	if f.execStarted != nil {
+		close(f.execStarted)
+		<-f.execHold
+	}
 	if f.failExec != nil {
 		return 0, f.failExec
 	}
@@ -113,6 +124,10 @@ func (f *fakeConn) Commit(_ context.Context, txn uint64) error {
 	return nil
 }
 func (f *fakeConn) Abort(_ context.Context, txn uint64) error {
+	if f.abortStarted != nil {
+		close(f.abortStarted)
+		<-f.abortHold
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.aborts++
@@ -410,5 +425,66 @@ func TestConcurrentBranchCreation(t *testing.T) {
 	}
 	if err := txn.Commit(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVictimWaitsForWoundToFinish: when the detector's Wound claims a
+// transaction, the victim's own operation loses the abort claim — it
+// must not report ErrWounded until the wound has rolled back every
+// branch and counted itself, or a retry would run into the victim's
+// still-held locks and callers would read unsettled stats. Covers a
+// victim whose site call was in flight (the site refuses it with a
+// wound) and one that starts its next operation mid-abort.
+func TestVictimWaitsForWoundToFinish(t *testing.T) {
+	for _, inFlight := range []bool{true, false} {
+		p, c := twoSites()
+		ctx := context.Background()
+		txn := c.Begin()
+		if _, err := txn.ExecSite(ctx, "a", "x"); err != nil {
+			t.Fatal(err)
+		}
+		a := p["a"]
+		a.abortStarted, a.abortHold = make(chan struct{}), make(chan struct{})
+		if inFlight {
+			a.execStarted, a.execHold = make(chan struct{}), make(chan struct{})
+			a.failExec = gateway.ErrWounded
+		}
+		type result struct {
+			err     error
+			wounded int64
+		}
+		done := make(chan result, 1)
+		victim := func() {
+			_, err := txn.ExecSite(ctx, "a", "x")
+			done <- result{err, c.Stats.Wounded.Load()}
+		}
+		if inFlight {
+			go victim()
+			<-a.execStarted
+		}
+		go c.Wound(txn.ID())
+		<-a.abortStarted // the wound owns the transaction, mid-rollback
+		if inFlight {
+			close(a.execHold)
+		} else {
+			go victim()
+		}
+		select {
+		case r := <-done:
+			t.Fatalf("inFlight=%v: victim returned %v (Wounded stat %d) before its abort finished", inFlight, r.err, r.wounded)
+		case <-time.After(100 * time.Millisecond):
+		}
+		close(a.abortHold)
+		select {
+		case r := <-done:
+			if !errors.Is(r.err, ErrWounded) {
+				t.Fatalf("inFlight=%v: victim err = %v, want ErrWounded", inFlight, r.err)
+			}
+			if r.wounded != 1 {
+				t.Fatalf("inFlight=%v: Wounded stat = %d when the victim returned", inFlight, r.wounded)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("inFlight=%v: victim never returned", inFlight)
+		}
 	}
 }

@@ -258,12 +258,13 @@ func init() {
 	})
 }
 
-// Spec describes how to combine N source result sets (positionally
+// Spec describes how to combine N source row streams (positionally
 // aligned columns) into the integrated relation's rows.
 type Spec struct {
 	Kind CombineKind
-	// Columns is the integrated column list; every source ResultSet must
-	// already be projected/renamed to exactly these columns.
+	// Columns is the integrated column list; every source stream must
+	// already be projected/renamed to exactly these columns (a source of
+	// another arity fails the combined stream).
 	Columns []string
 	// KeyCols indexes Columns forming the integrated key (MergeOuter).
 	KeyCols []int
@@ -273,48 +274,8 @@ type Spec struct {
 	Resolvers map[int]Func
 }
 
-// Combine merges the per-source results into integrated rows.
-func Combine(spec *Spec, sources []*schema.ResultSet) (*schema.ResultSet, error) {
-	out := &schema.ResultSet{Columns: spec.Columns}
-	switch spec.Kind {
-	case UnionAll, UnionDistinct:
-		for _, src := range sources {
-			if err := checkArity(spec, src); err != nil {
-				return nil, err
-			}
-			out.Rows = append(out.Rows, src.Rows...)
-		}
-		if spec.Kind == UnionDistinct {
-			out.Rows = dedupe(out.Rows)
-		}
-		return out, nil
-	case MergeOuter:
-		return mergeOuter(spec, sources)
-	default:
-		return nil, fmt.Errorf("integration: unknown combinator %d", spec.Kind)
-	}
-}
-
-func checkArity(spec *Spec, src *schema.ResultSet) error {
-	if len(src.Columns) != len(spec.Columns) {
-		return fmt.Errorf("integration: source has %d columns, integrated relation has %d", len(src.Columns), len(spec.Columns))
-	}
-	return nil
-}
-
-func dedupe(rows []schema.Row) []schema.Row {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		k := encodeRow(r)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
+// encodeRow renders a row kind-exactly (1 and '1' differ) as the
+// UNION dedup key.
 func encodeRow(r schema.Row) string {
 	var b strings.Builder
 	for _, v := range r {
@@ -327,101 +288,4 @@ func encodeRow(r schema.Row) string {
 		b.WriteByte(0x1f)
 	}
 	return b.String()
-}
-
-// mergeOuter groups rows from all sources by the integrated key and
-// resolves each non-key attribute with its integration function. Rows
-// with a NULL key column are dropped (they cannot be matched), mirroring
-// outer-join-on-key semantics.
-func mergeOuter(spec *Spec, sources []*schema.ResultSet) (*schema.ResultSet, error) {
-	if len(spec.KeyCols) == 0 {
-		return nil, fmt.Errorf("integration: OUTERJOIN-MERGE requires a key")
-	}
-	isKey := make(map[int]bool, len(spec.KeyCols))
-	for _, k := range spec.KeyCols {
-		isKey[k] = true
-	}
-
-	type entity struct {
-		key []value.Value
-		// vals[col][src] is the value contributed by source src; one
-		// row per source is retained (later duplicates within a source
-		// are resolved first-wins, deterministic in row order).
-		vals [][]value.Value
-	}
-	byKey := make(map[string]*entity)
-	var order []string
-
-	for si, src := range sources {
-		if err := checkArity(spec, src); err != nil {
-			return nil, err
-		}
-		for _, row := range src.Rows {
-			kvals := make([]value.Value, len(spec.KeyCols))
-			null := false
-			for i, kc := range spec.KeyCols {
-				kvals[i] = row[kc]
-				if row[kc].IsNull() {
-					null = true
-				}
-			}
-			if null {
-				continue
-			}
-			k := encodeRow(kvals)
-			e, ok := byKey[k]
-			if !ok {
-				e = &entity{key: kvals, vals: make([][]value.Value, len(spec.Columns))}
-				for c := range e.vals {
-					e.vals[c] = make([]value.Value, len(sources))
-				}
-				byKey[k] = e
-				order = append(order, k)
-			}
-			for c := range spec.Columns {
-				if isKey[c] {
-					continue
-				}
-				if e.vals[c][si].IsNull() {
-					e.vals[c][si] = row[c]
-				}
-			}
-		}
-	}
-
-	coalesce, _ := Lookup("coalesce")
-	out := &schema.ResultSet{Columns: spec.Columns}
-	for _, k := range order {
-		e := byKey[k]
-		row := make(schema.Row, len(spec.Columns))
-		ki := 0
-		for c := range spec.Columns {
-			if isKey[c] {
-				// Key columns come from the key itself, in KeyCols order.
-				row[c] = keyValueFor(spec, e.key, c)
-				ki++
-				continue
-			}
-			fn := spec.Resolvers[c]
-			if fn == nil {
-				fn = coalesce
-			}
-			v, err := fn(e.vals[c])
-			if err != nil {
-				return nil, fmt.Errorf("integration: column %s: %w", spec.Columns[c], err)
-			}
-			row[c] = v
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-func keyValueFor(spec *Spec, key []value.Value, col int) value.Value {
-	for i, kc := range spec.KeyCols {
-		if kc == col {
-			return key[i]
-		}
-	}
-	return value.Null()
 }

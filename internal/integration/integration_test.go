@@ -1,6 +1,9 @@
 package integration
 
 import (
+	"context"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,13 +12,33 @@ import (
 	"myriad/internal/value"
 )
 
-func rs(cols []string, rows ...[]value.Value) *schema.ResultSet {
-	out := &schema.ResultSet{Columns: cols}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, r)
+// combine drains CombineStreams over the given fragments, each served
+// as a stream with the spec's columns.
+func combine(spec *Spec, frags ...[]schema.Row) ([]schema.Row, error) {
+	sources := make([]schema.RowStream, len(frags))
+	for i, rows := range frags {
+		sources[i] = streamOf(spec.Columns, rows)
+	}
+	c := CombineStreams(context.Background(), spec, sources)
+	defer c.Close()
+	rs, err := schema.DrainStream(context.Background(), c)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Rows, nil
+}
+
+// rows builds a fragment from literal rows.
+func rows(rs ...[]value.Value) []schema.Row {
+	out := make([]schema.Row, len(rs))
+	for i, r := range rs {
+		out[i] = r
 	}
 	return out
 }
+
+// kkey renders a value kind-exactly for map lookups in expectations.
+func kkey(v value.Value) string { return fmt.Sprintf("%d|%s", v.K, v.Text()) }
 
 func vi(i int64) value.Value  { return value.NewInt(i) }
 func vt(s string) value.Value { return value.NewText(s) }
@@ -62,37 +85,54 @@ func TestRegistry(t *testing.T) {
 
 func TestUnionAll(t *testing.T) {
 	spec := &Spec{Kind: UnionAll, Columns: []string{"id", "v"}}
-	out, err := Combine(spec, []*schema.ResultSet{
-		rs(spec.Columns, []value.Value{vi(1), vt("a")}),
-		rs(spec.Columns, []value.Value{vi(1), vt("a")}, []value.Value{vi(2), vt("b")}),
-	})
+	out, err := combine(spec,
+		rows([]value.Value{vi(1), vt("a")}),
+		rows([]value.Value{vi(1), vt("a")}, []value.Value{vi(2), vt("b")}),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != 3 {
-		t.Errorf("union all rows = %d", len(out.Rows))
+	if len(out) != 3 {
+		t.Errorf("union all rows = %d", len(out))
 	}
 }
 
 func TestUnionDistinct(t *testing.T) {
 	spec := &Spec{Kind: UnionDistinct, Columns: []string{"id", "v"}}
-	out, err := Combine(spec, []*schema.ResultSet{
-		rs(spec.Columns, []value.Value{vi(1), vt("a")}, []value.Value{vi(2), vt("b")}),
-		rs(spec.Columns, []value.Value{vi(1), vt("a")}, []value.Value{vi(3), vn()}),
-	})
+	out, err := combine(spec,
+		rows([]value.Value{vi(1), vt("a")}, []value.Value{vi(2), vt("b")}),
+		rows([]value.Value{vi(1), vt("a")}, []value.Value{vi(3), vn()}, []value.Value{vt("1"), vt("a")}),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != 3 {
-		t.Errorf("union distinct rows = %d", len(out.Rows))
+	// First occurrences in source order; '1' and 1 are different rows.
+	want := []string{"1|a", "2|b", "3|NULL", "1|a"}
+	if len(out) != len(want) {
+		t.Fatalf("union distinct rows = %d, want %d", len(out), len(want))
+	}
+	for i, r := range out {
+		if got := r[0].Text() + "|" + r[1].Text(); got != want[i] {
+			t.Errorf("row %d = %s, want %s", i, got, want[i])
+		}
+	}
+	if out[3][0].K != value.KindText {
+		t.Errorf("text key '1' folded into int 1: %v", out[3])
 	}
 }
 
+// TestArityMismatch: a source whose column count differs from the
+// integrated relation fails the combined stream under every combinator.
 func TestArityMismatch(t *testing.T) {
-	spec := &Spec{Kind: UnionAll, Columns: []string{"a", "b"}}
-	_, err := Combine(spec, []*schema.ResultSet{rs([]string{"a"}, []value.Value{vi(1)})})
-	if err == nil {
-		t.Error("arity mismatch accepted")
+	for _, kind := range []CombineKind{UnionAll, UnionDistinct, MergeOuter} {
+		spec := &Spec{Kind: kind, Columns: []string{"a", "b"}, KeyCols: []int{0}}
+		bad := streamOf([]string{"a"}, rows([]value.Value{vi(1)}))
+		c := CombineStreams(context.Background(), spec, []schema.RowStream{bad})
+		_, err := schema.DrainStream(context.Background(), c)
+		c.Close()
+		if err == nil || !strings.Contains(err.Error(), "columns") {
+			t.Errorf("%v: arity mismatch accepted (err=%v)", kind, err)
+		}
 	}
 }
 
@@ -108,23 +148,23 @@ func TestMergeOuter(t *testing.T) {
 			2: cc,
 		},
 	}
-	out, err := Combine(spec, []*schema.ResultSet{
-		rs(spec.Columns,
+	out, err := combine(spec,
+		rows(
 			[]value.Value{vi(1), vt("a@east"), vn()},
 			[]value.Value{vi(2), vn(), vt("p2-east")},
 			[]value.Value{vi(3), vt("c@east"), vt("p3")},
 		),
-		rs(spec.Columns,
+		rows(
 			[]value.Value{vi(1), vt("a@west"), vt("p1-west")},
 			[]value.Value{vi(2), vt("b@west"), vn()},
 			[]value.Value{vi(4), vt("d@west"), vt("p4")},
 		),
-	})
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := map[int64][2]string{}
-	for _, r := range out.Rows {
+	for _, r := range out {
 		id, _ := r[0].Int()
 		got[id] = [2]string{r[1].Text(), r[2].Text()}
 	}
@@ -142,39 +182,64 @@ func TestMergeOuter(t *testing.T) {
 	}
 }
 
-func TestMergeOuterNullKeyDropped(t *testing.T) {
-	spec := &Spec{Kind: MergeOuter, Columns: []string{"id", "v"}, KeyCols: []int{0}}
-	out, err := Combine(spec, []*schema.ResultSet{
-		rs(spec.Columns, []value.Value{vn(), vt("ghost")}, []value.Value{vi(1), vt("a")}),
-	})
+// TestMergeOuterFirstNonNullWithinSource: a source holding an entity
+// twice contributes, per column, its first non-NULL value in row order.
+func TestMergeOuterFirstNonNullWithinSource(t *testing.T) {
+	cc, _ := Lookup("concat")
+	spec := &Spec{Kind: MergeOuter, Columns: []string{"id", "v", "w"}, KeyCols: []int{0},
+		Resolvers: map[int]Func{1: cc, 2: cc}}
+	out, err := combine(spec,
+		rows(
+			[]value.Value{vi(1), vn(), vt("w-first")},
+			[]value.Value{vi(1), vt("v-second"), vt("w-second")},
+			[]value.Value{vi(1), vt("v-third"), vn()},
+		),
+		rows([]value.Value{vi(1), vt("v-b"), vn()}),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != 1 {
-		t.Errorf("NULL-key row not dropped: %v", out.Rows)
+	if len(out) != 1 {
+		t.Fatalf("entities = %d", len(out))
+	}
+	if v, w := out[0][1].Text(), out[0][2].Text(); v != "v-second/v-b" || w != "w-first" {
+		t.Errorf("resolved v=%q w=%q, want v-second/v-b and w-first", v, w)
+	}
+}
+
+func TestMergeOuterNullKeyDropped(t *testing.T) {
+	spec := &Spec{Kind: MergeOuter, Columns: []string{"id", "v"}, KeyCols: []int{0}}
+	out, err := combine(spec,
+		rows([]value.Value{vn(), vt("ghost")}, []value.Value{vi(1), vt("a")}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0][1].Text() != "a" {
+		t.Errorf("NULL-key row not dropped: %v", out)
 	}
 }
 
 func TestMergeOuterRequiresKey(t *testing.T) {
 	spec := &Spec{Kind: MergeOuter, Columns: []string{"a"}}
-	if _, err := Combine(spec, nil); err == nil {
-		t.Error("merge without key accepted")
+	if _, err := combine(spec); err == nil || !strings.Contains(err.Error(), "requires a key") {
+		t.Errorf("merge without key: err = %v", err)
 	}
 }
 
 func TestMergeOuterCompositeKey(t *testing.T) {
 	spec := &Spec{Kind: MergeOuter, Columns: []string{"a", "b", "v"}, KeyCols: []int{0, 1}}
-	out, err := Combine(spec, []*schema.ResultSet{
-		rs(spec.Columns, []value.Value{vi(1), vt("x"), vt("s0")}),
-		rs(spec.Columns, []value.Value{vi(1), vt("x"), vt("s1")}, []value.Value{vi(1), vt("y"), vt("s1")}),
-	})
+	out, err := combine(spec,
+		rows([]value.Value{vi(1), vt("x"), vt("s0")}),
+		rows([]value.Value{vi(1), vt("x"), vt("s1")}, []value.Value{vi(1), vt("y"), vt("s1")}),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != 2 {
-		t.Fatalf("composite-key entities = %d", len(out.Rows))
+	if len(out) != 2 {
+		t.Fatalf("composite-key entities = %d", len(out))
 	}
-	for _, r := range out.Rows {
+	for _, r := range out {
 		if r[0].IsNull() || r[1].IsNull() {
 			t.Errorf("key columns not populated: %v", r)
 		}
@@ -234,27 +299,23 @@ func TestResolvers(t *testing.T) {
 	}
 }
 
-// TestUnionDistinctIdempotentProperty checks dedupe(x ∪ x) == dedupe(x).
+// TestUnionDistinctIdempotentProperty checks union(x ∪ x) == union(x).
 func TestUnionDistinctIdempotentProperty(t *testing.T) {
 	f := func(vals []int16) bool {
 		spec := &Spec{Kind: UnionDistinct, Columns: []string{"v"}}
-		var rows []schema.Row
+		var src []schema.Row
 		for _, v := range vals {
-			rows = append(rows, schema.Row{vi(int64(v))})
+			src = append(src, schema.Row{vi(int64(v))})
 		}
-		src := &schema.ResultSet{Columns: spec.Columns, Rows: rows}
-		src2 := &schema.ResultSet{Columns: spec.Columns, Rows: append([]schema.Row{}, rows...)}
-		once, err := Combine(spec, []*schema.ResultSet{src})
+		once, err := combine(spec, src)
 		if err != nil {
 			return false
 		}
-		twice, err := Combine(spec, []*schema.ResultSet{
-			{Columns: spec.Columns, Rows: append(append([]schema.Row{}, once.Rows...), src2.Rows...)},
-		})
+		twice, err := combine(spec, once, src)
 		if err != nil {
 			return false
 		}
-		return len(once.Rows) == len(twice.Rows)
+		return len(once) == len(twice)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -265,29 +326,22 @@ func TestUnionDistinctIdempotentProperty(t *testing.T) {
 // independent of source order (values may differ, keys must not).
 func TestMergeOrderIndependenceOfEntitySet(t *testing.T) {
 	spec := &Spec{Kind: MergeOuter, Columns: []string{"id", "v"}, KeyCols: []int{0}}
-	a := rs(spec.Columns, []value.Value{vi(1), vt("a")}, []value.Value{vi(2), vt("b")})
-	b := rs(spec.Columns, []value.Value{vi(2), vt("B")}, []value.Value{vi(3), vt("C")})
+	a := rows([]value.Value{vi(1), vt("a")}, []value.Value{vi(2), vt("b")})
+	b := rows([]value.Value{vi(2), vt("B")}, []value.Value{vi(3), vt("C")})
 
-	keys := func(sources []*schema.ResultSet) string {
-		out, err := Combine(spec, sources)
+	keys := func(frags ...[]schema.Row) string {
+		out, err := combine(spec, frags...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ks []string
-		for _, r := range out.Rows {
-			ks = append(ks, r[0].Text())
+		for _, r := range out {
+			ks = append(ks, kkey(r[0]))
 		}
-		// Order-insensitive comparison.
-		for i := range ks {
-			for j := i + 1; j < len(ks); j++ {
-				if ks[j] < ks[i] {
-					ks[i], ks[j] = ks[j], ks[i]
-				}
-			}
-		}
+		sort.Strings(ks)
 		return strings.Join(ks, ",")
 	}
-	if k1, k2 := keys([]*schema.ResultSet{a, b}), keys([]*schema.ResultSet{b, a}); k1 != k2 {
+	if k1, k2 := keys(a, b), keys(b, a); k1 != k2 {
 		t.Errorf("entity sets differ by source order: %q vs %q", k1, k2)
 	}
 }

@@ -97,52 +97,22 @@ func TestOuterMergeSpillMatchesInMemory(t *testing.T) {
 }
 
 // TestOuterMergeKindExactKeys: keys that compare equal under the sort
-// comparator but differ in kind (1 vs '1') stay distinct entities,
-// exactly as the materialized combinator's encoded-key map keeps them.
+// comparator but differ in kind (1 vs '1') stay distinct entities.
 func TestOuterMergeKindExactKeys(t *testing.T) {
 	spec := &Spec{Kind: MergeOuter, Columns: []string{"id", "v"}, KeyCols: []int{0}}
 	intSide := []schema.Row{{vi(1), vt("int-1")}, {vi(2), vt("int-2")}}
 	textSide := []schema.Row{{vt("1"), vt("text-1")}, {vi(2), vt("int-2b")}}
-
-	want, err := Combine(spec, []*schema.ResultSet{
-		{Columns: spec.Columns, Rows: intSide},
-		{Columns: spec.Columns, Rows: textSide},
-	})
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]string{
+		kkey(vi(1)): "int-1", kkey(vt("1")): "text-1", kkey(vi(2)): "int-2",
 	}
-
-	for _, budget := range []*spill.Budget{nil, spill.NewBudget(64, t.TempDir())} {
-		c := CombineStreamsOpts(context.Background(), spec,
-			[]schema.RowStream{streamOf(spec.Columns, intSide), streamOf(spec.Columns, textSide)},
-			StreamOptions{Budget: budget})
-		got, err := schema.DrainStream(context.Background(), c)
-		c.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("budget=%v: entities = %d, want %d (kind-distinct keys folded?)",
-				budget.Limit(), len(got.Rows), len(want.Rows))
-		}
-		seen := map[string]string{}
-		for _, r := range got.Rows {
-			seen[fmt.Sprintf("%d|%s", r[0].K, r[0].Text())] = r[1].Text()
-		}
-		for _, r := range want.Rows {
-			k := fmt.Sprintf("%d|%s", r[0].K, r[0].Text())
-			if seen[k] != r[1].Text() {
-				t.Fatalf("budget=%v: entity %s: got %q, want %q", budget.Limit(), k, seen[k], r[1].Text())
-			}
-		}
-	}
+	checkEntities(t, spec, want, intSide, textSide)
 }
 
 // TestOuterMergeCyclicKeyKinds: mixed int/numeric-text keys form a
 // cycle under the coercing value comparator ('9' < '10' is false as
 // text, 10 > '9' is true numerically, 10 == '10'), so grouping must
 // not depend on it: the merge's kind-first total order keeps every
-// encoded key one contiguous entity, matching the materialized map.
+// kind-exact key one contiguous entity.
 func TestOuterMergeCyclicKeyKinds(t *testing.T) {
 	spec := &Spec{Kind: MergeOuter, Columns: []string{"id", "v"}, KeyCols: []int{0}}
 	cyclic := func(tag string) []schema.Row {
@@ -153,35 +123,35 @@ func TestOuterMergeCyclicKeyKinds(t *testing.T) {
 			{vi(9), vt(tag + "-i9")},
 		}
 	}
-	a, b := cyclic("a"), cyclic("b")
-	want, err := Combine(spec, []*schema.ResultSet{
-		{Columns: spec.Columns, Rows: a},
-		{Columns: spec.Columns, Rows: b},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Four entities, each resolved by coalesce to source a's value.
+	want := map[string]string{
+		kkey(vt("9")): "a-t9", kkey(vi(10)): "a-i10", kkey(vt("10")): "a-t10", kkey(vi(9)): "a-i9",
 	}
+	checkEntities(t, spec, want, cyclic("a"), cyclic("b"))
+}
+
+// checkEntities combines the fragments in memory and under a spilling
+// budget, holding both to want: resolved v by kind-exact key.
+func checkEntities(t *testing.T, spec *Spec, want map[string]string, frags ...[]schema.Row) {
+	t.Helper()
 	for _, budget := range []*spill.Budget{nil, spill.NewBudget(64, t.TempDir())} {
-		c := CombineStreamsOpts(context.Background(), spec,
-			[]schema.RowStream{streamOf(spec.Columns, a), streamOf(spec.Columns, b)},
-			StreamOptions{Budget: budget})
+		sources := make([]schema.RowStream, len(frags))
+		for i, f := range frags {
+			sources[i] = streamOf(spec.Columns, f)
+		}
+		c := CombineStreamsOpts(context.Background(), spec, sources, StreamOptions{Budget: budget})
 		got, err := schema.DrainStream(context.Background(), c)
 		c.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Rows) != len(want.Rows) {
+		if len(got.Rows) != len(want) {
 			t.Fatalf("budget=%v: entities = %d, want %d (entity split or folded)",
-				budget.Limit(), len(got.Rows), len(want.Rows))
+				budget.Limit(), len(got.Rows), len(want))
 		}
-		seen := map[string]string{}
 		for _, r := range got.Rows {
-			seen[fmt.Sprintf("%d|%s", r[0].K, r[0].Text())] = r[1].Text()
-		}
-		for _, r := range want.Rows {
-			k := fmt.Sprintf("%d|%s", r[0].K, r[0].Text())
-			if seen[k] != r[1].Text() {
-				t.Fatalf("budget=%v: entity %s: got %q, want %q", budget.Limit(), k, seen[k], r[1].Text())
+			if w, ok := want[kkey(r[0])]; !ok || r[1].Text() != w {
+				t.Fatalf("budget=%v: entity %s resolved %q, want %q", budget.Limit(), kkey(r[0]), r[1].Text(), w)
 			}
 		}
 	}

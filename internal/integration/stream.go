@@ -18,10 +18,9 @@ import (
 // Three union fan-in operators are provided:
 //
 //   - FanInSourceOrder (default): rows emit in deterministic source
-//     order while later sources prefetch behind their windows. The
-//     reference mode — byte-identical to combining materialized
-//     fragments — used wherever downstream row order must match the
-//     materialized executor.
+//     order while later sources prefetch behind their windows — the
+//     order one database loaded source by source would hold, used
+//     wherever downstream ties must break the way it would break them.
 //   - FanInInterleave: batches emit in completion order across all
 //     sources, so first-row latency is bound by the fastest site
 //     instead of the first-listed one. Row order is nondeterministic.
@@ -505,9 +504,10 @@ type combinedStream struct {
 // numbers, so {'9', 10, '10'} is a cycle) and an unspecified sort
 // order would let the grouped merge split one entity in two;
 // separating kinds first keeps each column's order transitive, and
-// compare-equal then means identical kind and value — exactly the
-// materialized combinator's encodeRow identity. For the typical
-// homogeneous-kind key this is pure CompareSort order.
+// compare-equal then means identical kind and value — the kind-exact
+// entity identity OUTERJOIN-MERGE defines (1 and '1' are different
+// entities). For the typical homogeneous-kind key this is pure
+// CompareSort order.
 func mergeKeyCompare(keyCols []int) func(a, b schema.Row) int {
 	return func(a, b schema.Row) int {
 		for _, kc := range keyCols {
@@ -594,15 +594,15 @@ func (c *combinedStream) Next(ctx context.Context) (schema.Row, error) {
 }
 
 // nextMerged lazily drains every source in parallel into a per-source
-// spill-backed sorter keyed on the integrated key (NULL-key rows are
-// dropped, as in the materialized combinator), then streams a k-way
-// grouped merge: for each distinct key, every source's contributions
-// are folded (first non-NULL per column in source row order — the
-// stable sorters preserve arrival order within equal keys) and the
-// entity resolves through the integration functions. Exactly one
-// entity is in memory at a time, so the combiner's footprint is the
+// spill-backed sorter keyed on the integrated key (a row with a NULL
+// key column cannot match anything and is dropped), then streams a
+// k-way grouped merge: for each distinct key, every source's
+// contributions are folded (first non-NULL per column in source row
+// order — the stable sorters preserve arrival order within equal keys)
+// and the entity resolves through the integration functions. Exactly
+// one entity is in memory at a time, so the combiner's footprint is the
 // spill budget, not the source volume; entities emit in integrated-key
-// order (the materialized Combine path keeps first-occurrence order).
+// order, which is not an order SQL promises — queries say ORDER BY.
 // The drains pull through fctx so a failing source aborts its
 // siblings; each Next honors the per-call ctx between spill reads, so
 // a cancelled query stops promptly even mid-merge.
@@ -731,8 +731,7 @@ func (c *combinedStream) drainMergeSources() error {
 
 // nextEntity resolves and emits the entity with the smallest pending
 // integrated key across the source cursors. Rows belong to the same
-// entity exactly when mergeKeyCompare reports them equal — kind-exact,
-// matching mergeOuter's encoded map key.
+// entity exactly when mergeKeyCompare reports them equal — kind-exact.
 func (c *combinedStream) nextEntity(ctx context.Context) (schema.Row, error) {
 	best := -1
 	for i, h := range c.mheads {

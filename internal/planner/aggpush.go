@@ -185,6 +185,17 @@ func (p *Planner) pushAggregates(sel *sqlparser.Select, sets map[string]*ScanSet
 		temp.Columns = append(temp.Columns, schema.Column{
 			Name: ss.Def.Columns[ci].Name, Type: ss.Def.Columns[ci].Type})
 	}
+	// argType types a SUM/MIN/MAX partial like the single database
+	// would type the aggregate: the argument column's own type (an
+	// INTEGER sum stays INTEGER), FLOAT for a computed argument.
+	argType := func(fn *sqlparser.FuncExpr) schema.Type {
+		if cr, ok := fn.Args[0].(*sqlparser.ColumnRef); ok {
+			if ci := ss.Def.ColIndex(cr.Column); ci >= 0 {
+				return ss.Def.Columns[ci].Type
+			}
+		}
+		return schema.TFloat
+	}
 	for j, pa := range partials {
 		switch pa.fn.Name {
 		case "COUNT":
@@ -199,18 +210,12 @@ func (p *Planner) pushAggregates(sel *sqlparser.Select, sets map[string]*ScanSet
 		case "SUM":
 			col := fmt.Sprintf("agg_%d", j)
 			pa.cols = []string{col}
-			temp.Columns = append(temp.Columns, schema.Column{Name: col, Type: schema.TFloat})
+			temp.Columns = append(temp.Columns, schema.Column{Name: col, Type: argType(pa.fn)})
 			pa.merged = &sqlparser.FuncExpr{Name: "SUM", Args: []sqlparser.Expr{&sqlparser.ColumnRef{Column: col}}}
 		case "MIN", "MAX":
 			col := fmt.Sprintf("agg_%d", j)
 			pa.cols = []string{col}
-			t := schema.TFloat
-			if cr, ok := pa.fn.Args[0].(*sqlparser.ColumnRef); ok {
-				if ci := ss.Def.ColIndex(cr.Column); ci >= 0 {
-					t = ss.Def.Columns[ci].Type
-				}
-			}
-			temp.Columns = append(temp.Columns, schema.Column{Name: col, Type: t})
+			temp.Columns = append(temp.Columns, schema.Column{Name: col, Type: argType(pa.fn)})
 			pa.merged = &sqlparser.FuncExpr{Name: pa.fn.Name, Args: []sqlparser.Expr{&sqlparser.ColumnRef{Column: col}}}
 		case "AVG":
 			sumCol := fmt.Sprintf("agg_%d_sum", j)

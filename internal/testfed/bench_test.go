@@ -16,48 +16,35 @@ import (
 )
 
 // BenchmarkFederatedStreamLimit measures LIMIT 10 over a 100k-row
-// remote site (real TCP), streaming vs. the materialized reference
-// executor, under both strategies. cost pushes the LIMIT to the site;
-// simple fetches the export essentially whole, so there the executor
-// decides whether all 100k rows are drained (materialized) or the
-// federation half-closes the stream after ~10 rows (streaming).
+// remote site (real TCP) under both strategies. cost pushes the LIMIT
+// to the site; simple fetches the export essentially whole, so there
+// the federation must half-close the stream after ~10 rows instead of
+// draining all 100k.
 func BenchmarkFederatedStreamLimit(b *testing.B) {
 	fx := twoSiteUnion(b, integration.UnionAll, 0, 100_000, false, 0)
 	warm(b, fx)
 	ctx := context.Background()
 	const sql = `SELECT id, v FROM R LIMIT 10`
 
-	run := func(b *testing.B, streaming bool, strategy core.Strategy) {
+	run := func(b *testing.B, strategy core.Strategy) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var n int
-			if streaming {
-				rs, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(rs.Rows)
-			} else {
-				rs, err := fx.RefQuery(ctx, sql, strategy)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(rs.Rows)
+			rs, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
+			if err != nil {
+				b.Fatal(err)
 			}
-			if n != 10 {
-				b.Fatalf("got %d rows", n)
+			if len(rs.Rows) != 10 {
+				b.Fatalf("got %d rows", len(rs.Rows))
 			}
 		}
 	}
-	b.Run("streaming/cost", func(b *testing.B) { run(b, true, core.StrategyCostBased) })
-	b.Run("materialized/cost", func(b *testing.B) { run(b, false, core.StrategyCostBased) })
-	b.Run("streaming/simple", func(b *testing.B) { run(b, true, core.StrategySimple) })
-	b.Run("materialized/simple", func(b *testing.B) { run(b, false, core.StrategySimple) })
+	b.Run("streaming/cost", func(b *testing.B) { run(b, core.StrategyCostBased) })
+	b.Run("streaming/simple", func(b *testing.B) { run(b, core.StrategySimple) })
 }
 
 // BenchmarkTwoSiteUnion drains a 40k-row two-site union over real TCP,
-// streaming vs. materialized, plus the time-to-first-row each path
-// offers a client consuming incrementally.
+// plus the time-to-first-row the stream offers a client consuming
+// incrementally.
 func BenchmarkTwoSiteUnion(b *testing.B) {
 	fx := twoSiteUnion(b, integration.UnionAll, 20_000, 20_000, false, 0)
 	warm(b, fx)
@@ -68,18 +55,6 @@ func BenchmarkTwoSiteUnion(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rs, err := fx.Query(ctx, sql)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rs.Rows) != 40_000 {
-				b.Fatalf("got %d rows", len(rs.Rows))
-			}
-		}
-	})
-	b.Run("materialized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rs, err := fx.RefQuery(ctx, sql, core.StrategyCostBased)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -108,10 +83,10 @@ func BenchmarkTwoSiteUnion(b *testing.B) {
 // two-site UNION ALL whose first-listed site (source index 0) wedges
 // silently just past its stream header. Interleave's first row is
 // bound by the fast site and barely differs from the healthy baseline;
-// a source-ordered fan-in would never produce a first row at all (the
-// regression test TestStalledSiteDoesNotGateUnorderedFirstRow pins
-// that), so only its healthy baseline is measurable here. ns/op is
-// dominated by time-to-first-row.
+// auto's source-ordered fan-in would never produce a first row at all
+// (the regression test TestStalledSiteDoesNotGateUnorderedFirstRow
+// pins that), so only its healthy baseline is measurable here. ns/op
+// is dominated by time-to-first-row.
 func BenchmarkUnorderedFirstRow(b *testing.B) {
 	fx := twoSiteUnionFaults(b, integration.UnionAll, 20_000, 20_000, true, false, 0)
 	warm(b, fx)
@@ -134,43 +109,43 @@ func BenchmarkUnorderedFirstRow(b *testing.B) {
 		}
 	}
 	b.Run("interleave-healthy", func(b *testing.B) { run(b, core.FanInInterleave) })
-	b.Run("source-order-healthy", func(b *testing.B) { run(b, core.FanInSourceOrder) })
+	b.Run("auto-healthy", func(b *testing.B) { run(b, core.FanInAuto) })
 	fx.Site("a").Proxy.StallAfter(headerFrameBytes(b, "id", "v"))
 	b.Run("interleave-stalled-site", func(b *testing.B) { run(b, core.FanInInterleave) })
 	fx.Fed.FanIn = core.FanInAuto
 }
 
 // BenchmarkScratchBypass drains a two-site union through the bypass
-// (fan-in straight to the client) vs. the scratch-engine path the same
-// plan takes with NoBypass — the allocation delta is the temp-table
-// load plus the residual pipeline.
+// (fan-in straight to the client) vs. the scratch-engine path a
+// computed projection the bypass refuses takes — the allocation delta
+// is the temp-table load plus the residual pipeline.
 func BenchmarkScratchBypass(b *testing.B) {
 	fx := twoSiteUnion(b, integration.UnionAll, 10_000, 10_000, false, 0)
 	warm(b, fx)
 	ctx := context.Background()
-	plan, err := fx.Plan(ctx, `SELECT id, v FROM R`, core.StrategyCostBased)
-	if err != nil {
-		b.Fatal(err)
-	}
 	runner := fx.Runner()
 
-	run := func(b *testing.B, opts executor.Options) {
+	run := func(b *testing.B, sql string, bypass bool) {
+		plan, err := fx.Plan(ctx, sql, core.StrategyCostBased)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rs, m, err := execute(ctx, plan, runner, opts)
+			rs, m, err := execute(ctx, plan, runner, executor.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			if len(rs.Rows) != 20_000 {
 				b.Fatalf("got %d rows", len(rs.Rows))
 			}
-			if m.ScratchBypassed == opts.NoBypass {
-				b.Fatalf("bypass=%v with NoBypass=%v", m.ScratchBypassed, opts.NoBypass)
+			if m.ScratchBypassed != bypass {
+				b.Fatalf("bypass=%v, want %v", m.ScratchBypassed, bypass)
 			}
 		}
 	}
-	b.Run("bypass", func(b *testing.B) { run(b, executor.Options{}) })
-	b.Run("scratch", func(b *testing.B) { run(b, executor.Options{NoBypass: true}) })
+	b.Run("bypass", func(b *testing.B) { run(b, `SELECT id, v FROM R`, true) })
+	b.Run("scratch", func(b *testing.B) { run(b, `SELECT id, v + 0 AS v FROM R`, false) })
 }
 
 // BenchmarkExternalSort drains a federated ORDER BY without LIMIT over

@@ -44,7 +44,7 @@ func equivalenceFixture(t testing.TB) *Fixture {
 }
 
 // equivalenceCorpus is the federated query corpus the streaming path
-// must answer row-for-row like the materialized reference.
+// must answer exactly like the oracle.
 var equivalenceCorpus = []string{
 	`SELECT id, v FROM R ORDER BY id, v`,
 	`SELECT id, v FROM R WHERE v > 50 ORDER BY id`,
@@ -64,7 +64,7 @@ var equivalenceCorpus = []string{
 	`SELECT r.id, d.v FROM R r, D d WHERE r.id = d.id AND r.v < 5 ORDER BY r.id, d.v`,
 	// Bare projections with a WHERE: the bypass filters inline on the
 	// fan-in (under simple the predicate stays residual; under cost it
-	// may push down — both must agree with the scratch path). The LIMIT
+	// may push down — both must agree with the oracle). The LIMIT
 	// exceeds the matching rows so every fan-in mode returns the same
 	// multiset.
 	`SELECT id AS ident, v FROM R WHERE v >= 90`,
@@ -72,33 +72,36 @@ var equivalenceCorpus = []string{
 	`SELECT id, v FROM D WHERE v < 3`,
 	// Cross-site equi-joins with a selective side: under the cost-based
 	// strategy these may plan as bind joins (shipping key batches to
-	// the probe sites), and must still match the materialized path.
+	// the probe sites), and must still match the oracle.
 	`SELECT r.id, d.v FROM R r JOIN D d ON r.id = d.id WHERE d.v = 7 ORDER BY r.id`,
 	`SELECT d.id, r.id AS rid, r.v FROM D d JOIN R r ON d.v = r.v WHERE d.id < 5 ORDER BY d.id, rid, r.v`,
 }
 
-// TestStreamingMatchesMaterialized holds the streaming executor
-// row-for-row equal to the materialized reference executor for the
-// whole corpus, under both optimizer strategies.
-func TestStreamingMatchesMaterialized(t *testing.T) {
+// TestStreamingMatchesOracle holds the streaming executor to the
+// single-database oracle for the whole corpus, under both optimizer
+// strategies and both fan-in policies: row for row where the query's
+// ORDER BY fixes the order, as a multiset where SQL leaves it open.
+func TestStreamingMatchesOracle(t *testing.T) {
 	fx := equivalenceFixture(t)
+	oracle := fx.Oracle(t)
 	ctx := context.Background()
-	for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
-		for _, sql := range equivalenceCorpus {
-			name := fmt.Sprintf("%v/%s", strategy, sql)
-			t.Run(name, func(t *testing.T) {
-				want, err := fx.RefQuery(ctx, sql, strategy)
-				if err != nil {
-					t.Fatalf("materialized: %v", err)
-				}
-				got, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
-				if err != nil {
-					t.Fatalf("streaming: %v", err)
-				}
-				assertSameResult(t, want, got)
-			})
+	for _, policy := range []core.FanInPolicy{core.FanInAuto, core.FanInInterleave} {
+		fx.Fed.FanIn = policy
+		for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
+			for _, sql := range equivalenceCorpus {
+				t.Run(fmt.Sprintf("%v/%v/%s", policy, strategy, sql), func(t *testing.T) {
+					got, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
+					if err != nil {
+						t.Fatalf("streaming: %v", err)
+					}
+					if err := oracle.Check(ctx, sql, got); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
 	}
+	fx.Fed.FanIn = core.FanInAuto
 }
 
 func assertSameResult(t *testing.T, want, got *schema.ResultSet) {
@@ -123,35 +126,6 @@ func assertSameResult(t *testing.T, want, got *schema.ResultSet) {
 			}
 		}
 	}
-}
-
-// TestFanInModesMatchMaterialized runs the whole corpus under every
-// fan-in policy against the materialized reference with an
-// order-insensitive comparison: interleave legitimately permutes rows,
-// but it must never change the result multiset.
-func TestFanInModesMatchMaterialized(t *testing.T) {
-	fx := equivalenceFixture(t)
-	ctx := context.Background()
-	for _, policy := range []core.FanInPolicy{core.FanInSourceOrder, core.FanInInterleave, core.FanInMerge} {
-		fx.Fed.FanIn = policy
-		for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
-			for _, sql := range equivalenceCorpus {
-				name := fmt.Sprintf("%v/%v/%s", policy, strategy, sql)
-				t.Run(name, func(t *testing.T) {
-					want, err := fx.RefQuery(ctx, sql, strategy)
-					if err != nil {
-						t.Fatalf("materialized: %v", err)
-					}
-					got, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
-					if err != nil {
-						t.Fatalf("streaming: %v", err)
-					}
-					assertSameResultUnordered(t, want, got)
-				})
-			}
-		}
-	}
-	fx.Fed.FanIn = core.FanInAuto
 }
 
 // assertSameResultUnordered compares columns exactly and rows as a

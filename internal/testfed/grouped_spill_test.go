@@ -90,28 +90,14 @@ var groupedCorpus = []string{
 // TestGroupedSpillCorpus is the grouped-execution acceptance corpus:
 // every grouped, DISTINCT and UNION query completes under a forced 4KB
 // per-query budget — spilling instead of failing fast — and matches the
-// unlimited in-memory reference as a multiset, under both optimizer
-// strategies and all four fan-in policies.
+// oracle under both optimizer strategies and both fan-in policies.
 func TestGroupedSpillCorpus(t *testing.T) {
 	fx := groupedFixture(t)
+	oracle := fx.Oracle(t)
 	ctx := context.Background()
-
-	// Unlimited references first, shared across policies/strategies.
-	refs := make(map[string]*schema.ResultSet)
-	for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
-		for _, sql := range groupedCorpus {
-			want, err := fx.RefQuery(ctx, sql, strategy)
-			if err != nil {
-				t.Fatalf("reference %v/%s: %v", strategy, sql, err)
-			}
-			refs[fmt.Sprintf("%v/%s", strategy, sql)] = want
-		}
-	}
-
 	dir := budgetFed(t, fx, 4096)
-	policies := []core.FanInPolicy{core.FanInAuto, core.FanInSourceOrder, core.FanInInterleave, core.FanInMerge}
 	var spills int64
-	for _, policy := range policies {
+	for _, policy := range []core.FanInPolicy{core.FanInAuto, core.FanInInterleave} {
 		fx.Fed.FanIn = policy
 		for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
 			for _, sql := range groupedCorpus {
@@ -121,7 +107,9 @@ func TestGroupedSpillCorpus(t *testing.T) {
 						t.Fatalf("budgeted: %v", err)
 					}
 					spills += m.SpillRuns
-					assertSameResultUnordered(t, refs[fmt.Sprintf("%v/%s", strategy, sql)], got)
+					if err := oracle.Check(ctx, sql, got); err != nil {
+						t.Fatal(err)
+					}
 				})
 			}
 		}

@@ -5,7 +5,9 @@
 // can delay, drop, or garble one site's wire traffic mid-stream. It
 // exists to prove the streaming row-batch transport behaves under slow
 // sites, mid-stream failures, and cancellation — the failure modes a
-// federation actually meets.
+// federation actually meets — and, through the Oracle, that every
+// federated answer equals what one database holding all the data
+// returns.
 package testfed
 
 import (
@@ -198,20 +200,8 @@ func (fx *Fixture) Query(ctx context.Context, sql string) (*schema.ResultSet, er
 	return fx.Fed.Query(ctx, sql)
 }
 
-// RefQuery runs a global SELECT through executor.ExecuteMaterialized —
-// every fragment drained whole before integration — the reference the
-// equivalence corpora compare the pipelined path against.
-func (fx *Fixture) RefQuery(ctx context.Context, sql string, strategy core.Strategy) (*schema.ResultSet, error) {
-	plan, err := fx.Plan(ctx, sql, strategy)
-	if err != nil {
-		return nil, err
-	}
-	rs, _, err := executor.ExecuteMaterialized(ctx, plan, fx.Runner())
-	return rs, err
-}
-
-// Plan builds the global plan for sql (exposed for benchmarks that
-// want to run one plan down both executor paths).
+// Plan builds the global plan for sql (exposed for tests and
+// benchmarks that drive executor.Execute directly).
 func (fx *Fixture) Plan(ctx context.Context, sql string, strategy core.Strategy) (*planner.Plan, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
