@@ -79,8 +79,8 @@ type Federation struct {
 	StreamByteBudget int64
 	// MemBudget bounds each global query's blocking-operator memory in
 	// bytes (0 = unlimited): the executor threads one spill budget
-	// through the scratch engine's sorts and GROUP BY and the
-	// OUTERJOIN-MERGE combiner, which spill sorted runs to SpillDir
+	// through the residual's sorts, DISTINCT and GROUP BY, the bind
+	// join's build spool and the OUTERJOIN-MERGE combiner, which spill sorted runs to SpillDir
 	// past it — ORDER BY without LIMIT over N sites runs bounded end
 	// to end.
 	MemBudget int64
@@ -345,10 +345,9 @@ func (f *Federation) QueryMetered(ctx context.Context, sql string, strategy Stra
 // QueryStreamMetered runs a global SELECT and returns the result as a
 // row stream: remote fragments pipeline through integration into the
 // residual evaluation, whose rows the stream yields incrementally. The
-// caller must Close it (early Close tears down the execution). On the
-// scratch-bypass path the remote scans stay live while the client
-// consumes, so per-source counters (RowsShipped, Sources) settle once
-// the stream has been closed.
+// caller must Close it (early Close tears down the execution). The
+// remote scans stay live while the client consumes, so the metrics
+// settle once the stream has been closed.
 func (f *Federation) QueryStreamMetered(ctx context.Context, sql string, strategy Strategy) (schema.RowStream, *executor.Metrics, error) {
 	return f.execute(ctx, sql, strategy, autocommitRunner{f})
 }

@@ -1,29 +1,29 @@
 // Package executor runs global query plans. The plan's remote
-// subqueries open as row streams against the gateways in parallel; the
-// integration combinators consume the streams single-pass, and the
-// integrated rows load batch-by-batch into a per-query scratch instance
-// of the component engine, which evaluates the residual query. The
-// scratch engine is the federation's "composite query processor" — it
-// reuses the battle-tested local executor instead of duplicating
-// join/aggregate machinery — and since the residual itself executes as
-// a streaming iterator pipeline, a federated query pipelines end to
-// end: site scan → wire batches → integration → scratch load → residual
-// → client, with no whole-ResultSet materialization at the transport.
+// subqueries open as row streams against the gateways in parallel, and
+// the integration combinators consume them single-pass. Each scan set's
+// combined stream becomes one stream relation of the component engine's
+// volcano pipeline (localdb.QueryRelations), which evaluates the
+// residual query straight off the streams — the federation's "composite
+// query processor" reuses the local executor's join/aggregate machinery
+// without copying a row into a table. A federated query pipelines end to
+// end: site scan → wire batches → integration → residual → client, and
+// a LIMIT, a cancellation or an error travels back through the iterator
+// tree, half-closing the sites still shipping.
 //
 // When the residual is a bare projection over a single scan set the
-// scratch engine is bypassed entirely: integrated rows stream straight
-// from the fan-in to the client (filtered by a residual WHERE,
-// projected, offset/limited inline), and a residual ORDER BY that
-// every source already ships pre-sorted is satisfied by the ordered
-// k-way merge fan-in instead of a sort. See Options for the fan-in
-// policy and backpressure budget knobs.
+// pipeline is bypassed entirely: integrated rows stream straight from
+// the fan-in to the client (filtered by a residual WHERE, projected,
+// offset/limited inline), and a residual ORDER BY that every source
+// already ships pre-sorted is satisfied by the ordered k-way merge
+// fan-in instead of a sort. See Options for the fan-in policy and
+// backpressure budget knobs.
 //
-// Execution is memory-bounded under Options.MemBudget: one
-// spill.Budget per query is shared by the scratch engine's blocking
-// operators (external-merge ORDER BY, GROUP BY accounting) and the
-// OUTERJOIN-MERGE combiner, which spill sorted runs to
-// Options.SpillDir past it; Metrics reports SpilledBytes/SpillRuns
-// once the result stream closes.
+// Execution is memory-bounded under Options.MemBudget: one spill.Budget
+// per query is shared by the residual's blocking operators
+// (external-merge ORDER BY, DISTINCT, GROUP BY), the bind join's build
+// spool and the OUTERJOIN-MERGE combiner, which spill to
+// Options.SpillDir past it. Hash-join build maps are not yet accounted.
+// Metrics settle when the result stream closes.
 //
 // Execute is the one entry point. Its answers are checked against a
 // planner-independent single-database oracle (internal/testfed), not
@@ -34,7 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,10 +56,6 @@ import (
 type SiteRunner interface {
 	QuerySite(ctx context.Context, site, sql string) (schema.RowStream, error)
 }
-
-// loadBatchRows is the scratch-load granularity: integrated rows are
-// appended to the temp table in batches this size as they stream in.
-const loadBatchRows = 256
 
 // FanInPolicy selects how a scan set's source streams combine.
 type FanInPolicy uint8
@@ -116,10 +112,11 @@ type Options struct {
 	ByteBudget int64
 	// MemBudget bounds the memory of the query's blocking operators in
 	// bytes (0 = unlimited, or the MYRIAD_TEST_MEM_BUDGET test hook):
-	// one spill.Budget is shared by the scratch engine's sorts/GROUP BY
-	// and the OUTERJOIN-MERGE combiner, which spill sorted runs to
-	// SpillDir past it — a federated ORDER BY without LIMIT over N
-	// sites is bounded end to end.
+	// one spill.Budget is shared by the residual's sorts, DISTINCT and
+	// GROUP BY, the bind join's build spool and the OUTERJOIN-MERGE
+	// combiner, which spill to SpillDir past it. Rows otherwise live only
+	// in the fan-in windows, so a federated ORDER BY or DISTINCT without
+	// LIMIT over N sites is bounded end to end.
 	MemBudget int64
 	// SpillDir is where spill runs are written ("" = OS temp dir).
 	SpillDir string
@@ -151,7 +148,9 @@ type SourceMetrics struct {
 	FirstRow time.Duration // scan open → first row at the federation
 }
 
-// Metrics accumulates execution counters for experiments.
+// Metrics accumulates execution counters for experiments. Every scan
+// stays live while the client consumes the result, so the counters
+// settle when the result stream is closed; read them after Close.
 type Metrics struct {
 	RemoteQueries int
 	RowsShipped   int
@@ -159,7 +158,8 @@ type Metrics struct {
 	SemijoinSkip  bool // key set exceeded the cap/budget; fell back to full scan
 	// ShippedKeys counts join-key literals shipped to probe sites by the
 	// bind join (each live probe scan receives every batch, so a key
-	// probing two sites counts twice).
+	// probing two sites counts twice). Batches open as the residual
+	// consumes the probe side, so an early-terminated query ships fewer.
 	ShippedKeys int
 	// BindJoinBatches counts the IN-list batches the bind join shipped.
 	BindJoinBatches int
@@ -167,36 +167,31 @@ type Metrics struct {
 	// empty — sites the query never contacted.
 	PrunedSources int
 	// ScratchBypassed reports that the residual streamed straight off
-	// the fan-in without a scratch engine.
+	// the fan-in without the residual pipeline (the bypass).
 	ScratchBypassed bool
 	// SpilledBytes and SpillRuns report the query's spill activity
-	// (external sorts, OUTERJOIN-MERGE stores) under its memory budget.
-	// They settle when the result stream closes — spilling can happen
-	// lazily inside the residual pipeline.
+	// (external sorts, dedup, the bind join's build spool,
+	// OUTERJOIN-MERGE stores) under its memory budget.
 	SpilledBytes int64
 	SpillRuns    int64
 	// Sources collects per-site stream metrics; each entry is appended
-	// when its site stream closes, so the slice is complete once the
-	// result stream has been closed (on the bypass path the scans stay
-	// live while the client consumes).
+	// when its site stream closes.
 	Sources []SourceMetrics
 }
 
 // Execute runs the plan's remote scans as pipelined streams and
-// returns the residual result as a stream the caller must Close.
-// On the scratch path the metrics are complete when it returns: every
-// fragment has been consumed (or its stream torn down) by then, only
-// the residual evaluation is lazy. On the bypass path the remote scans
-// are themselves lazy, so RowsShipped and Sources settle when the
-// returned stream is closed.
+// returns the residual result as a stream the caller must Close. Every
+// scan set but a bind-join probe opens its fan-in up front, in
+// parallel; the residual then reads one stream relation per scan set,
+// so nothing waits for a fragment to finish shipping before the first
+// result row. Metrics settle when the returned stream is closed.
 func Execute(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options) (schema.RowStream, *Metrics, error) {
 	m := &Metrics{PrunedSources: countPrunedSources(plan)}
 	var mu sync.Mutex
 	budget := queryBudget(opts)
 	// flushSpill settles the spill counters; it runs when the result
-	// stream closes (spilling can happen lazily, inside the residual
-	// pipeline or the bypass fan-in) and again defensively here before
-	// early returns.
+	// stream closes (spilling happens lazily, inside the residual
+	// pipeline or the bypass fan-in) and before early error returns.
 	flushSpill := func() {
 		if budget == nil {
 			return
@@ -216,109 +211,135 @@ func Execute(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Op
 		}
 		// A source stream's declared ordering contradicted the
 		// planner's ScanOrdering claim: the merge would silently
-		// reorder, so fall back to the scratch engine (fresh metrics —
-		// the aborted attempt's scans were torn down).
+		// reorder, so fall back to the residual pipeline (fresh metrics
+		// — the aborted attempt's scans were torn down).
 		m = &Metrics{PrunedSources: countPrunedSources(plan)}
 	}
 
-	scratch := localdb.NewScratch(budget)
-	byAlias := make(map[string]*planner.ScanSet)
-	for _, ss := range plan.ScanSets {
-		if err := scratch.CreateTableDirect(ss.Schema); err != nil {
-			return nil, m, err
-		}
-		byAlias[strings.ToLower(ss.Alias)] = ss
-	}
-
-	// Two waves: scan sets without semijoin dependencies, then probes.
-	var wave1, wave2 []*planner.ScanSet
-	for _, ss := range plan.ScanSets {
-		if ss.SemiFrom == "" {
-			wave1 = append(wave1, ss)
-		} else {
-			wave2 = append(wave2, ss)
-		}
-	}
-
-	bound := streamBound(plan)
-	runWave := func(wave []*planner.ScanSet) error {
-		// A failing scan set cancels the wave so sibling sites stop
-		// shipping rows nobody will consume.
-		wctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var wg sync.WaitGroup
-		errs := make([]error, len(wave))
-		for i, ss := range wave {
-			wg.Add(1)
-			go func(i int, ss *planner.ScanSet) {
-				defer wg.Done()
-				if ss.SemiFrom != "" {
-					build := byAlias[strings.ToLower(ss.SemiFrom)]
-					if build == nil {
-						errs[i] = fmt.Errorf("executor: semijoin build side %q missing", ss.SemiFrom)
-						cancel()
-						return
-					}
-					handled, err := runSemijoin(wctx, scratch, ss, build, plan, runner, bound, opts, budget, m, &mu)
-					if err != nil {
-						errs[i] = err
-						cancel()
-						return
-					}
-					if handled {
-						return
-					}
-					// Fall through: key collection overflowed the cap or
-					// the budget; load the fragments unreduced.
-				}
-				if err := loadScanSet(wctx, scratch, ss, runner, nil, bound, opts, budget, m, &mu); err != nil {
-					errs[i] = err
-					cancel()
-				}
-			}(i, ss)
-		}
-		wg.Wait()
-		// The failing scan set cancelled its siblings; their
-		// context.Canceled is collateral, not the cause — surface the
-		// root failure.
-		var first error
-		for _, err := range errs {
-			if err == nil {
-				continue
-			}
-			if first == nil {
-				first = err
-			}
-			if !errors.Is(err, context.Canceled) {
-				return err
-			}
-		}
-		return first
-	}
-	if err := runWave(wave1); err != nil {
-		flushSpill()
-		return nil, m, err
-	}
-	if err := runWave(wave2); err != nil {
-		flushSpill()
-		return nil, m, err
-	}
-	flushSpill()
-
-	// Residual evaluation, itself a streaming iterator pipeline over the
-	// scratch engine (which the returned stream keeps alive).
-	rows, err := scratch.QueryStreamStmt(ctx, plan.Residual)
+	rels, err := openRelations(ctx, plan, runner, opts, budget, m, &mu)
 	if err != nil {
+		flushSpill()
+		return nil, m, err
+	}
+	rows, err := localdb.QueryRelations(ctx, plan.Residual, rels, budget)
+	if err != nil {
+		flushSpill()
 		return nil, m, fmt.Errorf("executor: residual: %w", err)
 	}
 	return schema.StreamWithCleanup(rows, flushSpill), m, nil
 }
 
-// loadModeFor resolves the fan-in mode for a scratch load. Auto keeps
-// deterministic source order — the temp table holds the integrated
-// relation in the order a single database loaded source by source
-// would, so ties under the residual's stable sort break the same way;
-// only an explicit Interleave trades that determinism for drain speed.
+// openRelations opens one stream relation per scan set. Every scan set
+// but a bind-join probe opens its fan-in here, all in parallel. A bind
+// join's build side then drains into a spool that yields its distinct
+// keys and is replayed as its relation; the probe side streams its
+// IN-list batches, the first opened here. On error every opened stream
+// is closed.
+func openRelations(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) ([]*localdb.StreamRelation, error) {
+	sets := plan.ScanSets
+	streams := make([]schema.RowStream, len(sets))
+	est := make([]float64, len(sets))
+	closeAll := func() {
+		for _, st := range streams {
+			if st != nil {
+				st.Close()
+			}
+		}
+	}
+
+	errs := make([]error, len(sets))
+	var wg sync.WaitGroup
+	for i, ss := range sets {
+		est[i] = ss.EstRows
+		if ss.SemiFrom != "" {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, ss *planner.ScanSet) {
+			defer wg.Done()
+			streams[i], errs[i] = openFanIn(ctx, ss, runner, nil, loadModeFor(opts), opts, budget, m, mu)
+		}(i, ss)
+	}
+	wg.Wait()
+	if err := rootError(errs); err != nil {
+		closeAll()
+		return nil, err
+	}
+
+	// Probes open after their build side is spooled; a build that is
+	// itself a probe opens (and spools) first.
+	spools := make([]*spill.Spool, len(sets))
+	var openProbeSet func(i, depth int) error
+	openProbeSet = func(i, depth int) error {
+		if streams[i] != nil {
+			return nil
+		}
+		ss := sets[i]
+		b := slices.IndexFunc(sets, func(s *planner.ScanSet) bool { return strings.EqualFold(s.Alias, ss.SemiFrom) })
+		if b < 0 || depth > len(sets) {
+			return fmt.Errorf("executor: semijoin build side %q missing", ss.SemiFrom)
+		}
+		if spools[b] == nil {
+			if err := openProbeSet(b, depth+1); err != nil {
+				return err
+			}
+			sp, err := spill.SpoolStream(ctx, streams[b], budget)
+			streams[b] = nil
+			if err != nil {
+				return err
+			}
+			spools[b] = sp
+			streams[b] = sp.Stream(sets[b].Spec.Columns)
+			est[b] = float64(sp.Len())
+		}
+		st, err := openProbe(ctx, plan, ss, sets[b], spools[b], runner, opts, budget, m, mu)
+		if err != nil {
+			return err
+		}
+		streams[i] = st
+		return nil
+	}
+	for i, ss := range sets {
+		if ss.SemiFrom == "" {
+			continue
+		}
+		if err := openProbeSet(i, 0); err != nil {
+			closeAll() // a spooled build's stream closes its spool
+			return nil, err
+		}
+	}
+
+	rels := make([]*localdb.StreamRelation, len(sets))
+	for i, ss := range sets {
+		rels[i] = localdb.NewStreamRelation(ss.Schema, est[i], streams[i])
+	}
+	return rels, nil
+}
+
+// rootError picks the error to surface from a set of parallel opens: a
+// sibling's context.Canceled is collateral, not the cause.
+func rootError(errs []error) error {
+	var first error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			return err
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// loadModeFor resolves the fan-in mode for a stream relation. Auto
+// keeps deterministic source order — the relation streams the
+// integrated rows in the order a single database loaded source by
+// source would hold them, so ties under the residual's stable sort
+// break the same way; only an explicit Interleave trades that
+// determinism for first-row latency.
 func loadModeFor(opts Options) integration.FanInMode {
 	if opts.FanIn == FanInInterleave {
 		return integration.FanInInterleave
@@ -381,67 +402,57 @@ func batchHook(streams []schema.RowStream) func(int, int) {
 	}
 }
 
-// loadScanSet opens every source scan as a stream (in parallel),
-// combines them single-pass, and appends the integrated rows to the
-// scratch temp table batch by batch. bound, when >= 0 and the plan has
-// a single scan set, caps the rows drained: once the residual's LIMIT
-// is satisfiable the combined stream closes, half-closing each remote
-// stream so the sites tear their scans down mid-flight.
-func loadScanSet(ctx context.Context, scratch *localdb.DB, ss *planner.ScanSet, runner SiteRunner, inList []sqlparser.Expr, bound int64, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) error {
-	// ssctx bounds this scan set's streams. Remote streams watch the
-	// context they were opened with, so cancelling ssctx before Close
-	// expires any wire read a feeder is blocked in — without it, early
-	// termination (a satisfied bound, a sibling's error) could wait
-	// forever on a site that stalled mid-stream.
-	ssctx, sscancel := context.WithCancel(ctx)
-	defer sscancel()
-	ctx = ssctx
+// fanIn is one scan set's combined stream. Remote streams watch the
+// context they were opened with, so Close cancels it before closing the
+// sources: a feeder parked in a wire read is expired first, and early
+// termination (a satisfied LIMIT, a sibling's error) never waits on a
+// site that stalled mid-stream.
+type fanIn struct {
+	schema.RowStream
+	cancel context.CancelFunc
+}
 
-	streams, err := openScanSet(ctx, ss, runner, inList, m, mu)
+func (f *fanIn) Close() error {
+	f.cancel()
+	return f.RowStream.Close()
+}
+
+// openFanIn opens every source scan of ss (reduced by inList when it is
+// a bind-join probe batch) and combines them single-pass in mode. The
+// ordered merge combines on ss.ScanOrdering and first cross-checks the
+// planner's sorted-source claim against any ordering the streams
+// themselves declare (in-process streams carry the engine's metadata;
+// the wire strips it to nil, which is trusted): a contradiction means
+// merging would reorder, and fails with errUnmergeableSources.
+func openFanIn(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, inList []sqlparser.Expr, mode integration.FanInMode, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) (schema.RowStream, error) {
+	fctx, cancel := context.WithCancel(ctx)
+	streams, err := openScanSet(fctx, ss, runner, inList, m, mu)
 	if err != nil {
-		return err
+		cancel()
+		return nil, err
 	}
-
-	combined := integration.CombineStreamsOpts(ctx, ss.Spec, streams, integration.StreamOptions{
-		Mode:       loadModeFor(opts),
+	var mergeKeys []schema.SortKey
+	if mode == integration.FanInMergeOrdered {
+		mergeKeys = ss.ScanOrdering
+		for _, st := range streams {
+			if !orderingSatisfies(schema.StreamOrdering(st), mergeKeys) {
+				cancel()
+				for _, s := range streams {
+					s.Close()
+				}
+				return nil, errUnmergeableSources
+			}
+		}
+	}
+	combined := integration.CombineStreamsOpts(fctx, ss.Spec, streams, integration.StreamOptions{
+		Mode:       mode,
+		MergeKeys:  mergeKeys,
 		RowBudget:  opts.RowBudget,
 		ByteBudget: opts.ByteBudget,
 		Budget:     budget,
 		OnBatch:    batchHook(streams),
 	})
-	defer func() {
-		sscancel() // unblock any feeder parked in a wire read first
-		combined.Close()
-	}()
-	var loaded int64
-	batch := make([]schema.Row, 0, loadBatchRows)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := scratch.Load(ss.TempTable, batch); err != nil {
-			return fmt.Errorf("executor: loading %s: %w", ss.TempTable, err)
-		}
-		batch = make([]schema.Row, 0, loadBatchRows)
-		return nil
-	}
-	for bound < 0 || loaded < bound {
-		r, err := combined.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if r == nil {
-			break
-		}
-		batch = append(batch, r)
-		loaded++
-		if len(batch) == loadBatchRows {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
+	return &fanIn{RowStream: combined, cancel: cancel}, nil
 }
 
 // scanSQL renders a source scan's subquery, ANDing the bind-join
@@ -509,7 +520,7 @@ func (s *countedStream) Close() error {
 }
 
 // ---------------------------------------------------------------------
-// Scratch-engine bypass
+// Bypass
 
 // bypassPlan is a residual reduced to stream surgery: filter the
 // fan-in rows with where (when present), project these scan-set
@@ -543,16 +554,16 @@ func (b *bypassPlan) identity() bool {
 	return true
 }
 
-// planBypass decides whether the plan can skip the scratch engine: a
+// planBypass decides whether the plan can skip the residual pipeline: a
 // single scan set (no semijoin), a residual that is a bare projection
 // of its columns — no join, grouping, aggregate, DISTINCT or compound
 // — and an ORDER BY that is either absent or exactly the ordering
 // every source scan already ships (ScanOrdering), which the stable
 // merge fan-in reproduces without sorting. A residual WHERE over the
 // scan set's columns filters inline on the fan-in (expressions the
-// predicate compiler rejects fall back to the scratch engine);
-// LIMIT/OFFSET apply inline after it. Returns nil when the scratch
-// engine is needed.
+// predicate compiler rejects fall back to the residual pipeline);
+// LIMIT/OFFSET apply inline after it. Returns nil when the residual
+// pipeline is needed.
 func planBypass(plan *planner.Plan, opts Options) *bypassPlan {
 	if len(plan.ScanSets) != 1 {
 		return nil
@@ -653,64 +664,31 @@ func planBypass(plan *planner.Plan, opts Options) *bypassPlan {
 // errUnmergeableSources reports that a source stream's self-declared
 // ordering contradicts the planner's ScanOrdering claim — the ordered
 // stream contract caught a planner/translation bug before the merge
-// could silently reorder. The caller falls back to the scratch engine.
+// could silently reorder. The caller falls back to the residual
+// pipeline.
 var errUnmergeableSources = errors.New("executor: source stream ordering contradicts plan")
 
 // execBypass streams integrated rows straight from the fan-in to the
-// caller: no scratch engine, no temp-table load, no residual pipeline.
+// caller, with no residual pipeline.
 func execBypass(ctx context.Context, bp *bypassPlan, runner SiteRunner, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) (schema.RowStream, error) {
 	m.ScratchBypassed = true
-	// bctx lives as long as the returned stream: Close cancels it first
-	// so a feeder parked in a wire read is expired before its source
-	// closes (the same ordering the scratch loader uses).
-	bctx, bcancel := context.WithCancel(ctx)
-	streams, err := openScanSet(bctx, bp.ss, runner, nil, m, mu)
+	mode := loadModeFor(opts)
+	if bp.mergeKeys != nil {
+		mode = integration.FanInMergeOrdered
+	}
+	combined, err := openFanIn(ctx, bp.ss, runner, nil, mode, opts, budget, m, mu)
 	if err != nil {
-		bcancel()
 		return nil, err
 	}
-
-	mode := integration.FanInSourceOrder
-	switch {
-	case bp.mergeKeys != nil:
-		mode = integration.FanInMergeOrdered
-	case opts.FanIn == FanInInterleave:
-		mode = integration.FanInInterleave
-	}
-	if mode == integration.FanInMergeOrdered {
-		// Cross-check the planner's sorted-source claim against any
-		// ordering the streams themselves declare (in-process streams
-		// carry the engine's metadata; the wire strips it to nil, which
-		// is trusted). A contradiction means merging would reorder.
-		for _, st := range streams {
-			if !orderingSatisfies(schema.StreamOrdering(st), bp.mergeKeys) {
-				bcancel()
-				for _, s := range streams {
-					s.Close()
-				}
-				return nil, errUnmergeableSources
-			}
-		}
-	}
-	combined := integration.CombineStreamsOpts(bctx, bp.ss.Spec, streams, integration.StreamOptions{
-		Mode:       mode,
-		MergeKeys:  bp.mergeKeys,
-		RowBudget:  opts.RowBudget,
-		ByteBudget: opts.ByteBudget,
-		Budget:     budget,
-		OnBatch:    batchHook(streams),
-	})
 	proj := bp.proj
-	names := bp.names
 	if bp.identity() {
 		proj = nil
 	}
 	return &bypassStream{
 		inner:  combined,
-		cancel: bcancel,
 		where:  bp.where,
 		proj:   proj,
-		cols:   names,
+		cols:   bp.names,
 		count:  bp.count,
 		offset: bp.offset,
 	}, nil
@@ -739,10 +717,9 @@ func orderingSatisfies(declared, keys []schema.SortKey) bool {
 // OFFSET/LIMIT count rows that survive the filter, matching the
 // residual's semantics. Once the count is satisfied it half-closes the
 // fan-in eagerly, tearing remote scans down mid-flight exactly like
-// the scratch path's streamBound.
+// the residual pipeline's limit.
 type bypassStream struct {
 	inner   schema.RowStream
-	cancel  context.CancelFunc
 	where   localdb.RowPredicate // nil = no filter
 	proj    []int                // nil = identity
 	cols    []string
@@ -810,13 +787,12 @@ func (b *bypassStream) Next(ctx context.Context) (schema.Row, error) {
 }
 
 // halt tears the fan-in down without marking the stream closed (the
-// caller still owns Close). Cancel-before-close unblocks wire reads.
+// caller still owns Close).
 func (b *bypassStream) halt() {
 	if b.done {
 		return
 	}
 	b.done = true
-	b.cancel()
 	b.inner.Close()
 }
 
@@ -825,41 +801,11 @@ func (b *bypassStream) Close() error {
 		return nil
 	}
 	b.closed = true
-	b.cancel()
 	return b.inner.Close()
 }
 
-// streamBound derives the largest number of integrated rows the
-// residual can consume when the plan is a single scan set whose
-// residual is a bare projection with LIMIT — no filter, grouping,
-// ordering, dedup or aggregate that could need more input. -1 means
-// unbounded. This is what turns a federated LIMIT into an early
-// half-close of the remote streams even when the per-site pushdown
-// could not absorb it (multi-source sets). The bypass subsumes bare
-// column projections; the bound still guards the computed projections
-// it refuses.
-func streamBound(plan *planner.Plan) int64 {
-	if len(plan.ScanSets) != 1 {
-		return -1
-	}
-	r := plan.Residual
-	if r == nil || r.Limit == nil || r.Limit.Count < 0 {
-		return -1
-	}
-	if len(r.From) != 1 || r.Where != nil || len(r.GroupBy) > 0 || r.Having != nil ||
-		r.Distinct || len(r.Joins) > 0 || r.Compound != nil || len(r.OrderBy) > 0 {
-		return -1
-	}
-	for _, it := range r.Items {
-		if it.Expr != nil && sqlparser.HasAggregate(it.Expr) {
-			return -1
-		}
-	}
-	if r.Limit.Count > math.MaxInt64-r.Limit.Offset {
-		return -1
-	}
-	return r.Limit.Count + r.Limit.Offset
-}
+// ---------------------------------------------------------------------
+// Bind join
 
 // defaultBindMaxKeys bounds bind-join key collection when the plan
 // does not set Plan.BindMaxKeys.
@@ -886,26 +832,24 @@ func bindMaxKeys(plan *planner.Plan) int {
 	return defaultBindMaxKeys
 }
 
-// runSemijoin executes the bind join of probe scan set ss against its
-// already-loaded build side: collect the build side's distinct keys,
-// then load ss reduced by IN-list in MaxInList-sized batches shipped
-// sequentially. The batches partition the distinct keys, so each probe
-// row matches exactly one batch and per-batch combining stays exact for
-// every combine kind. handled=false (with SemijoinSkip set) means key
-// collection overflowed the key cap or the memory budget: the caller
-// must load the fragments unreduced. The fallback is decided before any
-// probe scan opens, so no partial temp-table state needs undoing.
-func runSemijoin(ctx context.Context, scratch *localdb.DB, ss, build *planner.ScanSet, plan *planner.Plan, runner SiteRunner, bound int64, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) (bool, error) {
-	maxIn := plan.MaxInList
-	if maxIn <= 0 {
-		maxIn = 1000
+// openProbe opens bind-join probe set ss against its spooled build
+// side: the build's distinct keys split into MaxInList-sized IN-list
+// batches that stream one after another. The batches partition the
+// distinct keys, so each probe row matches exactly one batch and
+// per-batch combining stays exact for every combine kind. A key set
+// over the cap or the budget falls back to the unreduced probe
+// (SemijoinSkip); an empty one ships nothing.
+func openProbe(ctx context.Context, plan *planner.Plan, ss, build *planner.ScanSet, sp *spill.Spool, runner SiteRunner, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) (schema.RowStream, error) {
+	col := build.Schema.ColIndex(ss.SemiBuildCol)
+	if col < 0 {
+		return nil, fmt.Errorf("executor: semijoin build column %s.%s missing", build.Alias, ss.SemiBuildCol)
 	}
-	vals, reserved, over, err := semiValues(ctx, scratch, build.TempTable, ss.SemiBuildCol, bindMaxKeys(plan), budget)
-	if budget != nil {
-		defer budget.Release(reserved)
+	vals, reserved, over, err := semiValues(ctx, sp, col, build.Schema.Columns[col].Type, bindMaxKeys(plan), budget)
+	if err != nil || over || len(vals) == 0 {
+		budget.Release(reserved)
 	}
 	if err != nil {
-		return false, err
+		return nil, fmt.Errorf("executor: semijoin build values: %w", err)
 	}
 	mu.Lock()
 	if over {
@@ -915,13 +859,16 @@ func runSemijoin(ctx context.Context, scratch *localdb.DB, ss, build *planner.Sc
 	}
 	mu.Unlock()
 	if over {
-		return false, nil
+		return openFanIn(ctx, ss, runner, nil, loadModeFor(opts), opts, budget, m, mu)
 	}
 	if len(vals) == 0 {
 		// Empty build side (or all-NULL keys): the equi-join can match
-		// nothing, so nothing ships and the probe temp table stays
-		// empty.
-		return true, nil
+		// nothing, so no probe site is contacted.
+		return schema.StreamOf(&schema.ResultSet{Columns: ss.Spec.Columns}), nil
+	}
+	maxIn := plan.MaxInList
+	if maxIn <= 0 {
+		maxIn = 1000
 	}
 	probes := 0
 	for _, sc := range ss.Scans {
@@ -929,50 +876,100 @@ func runSemijoin(ctx context.Context, scratch *localdb.DB, ss, build *planner.Sc
 			probes++
 		}
 	}
-	for start := 0; start < len(vals); start += maxIn {
-		end := start + maxIn
-		if end > len(vals) {
-			end = len(vals)
-		}
-		batch := vals[start:end]
-		mu.Lock()
-		m.BindJoinBatches++
-		m.ShippedKeys += len(batch) * probes
-		mu.Unlock()
-		if err := loadScanSet(ctx, scratch, ss, runner, batch, bound, opts, budget, m, mu); err != nil {
-			return true, err
-		}
+	p := &probeStream{
+		cols:    ss.Spec.Columns,
+		release: func() { budget.Release(reserved) },
+		open: func(batch []sqlparser.Expr) (schema.RowStream, error) {
+			mu.Lock()
+			m.BindJoinBatches++
+			m.ShippedKeys += len(batch) * probes
+			mu.Unlock()
+			return openFanIn(ctx, ss, runner, batch, loadModeFor(opts), opts, budget, m, mu)
+		},
 	}
-	return true, nil
+	for start := 0; start < len(vals); start += maxIn {
+		p.batches = append(p.batches, vals[start:min(start+maxIn, len(vals))])
+	}
+	if p.cur, err = p.open(p.batches[0]); err != nil {
+		p.Close()
+		return nil, err
+	}
+	p.batches = p.batches[1:]
+	return p, nil
 }
 
-// semiValues streams the distinct non-NULL probe values of the
-// (already loaded) semijoin build side out of the scratch engine. The
-// dedup set is charged to the query budget like any blocking
-// operator's state; over=true when the distinct set exceeds max or the
-// budget refuses a reservation, in which case the caller falls back to
+// probeStream is a bind join's probe side: the concatenation of its
+// IN-list batches' fan-ins, each opened when the previous one is
+// exhausted. Close releases the key list's reservation.
+type probeStream struct {
+	cols    []string
+	batches [][]sqlparser.Expr
+	open    func([]sqlparser.Expr) (schema.RowStream, error)
+	release func()
+	cur     schema.RowStream
+	closed  bool
+}
+
+func (p *probeStream) Columns() []string { return p.cols }
+
+func (p *probeStream) Next(ctx context.Context) (schema.Row, error) {
+	for p.cur != nil {
+		r, err := p.cur.Next(ctx)
+		if r != nil || err != nil {
+			return r, err
+		}
+		p.cur.Close()
+		p.cur = nil
+		if len(p.batches) > 0 {
+			if p.cur, err = p.open(p.batches[0]); err != nil {
+				return nil, err
+			}
+			p.batches = p.batches[1:]
+		}
+	}
+	return nil, nil
+}
+
+func (p *probeStream) Close() error {
+	if p.closed {
+		return nil
+	}
+	p.closed = true
+	var err error
+	if p.cur != nil {
+		err = p.cur.Close()
+		p.cur = nil
+	}
+	p.release()
+	return err
+}
+
+// semiValues reads the distinct non-NULL join keys (column col, coerced
+// to the build column's type) out of the build side's spool. The dedup
+// set is charged to the query budget like any blocking operator's
+// state; over=true when the distinct set exceeds max or the budget
+// refuses a reservation, in which case the caller falls back to
 // ship-all (and must Release(reserved) either way).
-func semiValues(ctx context.Context, scratch *localdb.DB, table, col string, max int, budget *spill.Budget) (vals []sqlparser.Expr, reserved int64, over bool, err error) {
-	sel := &sqlparser.Select{
-		Items: []sqlparser.SelectItem{{Expr: &sqlparser.ColumnRef{Column: col}}},
-		From:  []sqlparser.TableRef{{Name: table}},
+func semiValues(ctx context.Context, sp *spill.Spool, col int, typ schema.Type, max int, budget *spill.Budget) (vals []sqlparser.Expr, reserved int64, over bool, err error) {
+	rd, err := sp.Rows()
+	if err != nil {
+		return nil, 0, false, err
 	}
-	rows, qerr := scratch.QueryStreamStmt(ctx, sel)
-	if qerr != nil {
-		return nil, 0, false, fmt.Errorf("executor: semijoin build values: %w", qerr)
-	}
-	defer rows.Close()
+	defer rd.Close()
 	seen := make(map[string]bool)
 	var keys []value.Value
 	for {
-		r, rerr := rows.Next(ctx)
+		r, rerr := rd.Next(ctx)
 		if rerr != nil {
-			return nil, reserved, false, fmt.Errorf("executor: semijoin build values: %w", rerr)
+			return nil, reserved, false, rerr
 		}
 		if r == nil {
 			break
 		}
-		v := r[0]
+		v, cerr := schema.Coerce(r[col], typ)
+		if cerr != nil {
+			return nil, reserved, false, cerr
+		}
 		if v.IsNull() {
 			continue
 		}
@@ -981,7 +978,7 @@ func semiValues(ctx context.Context, scratch *localdb.DB, table, col string, max
 			continue
 		}
 		cost := int64(len(k)) + 48
-		if budget != nil && !budget.Reserve(cost) {
+		if !budget.Reserve(cost) {
 			return nil, reserved, true, nil
 		}
 		reserved += cost

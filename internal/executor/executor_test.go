@@ -251,7 +251,7 @@ func TestScratchBypassEquivalence(t *testing.T) {
 			t.Fatalf("%s: streaming: %v", sql, err)
 		}
 		if !m.ScratchBypassed {
-			t.Errorf("%s: scratch engine not bypassed", sql)
+			t.Errorf("%s: residual pipeline not bypassed", sql)
 		}
 		if err := oracle.Check(ctx, sql, got); err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -260,7 +260,7 @@ func TestScratchBypassEquivalence(t *testing.T) {
 }
 
 // TestBypassNotUsedWhenResidualComputes: anything beyond a bare
-// projection plus a compilable WHERE keeps the scratch engine.
+// projection plus a compilable WHERE keeps the residual pipeline.
 func TestBypassNotUsedWhenResidualComputes(t *testing.T) {
 	fed, p := buildJoinFederation(t, 20, 50)
 	ctx := context.Background()

@@ -228,8 +228,8 @@ func (s *Server) HandleStream(ctx context.Context, req *comm.Request, sink comm.
 	if err != nil {
 		return streamErr(err)
 	}
-	// LIFO: the stream closes first (settling the bypass path's lazy
-	// per-source counters), then the metrics log.
+	// LIFO: the stream closes first (settling the metrics), then the
+	// metrics log.
 	defer s.logSources(sql, m)
 	defer rows.Close()
 	if err := sink.Header(rows.Columns()); err != nil {

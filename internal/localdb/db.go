@@ -47,6 +47,9 @@ type DB struct {
 
 	latch  sync.RWMutex // protects tables map and physical row access
 	tables map[string]*storage.Table
+	// rels binds FROM names to stream relations; set only on the
+	// engine QueryRelations builds for one residual query.
+	rels map[string]*StreamRelation
 
 	lm *lockmgr.Manager
 
@@ -137,12 +140,11 @@ func NewWithBudget(name string, budget *spill.Budget) *DB {
 	return newDB(name, budget)
 }
 
-// NewScratch creates the private in-memory engine a single query
-// execution uses for residual evaluation. It bypasses the durable test
-// hook: scratch state is per-query and must never hit disk through the
-// WAL (the spill layer handles its memory bounds). The executor threads
-// its per-query budget in this way, so a federated sort and the
-// integration combiners draw on one account.
+// NewScratch creates a private in-memory engine under budget. It
+// bypasses the durable test hook — its state must never hit disk
+// through the WAL (the spill layer handles its memory bounds) — so the
+// single-database oracle and test fixtures use it as a reference that
+// runs no recovery code.
 func NewScratch(budget *spill.Budget) *DB { return newDB("scratch", budget) }
 
 func newDB(name string, budget *spill.Budget) *DB {

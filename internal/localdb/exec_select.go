@@ -433,7 +433,8 @@ func (tx *Txn) selectIter(ctx context.Context, sel *sqlparser.Select) (rowIter, 
 // builds shrink the probe stream earliest — the way the federation
 // planner already orders its residual joins by estimate. Unlike the
 // planner it reads actual row counts from storage, the freshest
-// statistic there is. Ties keep syntactic order (the sort is stable),
+// statistic there is; a stream relation has no count to read and ranks
+// by its EstRows. Ties keep syntactic order (the sort is stable),
 // explicit JOIN clauses are untouched (their ON scope depends on
 // position), and a SELECT with an unqualified star keeps syntactic
 // order outright — star expansion follows binding order, and
@@ -447,15 +448,19 @@ func (tx *Txn) orderJoinBuilds(sel *sqlparser.Select) []sqlparser.TableRef {
 			return sel.From
 		}
 	}
-	rows := make([]int, len(sel.From))
+	rows := make([]float64, len(sel.From))
 	tx.db.latch.RLock()
 	for i := range sel.From {
+		if rel := tx.db.relation(sel.From[i].Name); rel != nil {
+			rows[i] = rel.EstRows
+			continue
+		}
 		t, err := tx.db.table(sel.From[i].Name)
 		if err != nil {
 			tx.db.latch.RUnlock()
 			return sel.From // unknown table: let the scan report it
 		}
-		rows[i] = t.Len()
+		rows[i] = float64(t.Len())
 	}
 	tx.db.latch.RUnlock()
 	idx := make([]int, len(sel.From))
@@ -631,6 +636,10 @@ func selectHasAggregates(sel *sqlparser.Select) bool {
 // filter above the scan (index bounds narrow reads, they never replace
 // the predicate).
 func (tx *Txn) scanBase(ctx context.Context, ref sqlparser.TableRef, conjuncts []sqlparser.Expr, used []bool, b *rowBinder, hint *orderHint, groupCols []string) (rowIter, *accessChoice, error) {
+	if rel := tx.db.relation(ref.Name); rel != nil {
+		it, err := tx.scanRelation(rel, ref.EffectiveName(), conjuncts, used, b)
+		return it, nil, err
+	}
 	tx.db.latch.RLock()
 	t, err := tx.db.table(ref.Name)
 	tx.db.latch.RUnlock()

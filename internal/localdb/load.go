@@ -9,9 +9,8 @@ import (
 	"myriad/internal/wal"
 )
 
-// CreateTableDirect installs a table bypassing SQL and locking; it is
-// used by the federation's scratch engine, which is private to one query
-// execution, and by fixtures. On a durable database the DDL is logged.
+// CreateTableDirect installs a table bypassing SQL and locking; the
+// oracle and fixtures use it. On a durable database the DDL is logged.
 func (db *DB) CreateTableDirect(sc *schema.Schema) error {
 	t, err := storage.NewTable(sc)
 	if err != nil {
@@ -31,7 +30,7 @@ func (db *DB) CreateTableDirect(sc *schema.Schema) error {
 }
 
 // Load bulk-inserts rows (coerced to the schema) without locking or undo
-// logging; scratch-engine and fixture use. On a durable database the
+// logging; oracle and fixture use. On a durable database the
 // batch is logged as one commit record, so loaded rows survive restart.
 func (db *DB) Load(table string, rows []schema.Row) error {
 	db.latch.Lock()

@@ -16,8 +16,8 @@ type RowPredicate func(row schema.Row) (bool, error)
 // sc. Column references may be bare or qualified by any of quals
 // (case-insensitive). This is the component engine's expression
 // machinery exported for out-of-engine row filtering — the executor's
-// scratch bypass uses it to apply a residual WHERE inline on the
-// fan-in instead of routing the stream through a scratch engine.
+// bypass uses it to apply a residual WHERE inline on the fan-in
+// instead of routing the stream through the residual pipeline.
 // Aggregates and unresolvable references fail compilation, so callers
 // can probe an expression and fall back when it does not fit.
 func CompileRowPredicate(e sqlparser.Expr, sc *schema.Schema, quals ...string) (RowPredicate, error) {

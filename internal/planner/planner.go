@@ -83,13 +83,13 @@ func (r *RemoteScan) SQL() string { return sqlparser.FormatStatement(r.Select, n
 // ScanSet materializes one integrated-relation reference of the query.
 type ScanSet struct {
 	Alias     string // effective name in the query
-	TempTable string // table the executor loads at the federation
+	TempTable string // relation name the residual reads the scan set by
 	Schema    *schema.Schema
 	Def       *catalog.IntegratedDef
 	Scans     []*RemoteScan
 	Spec      *integration.Spec
 
-	// Bind join: when SemiFrom is non-empty the executor loads that scan
+	// Bind join: when SemiFrom is non-empty the executor drains that scan
 	// set first, collects the distinct values of SemiBuildCol, and ships
 	// the probe subqueries once per MaxInList-sized batch of them, each
 	// batch ANDed onto the scans' SemiProbe expression as an IN-list

@@ -29,7 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -299,10 +299,30 @@ func (s *Sorter) Add(row schema.Row) error {
 	return nil
 }
 
+// sortRows stable-sorts the buffered rows: an unstable typed sort over
+// an index permutation whose comparator breaks key ties by arrival
+// index is exactly the stable order, and the rows then move once
+// instead of being swapped through reflection on every exchange.
 func (s *Sorter) sortRows() {
-	sort.SliceStable(s.rows, func(a, b int) bool {
-		return s.cmp(s.rows[a], s.rows[b]) < 0
+	rows := s.rows
+	if len(rows) < 2 {
+		return
+	}
+	perm := make([]int32, len(rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := s.cmp(rows[a], rows[b]); c != 0 {
+			return c
+		}
+		return int(a) - int(b)
 	})
+	sorted := make([]schema.Row, len(rows))
+	for i, p := range perm {
+		sorted[i] = rows[p]
+	}
+	s.rows = sorted
 }
 
 // flushRun writes the buffered rows, stable-sorted, as one run file

@@ -50,6 +50,10 @@ type SiteSpec struct {
 	CheckpointBytes int64
 }
 
+// sitePool is the size of the connection pool the federation dials
+// each site with.
+const sitePool = 4
+
 // Site is one running component site.
 type Site struct {
 	Name  string
@@ -133,7 +137,7 @@ func (fx *Fixture) bootSite(t testing.TB, spec SiteSpec) *Site {
 		site.Proxy = NewProxy(t, addr)
 		dialAddr = site.Proxy.Addr()
 	}
-	conn := gateway.DialRemote(spec.Name, dialAddr, 4)
+	conn := gateway.DialRemote(spec.Name, dialAddr, sitePool)
 	if err := fx.Fed.AttachSite(ctx, conn); err != nil {
 		t.Fatalf("testfed: attaching %s: %v", spec.Name, err)
 	}
