@@ -373,10 +373,6 @@ func (c *Client) get(ctx context.Context) (*clientConn, error) {
 	}
 }
 
-// Idle reports the pool slots not held by an in-flight request or
-// stream, dialed or not.
-func (c *Client) Idle() int { return len(c.pool) }
-
 // put returns a connection to the pool. broken must be true whenever
 // the request/response (or frame) sequence did not complete — in
 // particular for a half-consumed stream, whose conn still has batches

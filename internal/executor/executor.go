@@ -1,7 +1,8 @@
-// Package executor runs global query plans. The plan's remote
-// subqueries open as row streams against the gateways in parallel, and
-// the integration combinators consume them single-pass. Each scan set's
-// combined stream becomes one stream relation of the component engine's
+// Package executor runs global query plans. A scan set's remote
+// subqueries open as row streams against the gateways in parallel when
+// the residual first reads that scan set, and the integration
+// combinators consume them single-pass. Each scan set's combined stream
+// becomes one stream relation of the component engine's
 // volcano pipeline (localdb.QueryRelations), which evaluates the
 // residual query straight off the streams — the federation's "composite
 // query processor" reuses the local executor's join/aggregate machinery
@@ -180,11 +181,12 @@ type Metrics struct {
 }
 
 // Execute runs the plan's remote scans as pipelined streams and
-// returns the residual result as a stream the caller must Close. Every
-// scan set but a bind-join probe opens its fan-in up front, in
-// parallel; the residual then reads one stream relation per scan set,
-// so nothing waits for a fragment to finish shipping before the first
-// result row. Metrics settle when the returned stream is closed.
+// returns the residual result as a stream the caller must Close. The
+// residual reads one stream relation per scan set, which opens its
+// fan-in on the first pull and closes it at its end, so nothing waits
+// for a fragment to finish shipping before the first result row, and a
+// query holds site connections only for the relation it is reading.
+// Metrics settle when the returned stream is closed.
 func Execute(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options) (schema.RowStream, *Metrics, error) {
 	m := &Metrics{PrunedSources: countPrunedSources(plan)}
 	var mu sync.Mutex
@@ -229,58 +231,43 @@ func Execute(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Op
 	return schema.StreamWithCleanup(rows, flushSpill), m, nil
 }
 
-// openRelations opens one stream relation per scan set. Every scan set
-// but a bind-join probe opens its fan-in here, all in parallel. A bind
-// join's build side then drains into a spool that yields its distinct
-// keys and is replayed as its relation; the probe side streams its
-// IN-list batches, the first opened here. On error every opened stream
-// is closed.
+// openRelations builds one stream relation per scan set. Each opens its
+// fan-in on the residual's first pull and closes it at its end (see
+// lazyStream), so a query holds pooled site connections only for the
+// relation it is reading: neither a query with more scan sets at a site
+// than the site's pool holds, nor concurrent queries sharing that pool,
+// can wait on connections held by a relation nobody reads. A bind
+// join's build side is the exception: it drains here into a spool that
+// yields its distinct keys and is then replayed as its relation. On
+// error every spooled build is closed.
 func openRelations(ctx context.Context, plan *planner.Plan, runner SiteRunner, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) ([]*localdb.StreamRelation, error) {
 	sets := plan.ScanSets
 	streams := make([]schema.RowStream, len(sets))
+	spools := make([]*spill.Spool, len(sets))
 	est := make([]float64, len(sets))
-	closeAll := func() {
-		for _, st := range streams {
-			if st != nil {
-				st.Close()
-			}
-		}
-	}
-
-	errs := make([]error, len(sets))
-	var wg sync.WaitGroup
 	for i, ss := range sets {
 		est[i] = ss.EstRows
-		if ss.SemiFrom != "" {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, ss *planner.ScanSet) {
-			defer wg.Done()
-			streams[i], errs[i] = openFanIn(ctx, ss, runner, nil, loadModeFor(opts), opts, budget, m, mu)
-		}(i, ss)
 	}
-	wg.Wait()
-	if err := rootError(errs); err != nil {
-		closeAll()
-		return nil, err
-	}
-
-	// Probes open after their build side is spooled; a build that is
-	// itself a probe opens (and spools) first.
-	spools := make([]*spill.Spool, len(sets))
-	var openProbeSet func(i, depth int) error
-	openProbeSet = func(i, depth int) error {
+	// open sets streams[i]. A probe first spools its build side, which
+	// may itself be a probe.
+	var open func(i, depth int) error
+	open = func(i, depth int) error {
 		if streams[i] != nil {
 			return nil
 		}
 		ss := sets[i]
+		if ss.SemiFrom == "" {
+			streams[i] = &lazyStream{cols: ss.Spec.Columns, opens: []func() (schema.RowStream, error){
+				fanInOpener(ctx, ss, runner, nil, opts, budget, m, mu),
+			}}
+			return nil
+		}
 		b := slices.IndexFunc(sets, func(s *planner.ScanSet) bool { return strings.EqualFold(s.Alias, ss.SemiFrom) })
 		if b < 0 || depth > len(sets) {
 			return fmt.Errorf("executor: semijoin build side %q missing", ss.SemiFrom)
 		}
 		if spools[b] == nil {
-			if err := openProbeSet(b, depth+1); err != nil {
+			if err := open(b, depth+1); err != nil {
 				return err
 			}
 			sp, err := spill.SpoolStream(ctx, streams[b], budget)
@@ -299,12 +286,13 @@ func openRelations(ctx context.Context, plan *planner.Plan, runner SiteRunner, o
 		streams[i] = st
 		return nil
 	}
-	for i, ss := range sets {
-		if ss.SemiFrom == "" {
-			continue
-		}
-		if err := openProbeSet(i, 0); err != nil {
-			closeAll() // a spooled build's stream closes its spool
+	for i := range sets {
+		if err := open(i, 0); err != nil {
+			for _, st := range streams {
+				if st != nil {
+					st.Close() // a spooled build's stream closes its spool
+				}
+			}
 			return nil, err
 		}
 	}
@@ -316,22 +304,65 @@ func openRelations(ctx context.Context, plan *planner.Plan, runner SiteRunner, o
 	return rels, nil
 }
 
-// rootError picks the error to surface from a set of parallel opens: a
-// sibling's context.Canceled is collateral, not the cause.
-func rootError(errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
+// fanInOpener defers openFanIn of ss (reduced by inList when it is a
+// bind-join probe batch) to a lazyStream's pull.
+func fanInOpener(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, inList []sqlparser.Expr, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) func() (schema.RowStream, error) {
+	return func() (schema.RowStream, error) {
+		return openFanIn(ctx, ss, runner, inList, loadModeFor(opts), opts, budget, m, mu)
+	}
+}
+
+// lazyStream is a stream relation's rows: the concatenation of the
+// streams its openers return, each opened on the first pull after the
+// one before it is exhausted, which is then closed. It holds nothing
+// before its first pull, and an exhausted fan-in hands its site
+// connections back while the residual reads on. Close runs release, if
+// set.
+type lazyStream struct {
+	cols    []string
+	opens   []func() (schema.RowStream, error)
+	release func()
+	cur     schema.RowStream
+	err     error
+	closed  bool
+}
+
+func (l *lazyStream) Columns() []string { return l.cols }
+
+func (l *lazyStream) Next(ctx context.Context) (schema.Row, error) {
+	for !l.closed && l.err == nil {
+		if l.cur == nil {
+			if len(l.opens) == 0 {
+				return nil, nil
+			}
+			l.cur, l.err = l.opens[0]()
+			l.opens = l.opens[1:]
 			continue
 		}
-		if !errors.Is(err, context.Canceled) {
-			return err
+		r, err := l.cur.Next(ctx)
+		if r != nil || err != nil {
+			return r, err
 		}
-		if first == nil {
-			first = err
-		}
+		l.cur.Close()
+		l.cur = nil
 	}
-	return first
+	return nil, l.err
+}
+
+func (l *lazyStream) Close() error {
+	if l.closed {
+		return nil
+	}
+	l.closed = true
+	var err error
+	if l.cur != nil {
+		err = l.cur.Close()
+		l.cur = nil
+	}
+	if l.release != nil {
+		l.release()
+	}
+	return err
 }
 
 // loadModeFor resolves the fan-in mode for a stream relation. Auto
@@ -832,39 +863,51 @@ func bindMaxKeys(plan *planner.Plan) int {
 	return defaultBindMaxKeys
 }
 
-// openProbe opens bind-join probe set ss against its spooled build
-// side: the build's distinct keys split into MaxInList-sized IN-list
-// batches that stream one after another. The batches partition the
-// distinct keys, so each probe row matches exactly one batch and
-// per-batch combining stays exact for every combine kind. A key set
-// over the cap or the budget falls back to the unreduced probe
+// openProbe builds bind-join probe set ss's stream against its spooled
+// build side: the build's distinct keys split into MaxInList-sized
+// IN-list batches whose fan-ins open one after another. The batches
+// partition the distinct keys, so each probe row matches exactly one
+// batch and per-batch combining stays exact for every combine kind. A
+// key set over the cap or the budget falls back to the unreduced probe
 // (SemijoinSkip); an empty one ships nothing.
 func openProbe(ctx context.Context, plan *planner.Plan, ss, build *planner.ScanSet, sp *spill.Spool, runner SiteRunner, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) (schema.RowStream, error) {
 	col := build.Schema.ColIndex(ss.SemiBuildCol)
 	if col < 0 {
 		return nil, fmt.Errorf("executor: semijoin build column %s.%s missing", build.Alias, ss.SemiBuildCol)
 	}
-	vals, reserved, over, err := semiValues(ctx, sp, col, build.Schema.Columns[col].Type, bindMaxKeys(plan), budget)
-	if err != nil || over || len(vals) == 0 {
+	typ, maxKeys := build.Schema.Columns[col].Type, bindMaxKeys(plan)
+	vals, reserved, over, err := semiValues(ctx, sp, col, typ, maxKeys, budget)
+	if err == nil && over == keysOverBudget && !sp.Spilled() {
+		// The build rows the spool holds in memory crowd out the key set;
+		// moved to disk, they leave the key pass the whole budget.
+		budget.Release(reserved)
+		reserved = 0
+		if err = sp.Evict(); err == nil {
+			vals, reserved, over, err = semiValues(ctx, sp, col, typ, maxKeys, budget)
+		}
+	}
+	if err != nil || over != keysFit || len(vals) == 0 {
 		budget.Release(reserved)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("executor: semijoin build values: %w", err)
 	}
 	mu.Lock()
-	if over {
+	if over != keysFit {
 		m.SemijoinSkip = true
 	} else {
 		m.SemijoinUsed = true
 	}
 	mu.Unlock()
-	if over {
-		return openFanIn(ctx, ss, runner, nil, loadModeFor(opts), opts, budget, m, mu)
+	probe := &lazyStream{cols: ss.Spec.Columns}
+	if over != keysFit {
+		probe.opens = append(probe.opens, fanInOpener(ctx, ss, runner, nil, opts, budget, m, mu))
+		return probe, nil
 	}
 	if len(vals) == 0 {
 		// Empty build side (or all-NULL keys): the equi-join can match
 		// nothing, so no probe site is contacted.
-		return schema.StreamOf(&schema.ResultSet{Columns: ss.Spec.Columns}), nil
+		return probe, nil
 	}
 	maxIn := plan.MaxInList
 	if maxIn <= 0 {
@@ -876,84 +919,40 @@ func openProbe(ctx context.Context, plan *planner.Plan, ss, build *planner.ScanS
 			probes++
 		}
 	}
-	p := &probeStream{
-		cols:    ss.Spec.Columns,
-		release: func() { budget.Release(reserved) },
-		open: func(batch []sqlparser.Expr) (schema.RowStream, error) {
+	probe.release = func() { budget.Release(reserved) }
+	for start := 0; start < len(vals); start += maxIn {
+		batch := vals[start:min(start+maxIn, len(vals))]
+		open := fanInOpener(ctx, ss, runner, batch, opts, budget, m, mu)
+		probe.opens = append(probe.opens, func() (schema.RowStream, error) {
 			mu.Lock()
 			m.BindJoinBatches++
 			m.ShippedKeys += len(batch) * probes
 			mu.Unlock()
-			return openFanIn(ctx, ss, runner, batch, loadModeFor(opts), opts, budget, m, mu)
-		},
+			return open()
+		})
 	}
-	for start := 0; start < len(vals); start += maxIn {
-		p.batches = append(p.batches, vals[start:min(start+maxIn, len(vals))])
-	}
-	if p.cur, err = p.open(p.batches[0]); err != nil {
-		p.Close()
-		return nil, err
-	}
-	p.batches = p.batches[1:]
-	return p, nil
+	return probe, nil
 }
 
-// probeStream is a bind join's probe side: the concatenation of its
-// IN-list batches' fan-ins, each opened when the previous one is
-// exhausted. Close releases the key list's reservation.
-type probeStream struct {
-	cols    []string
-	batches [][]sqlparser.Expr
-	open    func([]sqlparser.Expr) (schema.RowStream, error)
-	release func()
-	cur     schema.RowStream
-	closed  bool
-}
+// keyOverflow says whether a bind join's key set fit, and if not, why.
+type keyOverflow uint8
 
-func (p *probeStream) Columns() []string { return p.cols }
-
-func (p *probeStream) Next(ctx context.Context) (schema.Row, error) {
-	for p.cur != nil {
-		r, err := p.cur.Next(ctx)
-		if r != nil || err != nil {
-			return r, err
-		}
-		p.cur.Close()
-		p.cur = nil
-		if len(p.batches) > 0 {
-			if p.cur, err = p.open(p.batches[0]); err != nil {
-				return nil, err
-			}
-			p.batches = p.batches[1:]
-		}
-	}
-	return nil, nil
-}
-
-func (p *probeStream) Close() error {
-	if p.closed {
-		return nil
-	}
-	p.closed = true
-	var err error
-	if p.cur != nil {
-		err = p.cur.Close()
-		p.cur = nil
-	}
-	p.release()
-	return err
-}
+const (
+	keysFit        keyOverflow = iota
+	keysOverCap                // more distinct keys than the plan's cap
+	keysOverBudget             // the query budget refused a key
+)
 
 // semiValues reads the distinct non-NULL join keys (column col, coerced
 // to the build column's type) out of the build side's spool. The dedup
 // set is charged to the query budget like any blocking operator's
-// state; over=true when the distinct set exceeds max or the budget
-// refuses a reservation, in which case the caller falls back to
-// ship-all (and must Release(reserved) either way).
-func semiValues(ctx context.Context, sp *spill.Spool, col int, typ schema.Type, max int, budget *spill.Budget) (vals []sqlparser.Expr, reserved int64, over bool, err error) {
+// state; over reports a distinct set past max or a reservation the
+// budget refused, in which case the caller falls back to ship-all (and
+// must Release(reserved) either way).
+func semiValues(ctx context.Context, sp *spill.Spool, col int, typ schema.Type, max int, budget *spill.Budget) (vals []sqlparser.Expr, reserved int64, over keyOverflow, err error) {
 	rd, err := sp.Rows()
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, keysFit, err
 	}
 	defer rd.Close()
 	seen := make(map[string]bool)
@@ -961,14 +960,14 @@ func semiValues(ctx context.Context, sp *spill.Spool, col int, typ schema.Type, 
 	for {
 		r, rerr := rd.Next(ctx)
 		if rerr != nil {
-			return nil, reserved, false, rerr
+			return nil, reserved, keysFit, rerr
 		}
 		if r == nil {
 			break
 		}
 		v, cerr := schema.Coerce(r[col], typ)
 		if cerr != nil {
-			return nil, reserved, false, cerr
+			return nil, reserved, keysFit, cerr
 		}
 		if v.IsNull() {
 			continue
@@ -979,13 +978,13 @@ func semiValues(ctx context.Context, sp *spill.Spool, col int, typ schema.Type, 
 		}
 		cost := int64(len(k)) + 48
 		if !budget.Reserve(cost) {
-			return nil, reserved, true, nil
+			return nil, reserved, keysOverBudget, nil
 		}
 		reserved += cost
 		seen[k] = true
 		keys = append(keys, v)
 		if len(keys) > max {
-			return nil, reserved, true, nil
+			return nil, reserved, keysOverCap, nil
 		}
 	}
 	// Deterministic order also makes each MaxInList batch a contiguous
@@ -998,5 +997,5 @@ func semiValues(ctx context.Context, sp *spill.Spool, col int, typ schema.Type, 
 	for i, v := range keys {
 		vals[i] = &sqlparser.Literal{Val: v}
 	}
-	return vals, reserved, false, nil
+	return vals, reserved, keysFit, nil
 }

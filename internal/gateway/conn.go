@@ -117,9 +117,6 @@ func DialRemote(site, addr string, poolSize int) *RemoteConn {
 // Site returns the remote site's name.
 func (c *RemoteConn) Site() string { return c.site }
 
-// IdleConns reports the pool slots no request or stream holds.
-func (c *RemoteConn) IdleConns() int { return c.client.Idle() }
-
 func (c *RemoteConn) do(ctx context.Context, req *comm.Request) (*comm.Response, error) {
 	resp, err := c.client.Do(ctx, req)
 	if err != nil {

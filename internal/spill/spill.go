@@ -4,7 +4,7 @@
 // the budget, spills sorted runs to disk, and streams them back as a
 // stable k-way merge. The component engine's full-sort path, the
 // integration layer's OUTERJOIN-MERGE combiner, and the executor's
-// scratch engine all spill through this package, so a federated ORDER
+// residual pipeline all spill through this package, so a federated ORDER
 // BY without LIMIT over more rows than memory completes instead of
 // ballooning the mediator.
 //

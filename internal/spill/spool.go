@@ -86,6 +86,28 @@ func SpoolStream(ctx context.Context, st schema.RowStream, budget *Budget) (*Spo
 	}
 }
 
+// Evict moves the rows held in memory to a run file and releases their
+// reservation, leaving the whole budget to the spool's readers. It is a
+// no-op for a spool already on disk or holding no reservation. No
+// reader may be open.
+func (s *Spool) Evict() error {
+	if s.closed {
+		return errors.New("spill: evicting a closed spool")
+	}
+	if s.reserved == 0 {
+		return nil
+	}
+	run, err := writeRun(s.budget, s.mem)
+	if err != nil {
+		return err
+	}
+	s.run = run
+	s.mem = nil
+	s.budget.Release(s.reserved)
+	s.reserved = 0
+	return nil
+}
+
 // Len reports the number of rows added.
 func (s *Spool) Len() int { return s.n }
 

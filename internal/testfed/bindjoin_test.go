@@ -3,6 +3,7 @@ package testfed
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -235,6 +236,70 @@ func TestBindJoinMultiBatchMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
+}
+
+// TestBindJoinBuildRowsCrowdingKeys: a build side whose rows fit the
+// query budget but leave too little of it for their distinct keys still
+// bind-joins — its spool moves to disk, leaving the key pass the whole
+// budget — and answers as the oracle does.
+func TestBindJoinBuildRowsCrowdingKeys(t *testing.T) {
+	const (
+		probePerSite = 5000
+		driving      = 500
+		// Each build row (id, k) takes 120 bytes of the spool's budget
+		// and each distinct key about 54: the 500 rows fit in 64 KB, the
+		// rows and their keys together do not.
+		budget = 64 << 10
+	)
+	fx := bindJoinFixture(t, 0, 0, false)
+	probe := func(base int) []schema.Row {
+		rows := make([]schema.Row, probePerSite)
+		for i := range rows {
+			g := base + i
+			rows[i] = schema.Row{value.NewInt(int64(g)), value.NewInt(int64(g)), value.NewText("t0"), value.NewInt(int64(g % 100))}
+		}
+		return rows
+	}
+	fx.LoadRows(t, "a", "p", probe(0))
+	fx.LoadRows(t, "b", "p", probe(probePerSite))
+	rows := make([]schema.Row, driving)
+	for i := range rows {
+		rows[i] = schema.Row{value.NewInt(int64(i)), value.NewInt(int64(i * 20)), value.NewText("t0"), value.NewText("std")}
+	}
+	fx.LoadRows(t, "b", "d", rows)
+	oracle := fx.Oracle(t)
+	ctx := context.Background()
+	const sql = `SELECT d.id, p.id AS pid FROM DRV d JOIN P p ON d.k = p.k ORDER BY d.id`
+	plan, err := fx.Plan(ctx, sql, core.StrategyCostBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var build *planner.ScanSet
+	for _, ss := range plan.ScanSets {
+		for _, b := range plan.ScanSets {
+			if ss.SemiFrom != "" && strings.EqualFold(b.Alias, ss.SemiFrom) {
+				build = b
+			}
+		}
+	}
+	if build == nil {
+		t.Fatalf("planner chose no bind join:\n%s", plan.Describe())
+	}
+	if n := len(build.Schema.Columns); n != 2 {
+		t.Fatalf("the build side ships %d columns; the budget assumes (id, k)", n)
+	}
+	dir := t.TempDir()
+	got, m, err := execute(ctx, plan, fx.Runner(), executor.Options{MemBudget: budget, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.SemijoinUsed || m.SemijoinSkip {
+		t.Fatalf("bind join not used: used=%v skip=%v", m.SemijoinUsed, m.SemijoinSkip)
+	}
+	if err := oracle.Check(ctx, sql, got); err != nil {
+		t.Fatal(err)
+	}
+	assertNoSpillFiles(t, dir)
 }
 
 // TestBindJoinProbeDropSurfacesError wounds the probe site mid-batch:

@@ -2,12 +2,13 @@ package testfed
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"myriad/internal/core"
-	"myriad/internal/gateway"
 	"myriad/internal/integration"
 	"myriad/internal/schema"
 )
@@ -239,22 +240,16 @@ func TestResidualTeardownAfterCancel(t *testing.T) {
 			}
 			assertNoSpillFiles(t, dir)
 			deadline := time.Now().Add(time.Second)
-			for {
-				idle := true
-				for _, site := range []string{"a", "b"} {
-					conn, _ := fx.Fed.Conn(site)
-					if conn.(*gateway.RemoteConn).IdleConns() != sitePool {
-						idle = false
-					}
-				}
-				n := runtime.NumGoroutine()
-				if idle && n <= baseline {
-					break
-				}
+			for n := runtime.NumGoroutine(); n > baseline; n = runtime.NumGoroutine() {
 				if time.Now().After(deadline) {
-					t.Fatalf("a second after cancellation: %d goroutines (baseline %d), pools idle=%v", n, baseline, idle)
+					t.Fatalf("a second after cancellation: %d goroutines, baseline %d", n, baseline)
 				}
 				time.Sleep(10 * time.Millisecond)
+			}
+			for _, site := range []string{"a", "b"} {
+				if !poolIdle(fx, site, tc.export) {
+					t.Fatalf("site %s: a pooled connection is still held after the query closed", site)
+				}
 			}
 		})
 	}
@@ -284,4 +279,85 @@ func fillPools(t *testing.T, fx *Fixture, export string) {
 			}
 		}
 	}
+}
+
+// poolIdle reports whether every pooled connection to site is free: it
+// opens sitePool streams over export at once, all of which must get a
+// connection within half a second, then drains and closes them.
+func poolIdle(fx *Fixture, site, export string) bool {
+	conn, _ := fx.Fed.Conn(site)
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	var streams []schema.RowStream
+	defer func() {
+		for _, st := range streams {
+			st.Close()
+		}
+	}()
+	for i := 0; i < sitePool; i++ {
+		st, err := conn.QueryStream(ctx, 0, `SELECT id FROM `+export+` WHERE id < 10`)
+		if err != nil {
+			return false
+		}
+		streams = append(streams, st)
+	}
+	for _, st := range streams {
+		if _, err := schema.DrainStream(ctx, st); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestResidualPoolExhaustion: a query holds a site's pooled connections
+// only for the relation its residual is reading. A join over more scan
+// sets at each site than the site's pool holds, and as many concurrent
+// two-relation joins as the pool has connections, both finish within a
+// deadline with the oracle's answers.
+func TestResidualPoolExhaustion(t *testing.T) {
+	fx := twoSiteUnion(t, integration.UnionAll, 300, 300, false, 0)
+	warm(t, fx)
+	oracle := fx.Oracle(t)
+	run := func(ctx context.Context, sql string) error {
+		got, _, err := fx.Fed.QueryMetered(ctx, sql, core.StrategySimple)
+		if err != nil {
+			return err
+		}
+		return oracle.Check(ctx, sql, got)
+	}
+
+	t.Run("more scan sets than the pool", func(t *testing.T) {
+		var sb strings.Builder
+		sb.WriteString("SELECT r0.id, r0.v FROM R r0")
+		for i := 1; i <= sitePool; i++ {
+			fmt.Fprintf(&sb, " JOIN R r%d ON r%d.id = r0.id", i, i)
+		}
+		sb.WriteString(" ORDER BY r0.id")
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		if err := run(ctx, sb.String()); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("concurrent joins", func(t *testing.T) {
+		const sql = `SELECT x.id, y.v FROM R x JOIN R y ON x.id = y.id ORDER BY x.id`
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		errs := make(chan error, sitePool)
+		for c := 0; c < sitePool; c++ {
+			go func() {
+				var err error
+				for i := 0; i < 10 && err == nil; i++ {
+					err = run(ctx, sql)
+				}
+				errs <- err
+			}()
+		}
+		for c := 0; c < sitePool; c++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
