@@ -19,12 +19,13 @@ check-modes:
 	MYRIAD_TEST_MEM_BUDGET=4096 go test -race -timeout 300s ./...
 	MYRIAD_TEST_DURABLE=4096 go test -race -timeout 600s ./...
 
-# `make bench-pairs PARENT=<rev> W=<workload> SEED=<n> PAIRS=10` runs
-# PERF.md's paired protocol: the working tree against a git archive of
-# PARENT, alternating which side runs first (see scripts/benchpairs.sh).
+# `make bench-pairs PARENT=<rev> W="<workload> [<workload>...]" SEED=<n>
+# PAIRS=10` runs PERF.md's paired protocol: the working tree against a
+# git archive of PARENT, alternating which side runs first, one table
+# per workload in turn (see scripts/benchpairs.sh).
 PARENT ?= HEAD
 SEED ?= 1
 PAIRS ?= 10
 bench-pairs:
-	@if [ -z "$(W)" ]; then echo "bench-pairs: set W=<workload>" >&2; exit 2; fi
-	bash scripts/benchpairs.sh $(PARENT) $(W) $(SEED) $(PAIRS)
+	@if [ -z "$(W)" ]; then echo "bench-pairs: set W=\"<workload> [<workload>...]\"" >&2; exit 2; fi
+	bash scripts/benchpairs.sh $(PARENT) "$(W)" $(SEED) $(PAIRS)

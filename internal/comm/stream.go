@@ -427,7 +427,7 @@ type rowStreamAdapter struct {
 func (a *rowStreamAdapter) Columns() []string { return a.st.Columns() }
 
 func (a *rowStreamAdapter) Next(ctx context.Context) (schema.Row, error) {
-	if err := ctx.Err(); err != nil {
+	if err := schema.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	r, err := a.st.Next()

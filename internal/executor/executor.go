@@ -563,7 +563,7 @@ type bypassPlan struct {
 	// where, non-nil when the residual has a WHERE clause, filters
 	// integrated rows inline (compiled by the component engine's
 	// expression machinery against the scan set's schema).
-	where localdb.RowPredicate
+	where localdb.Predicate
 	// mergeKeys, non-nil when the residual has an ORDER BY, is the
 	// source ordering that satisfies it via the k-way merge fan-in.
 	mergeKeys []schema.SortKey
@@ -608,7 +608,7 @@ func planBypass(plan *planner.Plan, opts Options) *bypassPlan {
 		len(r.GroupBy) > 0 || r.Distinct || len(r.Joins) > 0 || len(r.From) != 1 {
 		return nil
 	}
-	var where localdb.RowPredicate
+	var where localdb.Predicate
 	if r.Where != nil {
 		pred, err := localdb.CompileRowPredicate(r.Where, ss.Schema, ss.Alias, ss.TempTable)
 		if err != nil {
@@ -751,8 +751,8 @@ func orderingSatisfies(declared, keys []schema.SortKey) bool {
 // the residual pipeline's limit.
 type bypassStream struct {
 	inner   schema.RowStream
-	where   localdb.RowPredicate // nil = no filter
-	proj    []int                // nil = identity
+	where   localdb.Predicate // nil = no filter
+	proj    []int             // nil = identity
 	cols    []string
 	count   int64 // -1 = unbounded
 	offset  int64
@@ -787,12 +787,12 @@ func (b *bypassStream) Next(ctx context.Context) (schema.Row, error) {
 			return nil, nil
 		}
 		if b.where != nil {
-			ok, err := b.where(r)
+			t, err := b.where(r)
 			if err != nil {
 				b.err = err
 				return nil, err
 			}
-			if !ok {
+			if t != localdb.True {
 				continue
 			}
 		}

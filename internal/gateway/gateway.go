@@ -326,7 +326,7 @@ func (s *gatewayStream) Columns() []string { return s.cols }
 // abort (e.g. integration cancelling siblings after one source fails)
 // stops an in-process scan exactly like it stops a remote one.
 func (s *gatewayStream) Next(ctx context.Context) (schema.Row, error) {
-	if err := ctx.Err(); err != nil {
+	if err := schema.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	r, err := s.rows.Next(s.ctx)

@@ -607,7 +607,7 @@ func (c *combinedStream) Next(ctx context.Context) (schema.Row, error) {
 // siblings; each Next honors the per-call ctx between spill reads, so
 // a cancelled query stops promptly even mid-merge.
 func (c *combinedStream) nextMerged(ctx context.Context) (schema.Row, error) {
-	if err := ctx.Err(); err != nil {
+	if err := schema.Canceled(ctx); err != nil {
 		c.fail(err)
 		return nil, c.err
 	}

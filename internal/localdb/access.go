@@ -756,7 +756,7 @@ func newIndexScanIter(db *DB, t *storage.Table, ix *storage.OrderedIndex, lo, hi
 }
 
 func (s *indexScanIter) Next(ctx context.Context) ([]value.Value, error) {
-	if err := ctx.Err(); err != nil {
+	if err := schema.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	if s.closed {

@@ -1,9 +1,22 @@
 package localdb
 
+// The component engine compiles every expression once per statement
+// into closures over the runtime row. Two compilers share the work:
+//
+//   - compileExpr (this file) yields values: columns, literals,
+//     arithmetic, scalar functions and CASE.
+//   - compilePred (predicate.go) yields three-valued truth for AND, OR,
+//     NOT, comparisons, IS [NOT] NULL, IN, BETWEEN and LIKE. WHERE and
+//     ON filters, HAVING, UPDATE/DELETE targets, CASE conditions and
+//     the executor's inline residual all run a Predicate directly.
+//
+// Each boolean operator is implemented once, in compilePred; where a
+// query needs its value (SELECT a < b), compileExpr wraps the Predicate
+// to yield BOOLEAN or NULL.
+
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"myriad/internal/sqlparser"
@@ -23,6 +36,16 @@ type evalFn func(row []value.Value) (value.Value, error)
 // references. Aggregate calls are rejected here; grouped contexts
 // rewrite them to slot references before compiling.
 func compileExpr(e sqlparser.Expr, r resolver) (evalFn, error) {
+	if isPredicate(e) {
+		p, err := compilePred(e, r)
+		if err != nil {
+			return nil, err
+		}
+		return func(row []value.Value) (value.Value, error) {
+			t, err := p(row)
+			return truthValue(t), err
+		}, nil
+	}
 	switch x := e.(type) {
 	case *sqlparser.Literal:
 		v := x.Val
@@ -33,151 +56,52 @@ func compileExpr(e sqlparser.Expr, r resolver) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []value.Value) (value.Value, error) {
-			if slot >= len(row) {
-				return value.Null(), fmt.Errorf("localdb: row too short for slot %d", slot)
-			}
-			return row[slot], nil
-		}, nil
+		return slotFn(slot), nil
 
 	case *sqlparser.SlotRef:
-		slot := x.Slot
-		return func(row []value.Value) (value.Value, error) {
-			if slot >= len(row) {
-				return value.Null(), fmt.Errorf("localdb: row too short for slot %d", slot)
-			}
-			return row[slot], nil
-		}, nil
+		return slotFn(x.Slot), nil
 
 	case *sqlparser.BinaryExpr:
-		return compileBinary(x, r)
+		l, err := compileExpr(x.L, r)
+		if err != nil {
+			return nil, err
+		}
+		rt, err := compileExpr(x.R, r)
+		if err != nil {
+			return nil, err
+		}
+		op := x.Op
+		switch op {
+		case "+", "-", "*", "/", "%", "||":
+			return func(row []value.Value) (value.Value, error) {
+				lv, err := l(row)
+				if err != nil {
+					return value.Null(), err
+				}
+				rv, err := rt(row)
+				if err != nil {
+					return value.Null(), err
+				}
+				return value.Arith(op, lv, rv)
+			}, nil
+		default:
+			return nil, fmt.Errorf("localdb: unknown binary op %q", op)
+		}
 
 	case *sqlparser.UnaryExpr:
 		sub, err := compileExpr(x.E, r)
 		if err != nil {
 			return nil, err
 		}
-		switch x.Op {
-		case "-":
-			return func(row []value.Value) (value.Value, error) {
-				v, err := sub(row)
-				if err != nil {
-					return value.Null(), err
-				}
-				return value.Neg(v)
-			}, nil
-		case "NOT":
-			return func(row []value.Value) (value.Value, error) {
-				v, err := sub(row)
-				if err != nil {
-					return value.Null(), err
-				}
-				if v.IsNull() {
-					return value.Null(), nil
-				}
-				b, ok := v.Bool()
-				if !ok {
-					return value.Null(), fmt.Errorf("localdb: NOT applied to %s", v.K)
-				}
-				return value.NewBool(!b), nil
-			}, nil
-		default:
+		if x.Op != "-" {
 			return nil, fmt.Errorf("localdb: unknown unary op %q", x.Op)
 		}
-
-	case *sqlparser.IsNullExpr:
-		sub, err := compileExpr(x.E, r)
-		if err != nil {
-			return nil, err
-		}
-		not := x.Not
 		return func(row []value.Value) (value.Value, error) {
 			v, err := sub(row)
 			if err != nil {
 				return value.Null(), err
 			}
-			return value.NewBool(v.IsNull() != not), nil
-		}, nil
-
-	case *sqlparser.InExpr:
-		sub, err := compileExpr(x.E, r)
-		if err != nil {
-			return nil, err
-		}
-		// All-literal lists (common for semijoin IN-lists shipped by the
-		// federation) compile to a hash probe instead of a linear scan.
-		if fn, ok := compileLiteralIn(x, sub); ok {
-			return fn, nil
-		}
-		items := make([]evalFn, len(x.List))
-		for i, it := range x.List {
-			if items[i], err = compileExpr(it, r); err != nil {
-				return nil, err
-			}
-		}
-		not := x.Not
-		return func(row []value.Value) (value.Value, error) {
-			v, err := sub(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			if v.IsNull() {
-				return value.Null(), nil
-			}
-			sawNull := false
-			for _, item := range items {
-				iv, err := item(row)
-				if err != nil {
-					return value.Null(), err
-				}
-				if iv.IsNull() {
-					sawNull = true
-					continue
-				}
-				if eq, ok := value.Equal(v, iv); ok && eq {
-					return value.NewBool(!not), nil
-				}
-			}
-			if sawNull {
-				return value.Null(), nil // SQL: x IN (..., NULL) is UNKNOWN when no match
-			}
-			return value.NewBool(not), nil
-		}, nil
-
-	case *sqlparser.BetweenExpr:
-		sub, err := compileExpr(x.E, r)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := compileExpr(x.Lo, r)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := compileExpr(x.Hi, r)
-		if err != nil {
-			return nil, err
-		}
-		not := x.Not
-		return func(row []value.Value) (value.Value, error) {
-			v, err := sub(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			lv, err := lo(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			hv, err := hi(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			c1, ok1 := value.Compare(v, lv)
-			c2, ok2 := value.Compare(v, hv)
-			if !ok1 || !ok2 {
-				return value.Null(), nil
-			}
-			in := c1 >= 0 && c2 <= 0
-			return value.NewBool(in != not), nil
+			return value.Neg(v)
 		}, nil
 
 	case *sqlparser.FuncExpr:
@@ -187,10 +111,13 @@ func compileExpr(e sqlparser.Expr, r resolver) (evalFn, error) {
 		return compileScalarFunc(x, r)
 
 	case *sqlparser.CaseExpr:
-		type arm struct{ cond, result evalFn }
+		type arm struct {
+			cond   Predicate
+			result evalFn
+		}
 		arms := make([]arm, len(x.Whens))
 		for i, w := range x.Whens {
-			c, err := compileExpr(w.Cond, r)
+			c, err := compileCaseCond(w.Cond, r)
 			if err != nil {
 				return nil, err
 			}
@@ -209,11 +136,11 @@ func compileExpr(e sqlparser.Expr, r resolver) (evalFn, error) {
 		}
 		return func(row []value.Value) (value.Value, error) {
 			for _, a := range arms {
-				cv, err := a.cond(row)
+				t, err := a.cond(row)
 				if err != nil {
 					return value.Null(), err
 				}
-				if b, ok := cv.Bool(); ok && b {
+				if t == True {
 					return a.result(row)
 				}
 			}
@@ -228,152 +155,33 @@ func compileExpr(e sqlparser.Expr, r resolver) (evalFn, error) {
 	}
 }
 
-func compileBinary(x *sqlparser.BinaryExpr, r resolver) (evalFn, error) {
-	l, err := compileExpr(x.L, r)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := compileExpr(x.R, r)
-	if err != nil {
-		return nil, err
-	}
-	op := x.Op
-	switch op {
-	case "AND":
-		return func(row []value.Value) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			if b, ok := lv.Bool(); ok && !b {
-				return value.NewBool(false), nil
-			}
-			rv, err := rt(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			if b, ok := rv.Bool(); ok && !b {
-				return value.NewBool(false), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return value.Null(), nil
-			}
-			return value.NewBool(true), nil
-		}, nil
-	case "OR":
-		return func(row []value.Value) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			if b, ok := lv.Bool(); ok && b {
-				return value.NewBool(true), nil
-			}
-			rv, err := rt(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			if b, ok := rv.Bool(); ok && b {
-				return value.NewBool(true), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return value.Null(), nil
-			}
-			return value.NewBool(false), nil
-		}, nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		return func(row []value.Value) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			rv, err := rt(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			c, ok := value.Compare(lv, rv)
-			if !ok {
-				return value.Null(), nil
-			}
-			var b bool
-			switch op {
-			case "=":
-				b = c == 0
-			case "<>":
-				b = c != 0
-			case "<":
-				b = c < 0
-			case "<=":
-				b = c <= 0
-			case ">":
-				b = c > 0
-			case ">=":
-				b = c >= 0
-			}
-			return value.NewBool(b), nil
-		}, nil
-	case "LIKE":
-		return func(row []value.Value) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			rv, err := rt(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			return value.Like(lv, rv)
-		}, nil
-	case "+", "-", "*", "/", "%", "||":
-		return func(row []value.Value) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			rv, err := rt(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			return value.Arith(op, lv, rv)
-		}, nil
-	default:
-		return nil, fmt.Errorf("localdb: unknown binary op %q", op)
-	}
-}
-
-// compileLiteralIn builds a hash-probe evaluator for IN lists made
-// entirely of non-NULL literals.
-func compileLiteralIn(x *sqlparser.InExpr, sub evalFn) (evalFn, bool) {
-	if len(x.List) < 8 {
-		return nil, false
-	}
-	set := make(map[string]bool, len(x.List))
-	for _, it := range x.List {
-		lit, ok := it.(*sqlparser.Literal)
-		if !ok || lit.Val.IsNull() {
-			return nil, false
-		}
-		set[inKey(lit.Val)] = true
-	}
-	not := x.Not
+// slotFn reads one slot of the row.
+func slotFn(slot int) evalFn {
 	return func(row []value.Value) (value.Value, error) {
-		v, err := sub(row)
-		if err != nil {
-			return value.Null(), err
+		if slot >= len(row) {
+			return value.Null(), errShortRow(slot)
 		}
-		if v.IsNull() {
-			return value.Null(), nil
-		}
-		return value.NewBool(set[inKey(v)] != not), nil
-	}, true
+		return row[slot], nil
+	}
 }
 
-// inKey encodes a value so numerically equal ints and floats collide.
-func inKey(v value.Value) string {
-	if f, ok := v.Float(); ok && (v.K == value.KindInt || v.K == value.KindFloat) {
-		return "n" + strconv.FormatFloat(f, 'g', -1, 64)
+// compileCaseCond compiles a CASE arm's condition; only True selects the
+// arm. A condition that is not a boolean operator keeps CASE's lenient
+// reading of a value: one that is no truth value, such as TEXT, does not
+// select the arm and is not an error.
+func compileCaseCond(e sqlparser.Expr, r resolver) (Predicate, error) {
+	if isPredicate(e) {
+		return compilePred(e, r)
 	}
-	return string([]byte{byte(v.K)}) + v.Text()
+	fn, err := compileExpr(e, r)
+	if err != nil {
+		return nil, err
+	}
+	return func(row []value.Value) (Truth, error) {
+		v, err := fn(row)
+		b, ok := v.Bool()
+		return boolTruth(ok && b), err
+	}, nil
 }
 
 // compileScalarFunc compiles the scalar function library shared by every
@@ -588,21 +396,4 @@ func compileScalarFunc(x *sqlparser.FuncExpr, r resolver) (evalFn, error) {
 	default:
 		return nil, fmt.Errorf("localdb: unknown function %s", x.Name)
 	}
-}
-
-// evalBool evaluates a compiled predicate with SQL semantics: NULL means
-// the row does not qualify.
-func evalBool(fn evalFn, row []value.Value) (bool, error) {
-	v, err := fn(row)
-	if err != nil {
-		return false, err
-	}
-	if v.IsNull() {
-		return false, nil
-	}
-	b, ok := v.Bool()
-	if !ok {
-		return false, fmt.Errorf("localdb: predicate evaluated to %s", v.K)
-	}
-	return b, nil
 }

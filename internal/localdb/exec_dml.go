@@ -122,9 +122,9 @@ func (tx *Txn) targetRows(ctx context.Context, tableName string, where sqlparser
 	b := &rowBinder{}
 	b.add(sc.Table, sc)
 
-	var pred evalFn
+	var pred Predicate
 	if where != nil {
-		if pred, err = compileExpr(where, b); err != nil {
+		if pred, err = compilePred(where, b); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -161,12 +161,12 @@ func (tx *Txn) targetRows(ctx context.Context, tableName string, where sqlparser
 			id, row, found := t.GetByKey(probe)
 			var ids []storage.RowID
 			if found {
-				ok, err := evalBool(pred, row)
+				t, err := pred(row)
 				if err != nil {
 					tx.db.latch.RUnlock()
 					return nil, nil, nil, err
 				}
-				if ok {
+				if t == True {
 					ids = append(ids, id)
 				}
 			}
@@ -184,12 +184,12 @@ func (tx *Txn) targetRows(ctx context.Context, tableName string, where sqlparser
 	tx.db.latch.RLock()
 	t.Scan(func(id storage.RowID, r schema.Row) bool {
 		if pred != nil {
-			ok, err := evalBool(pred, r)
+			t, err := pred(r)
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			if !ok {
+			if t != True {
 				return true
 			}
 		}

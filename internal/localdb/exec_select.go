@@ -357,7 +357,7 @@ func (tx *Txn) selectIter(ctx context.Context, sel *sqlparser.Select) (rowIter, 
 		}
 	}
 	if len(residual) > 0 {
-		pred, err := compileExpr(sqlparser.JoinConjuncts(residual), b)
+		pred, err := compilePred(sqlparser.JoinConjuncts(residual), b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -778,7 +778,7 @@ func (tx *Txn) filterLocal(it rowIter, local []sqlparser.Expr, b *rowBinder) (ro
 	if len(local) == 0 {
 		return it, nil
 	}
-	pred, err := compileExpr(sqlparser.JoinConjuncts(local), b)
+	pred, err := compilePred(sqlparser.JoinConjuncts(local), b)
 	if err != nil {
 		it.Close()
 		return nil, err
@@ -859,9 +859,9 @@ func (tx *Txn) joinWith(ctx context.Context, left rowIter, b *rowBinder, ref sql
 		}
 		residual = append(residual, c)
 	}
-	var residualFn evalFn
+	var residualFn Predicate
 	if len(residual) > 0 {
-		if residualFn, err = compileExpr(sqlparser.JoinConjuncts(residual), b); err != nil {
+		if residualFn, err = compilePred(sqlparser.JoinConjuncts(residual), b); err != nil {
 			left.Close()
 			right.Close()
 			return nil, err
@@ -922,29 +922,20 @@ func splitEquiPair(bx *sqlparser.BinaryExpr, leftBinder, full *rowBinder, rightS
 
 func hasColumns(e sqlparser.Expr) bool { return len(sqlparser.ColumnsIn(e)) > 0 }
 
-// hashKeyOf evaluates the key fns and encodes a join key; null reports
-// any NULL key column (which never matches).
-func hashKeyOf(fns []evalFn, row []value.Value) (key string, null bool, err error) {
-	var b strings.Builder
+// hashKeyOf evaluates the key fns and appends the join key to buf (see
+// appendKey); null reports any NULL key column (which never matches).
+func hashKeyOf(buf []byte, fns []evalFn, row []value.Value) (key []byte, null bool, err error) {
 	for _, fn := range fns {
 		v, err := fn(row)
 		if err != nil {
-			return "", false, err
+			return buf, false, err
 		}
 		if v.IsNull() {
-			return "", true, nil
+			return buf, true, nil
 		}
-		// Numeric kinds must encode equal when Equal: use float text.
-		if f, ok := v.Float(); ok && (v.K == value.KindInt || v.K == value.KindFloat) {
-			b.WriteByte(1)
-			b.WriteString(fmt.Sprintf("%g", f))
-		} else {
-			b.WriteByte(byte(v.K) + 2)
-			b.WriteString(v.Text())
-		}
-		b.WriteByte(0x1f)
+		buf = appendKey(buf, &v)
 	}
-	return b.String(), false, nil
+	return buf, false, nil
 }
 
 // ---------------------------------------------------------------------
@@ -1174,6 +1165,15 @@ func (g *groupBinder) compile(e sqlparser.Expr) (evalFn, error) {
 		return nil, err
 	}
 	return compileExpr(rewritten, g)
+}
+
+// compilePred compiles a post-grouping condition (HAVING).
+func (g *groupBinder) compilePred(e sqlparser.Expr) (Predicate, error) {
+	rewritten, err := g.rewrite(e)
+	if err != nil {
+		return nil, err
+	}
+	return compilePred(rewritten, g)
 }
 
 // resolve handles column refs that survive rewriting: a bare column that

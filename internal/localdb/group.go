@@ -41,11 +41,11 @@ type groupPlan struct {
 	aggs     []*aggSpec
 	keyFns   []evalFn // group-key expressions, input-row scope
 	keyStrs  []string
-	keyIdxs  []int    // input-row slots when every key is a plain column, else nil
-	identity bool     // select items are exactly [keys..., aggs...]: group row == output row
-	itemFns  []evalFn // select items, group-row scope
-	havingFn evalFn   // nil when no HAVING
-	sortFns  []evalFn // ORDER BY keys, group-row scope
+	keyIdxs  []int     // input-row slots when every key is a plain column, else nil
+	identity bool      // select items are exactly [keys..., aggs...]: group row == output row
+	itemFns  []evalFn  // select items, group-row scope
+	having   Predicate // nil when no HAVING
+	sortFns  []evalFn  // ORDER BY keys, group-row scope
 	descs    []bool
 }
 
@@ -155,9 +155,9 @@ func compileGroupPlan(sel *sqlparser.Select, b *rowBinder) (*groupPlan, error) {
 			return nil, err
 		}
 	}
-	var havingFn evalFn
+	var having Predicate
 	if sel.Having != nil {
-		if havingFn, err = gb.compile(sel.Having); err != nil {
+		if having, err = gb.compilePred(sel.Having); err != nil {
 			return nil, err
 		}
 	}
@@ -195,7 +195,7 @@ func compileGroupPlan(sel *sqlparser.Select, b *rowBinder) (*groupPlan, error) {
 	return &groupPlan{
 		items: items, aggs: aggs,
 		keyFns: keyFns, keyStrs: keyStrs, keyIdxs: keyIdxs, identity: identity,
-		itemFns: itemFns, havingFn: havingFn,
+		itemFns: itemFns, having: having,
 		sortFns: sortFns, descs: descs,
 	}, nil
 }
@@ -221,8 +221,8 @@ func (tx *Txn) groupPipeline(sel *sqlparser.Select, b *rowBinder, it rowIter, st
 		// input through the spill layer would buy nothing.
 		out = newHashGroupIter(tx, plan, it)
 	}
-	if plan.havingFn != nil {
-		out = newFilterIter(out, plan.havingFn, 0)
+	if plan.having != nil {
+		out = newFilterIter(out, plan.having, 0)
 	}
 	switch {
 	case len(plan.sortFns) > 0:

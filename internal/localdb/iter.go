@@ -52,7 +52,7 @@ func newRowSliceIter(rows []schema.Row) *sliceIter {
 }
 
 func (s *sliceIter) Next(ctx context.Context) ([]value.Value, error) {
-	if err := ctx.Err(); err != nil {
+	if err := schema.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	if s.closed || s.pos >= len(s.rows) {
@@ -90,7 +90,7 @@ func newHeapScanIter(db *DB, t *storage.Table) *heapScanIter {
 }
 
 func (s *heapScanIter) Next(ctx context.Context) ([]value.Value, error) {
-	if err := ctx.Err(); err != nil {
+	if err := schema.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	if s.closed {
@@ -139,13 +139,13 @@ func (s *heapScanIter) Close() { s.closed = true; s.batch = nil }
 // operators re-pad when combining).
 type filterIter struct {
 	child   rowIter
-	pred    evalFn
+	pred    Predicate
 	off     int
 	scratch []value.Value
 	closed  bool
 }
 
-func newFilterIter(child rowIter, pred evalFn, off int) *filterIter {
+func newFilterIter(child rowIter, pred Predicate, off int) *filterIter {
 	return &filterIter{child: child, pred: pred, off: off}
 }
 
@@ -166,11 +166,11 @@ func (f *filterIter) Next(ctx context.Context) ([]value.Value, error) {
 			copy(f.scratch[f.off:], r)
 			probe = f.scratch[:f.off+len(r)]
 		}
-		ok, err := evalBool(f.pred, probe)
+		t, err := f.pred(probe)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
+		if t == True {
 			return r, nil
 		}
 	}
@@ -198,13 +198,14 @@ type hashJoinIter struct {
 	right      rowIter
 	leftKeys   []evalFn
 	rightKeys  []evalFn
-	residual   evalFn
+	residual   Predicate
 	kind       joinKind
 	leftWidth  int
 	rightWidth int
 
 	built   bool
 	build   map[string][][]value.Value
+	key     []byte          // reused join-key buffer
 	pending [][]value.Value // combined rows ready to emit for current left row
 	ppos    int
 	closed  bool
@@ -233,14 +234,15 @@ func (j *hashJoinIter) buildSide(ctx context.Context) error {
 		// through a scratch with the right columns in place (the left
 		// region stays zero — the right key fns never read it).
 		copy(scratch[j.leftWidth:], r)
-		key, null, err := hashKeyOf(j.rightKeys, scratch)
+		key, null, err := hashKeyOf(j.key[:0], j.rightKeys, scratch)
+		j.key = key
 		if err != nil {
 			return err
 		}
 		if null {
 			continue
 		}
-		j.build[key] = append(j.build[key], r)
+		j.build[string(key)] = append(j.build[string(key)], r)
 	}
 	j.right.Close()
 	j.built = true
@@ -275,20 +277,21 @@ func (j *hashJoinIter) Next(ctx context.Context) ([]value.Value, error) {
 		}
 		j.pending = j.pending[:0]
 		j.ppos = 0
-		key, null, err := hashKeyOf(j.leftKeys, l)
+		key, null, err := hashKeyOf(j.key[:0], j.leftKeys, l)
+		j.key = key
 		if err != nil {
 			return nil, err
 		}
 		matched := false
 		if !null {
-			for _, r := range j.build[key] {
+			for _, r := range j.build[string(key)] {
 				combined := j.combine(l, r)
 				if j.residual != nil {
-					ok, err := evalBool(j.residual, combined)
+					t, err := j.residual(combined)
 					if err != nil {
 						return nil, err
 					}
-					if !ok {
+					if t != True {
 						continue
 					}
 				}

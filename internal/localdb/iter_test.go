@@ -124,9 +124,9 @@ func TestFilterIterPadding(t *testing.T) {
 	// input supplies only the second binding's columns, so rows are
 	// padded by the binding offset during evaluation but flow through
 	// unpadded.
-	pred := func(row []value.Value) (value.Value, error) {
+	pred := func(row []value.Value) (Truth, error) {
 		v, _ := row[1].Int() // slot 1 = offset 1 + column 0
-		return value.NewBool(v%2 == 0), nil
+		return boolTruth(v%2 == 0), nil
 	}
 	f := newFilterIter(newSliceIter(intRows(10)), pred, 1)
 	rows := drainAll(t, f)
@@ -143,7 +143,7 @@ func TestFilterIterPadding(t *testing.T) {
 
 func TestFilterIterCloseMidStream(t *testing.T) {
 	src := &countingIter{child: newSliceIter(intRows(10))}
-	pred := func([]value.Value) (value.Value, error) { return value.NewBool(true), nil }
+	pred := func([]value.Value) (Truth, error) { return True, nil }
 	f := newFilterIter(src, pred, 0)
 	if r, _ := f.Next(context.Background()); r == nil {
 		t.Fatal("no first row")
@@ -193,10 +193,10 @@ func TestJoinItersMatchAndClose(t *testing.T) {
 	}
 
 	// No key functions = nested loop: all pairs, residual-filtered.
-	residual := func(row []value.Value) (value.Value, error) {
+	residual := func(row []value.Value) (Truth, error) {
 		a, _ := row[0].Int()
 		b, _ := row[1].Int()
-		return value.NewBool(a == b), nil
+		return boolTruth(a == b), nil
 	}
 	l, r = mk()
 	lj := &hashJoinIter{left: l, right: r, residual: residual,

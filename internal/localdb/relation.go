@@ -101,7 +101,7 @@ type streamIter struct {
 }
 
 func (s *streamIter) Next(ctx context.Context) ([]value.Value, error) {
-	if err := ctx.Err(); err != nil {
+	if err := schema.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	if s.rel.closed {

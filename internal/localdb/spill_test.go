@@ -163,13 +163,14 @@ func TestCompileRowPredicate(t *testing.T) {
 	for _, tc := range []struct {
 		where string
 		row   schema.Row
-		want  bool
+		want  Truth
 	}{
-		{`id > 5`, schema.Row{value.NewInt(7), value.NewText("a")}, true},
-		{`id > 5`, schema.Row{value.NewInt(3), value.NewText("a")}, false},
-		{`t.name = 'a' AND id < 10`, schema.Row{value.NewInt(3), value.NewText("a")}, true},
-		{`name LIKE 'b%'`, schema.Row{value.NewInt(3), value.NewText("abc")}, false},
-		{`id IS NULL`, schema.Row{value.Null(), value.NewText("a")}, true},
+		{`id > 5`, schema.Row{value.NewInt(7), value.NewText("a")}, True},
+		{`id > 5`, schema.Row{value.NewInt(3), value.NewText("a")}, False},
+		{`id > 5`, schema.Row{value.Null(), value.NewText("a")}, Unknown},
+		{`t.name = 'a' AND id < 10`, schema.Row{value.NewInt(3), value.NewText("a")}, True},
+		{`name LIKE 'b%'`, schema.Row{value.NewInt(3), value.NewText("abc")}, False},
+		{`id IS NULL`, schema.Row{value.Null(), value.NewText("a")}, True},
 	} {
 		pred, err := CompileRowPredicate(parseWhere(t, tc.where), sc, "t")
 		if err != nil {

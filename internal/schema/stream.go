@@ -13,6 +13,18 @@ type RowStream interface {
 	Close() error
 }
 
+// Canceled returns ctx's error once ctx is done, and nil until then.
+// Row sources call it on every Next: it polls ctx.Done() without
+// blocking, where ctx.Err() takes the context's mutex on each call.
+func Canceled(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
 // sliceStream adapts a materialized ResultSet to RowStream.
 type sliceStream struct {
 	rs     *ResultSet
@@ -32,7 +44,7 @@ func StreamOf(rs *ResultSet) RowStream {
 func (s *sliceStream) Columns() []string { return s.rs.Columns }
 
 func (s *sliceStream) Next(ctx context.Context) (Row, error) {
-	if err := ctx.Err(); err != nil {
+	if err := Canceled(ctx); err != nil {
 		return nil, err
 	}
 	if s.closed || s.pos >= len(s.rs.Rows) {

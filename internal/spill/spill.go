@@ -432,7 +432,7 @@ func (it *Iterator) Spilled() bool { return it.merge != nil }
 
 // Next returns the next row in sort order, or nil at the end.
 func (it *Iterator) Next(ctx context.Context) (schema.Row, error) {
-	if err := ctx.Err(); err != nil {
+	if err := schema.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	if it.closed {

@@ -204,7 +204,7 @@ type SpoolReader struct {
 
 // Next returns the next row, or nil at the end.
 func (r *SpoolReader) Next(ctx context.Context) (schema.Row, error) {
-	if err := ctx.Err(); err != nil {
+	if err := schema.Canceled(ctx); err != nil {
 		return nil, err
 	}
 	if r.pos < len(r.mem) {

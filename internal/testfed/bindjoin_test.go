@@ -455,3 +455,46 @@ func BenchmarkBindJoin(b *testing.B) {
 		b.Fatalf("bind join shipped %d rows vs ship-all %d: under 10x reduction", bindShipped, allShipped)
 	}
 }
+
+// TestBindJoinKeysAbove2p53: a bind join over INTEGER keys beyond 2^53,
+// where neighbouring keys share one float64, matches each key exactly.
+// The shipped IN-list holds ten literals, so the probe sites test it
+// through their key set, and the coordinator's hash join keys the same
+// values. The expected rows are spelled out: the oracle runs the same
+// engine, so it would share a key-encoding fault.
+func TestBindJoinKeysAbove2p53(t *testing.T) {
+	const base = int64(1) << 53
+	fx := bindJoinFixture(t, 0, 0, false)
+	probe := func(first int) []schema.Row {
+		rows := make([]schema.Row, 2000)
+		for i := range rows {
+			g := first + i
+			rows[i] = schema.Row{value.NewInt(int64(g)), value.NewInt(base + int64(g)), value.NewText("t0"), value.NewInt(int64(g % 100))}
+		}
+		return rows
+	}
+	fx.LoadRows(t, "a", "p", probe(0))
+	fx.LoadRows(t, "b", "p", probe(2000))
+	var want []string
+	drv := make([]schema.Row, 10)
+	for i := range drv {
+		drv[i] = schema.Row{value.NewInt(int64(i)), value.NewInt(base + int64(3*i)), value.NewText("t0"), value.NewText("std")}
+		want = append(want, fmt.Sprintf("%d,%d", i, 3*i))
+	}
+	fx.LoadRows(t, "b", "d", drv)
+	const sql = `SELECT d.id, p.id AS pid FROM DRV d JOIN P p ON d.k = p.k ORDER BY d.id, pid`
+	rs, m, err := fx.Fed.QueryMetered(context.Background(), sql, core.StrategyCostBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.SemijoinUsed || m.ShippedKeys == 0 {
+		t.Fatalf("bind join not used: used=%v keys=%d", m.SemijoinUsed, m.ShippedKeys)
+	}
+	var got []string
+	for _, r := range rs.Rows {
+		got = append(got, r[0].Text()+","+r[1].Text())
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+}
