@@ -1,5 +1,5 @@
-// Package comm is MYRIAD's communication substrate: gob-encoded
-// messages over pooled TCP connections. It plays the role of the
+// Package comm is MYRIAD's communication substrate: length-prefixed
+// binary messages over pooled TCP connections. It plays the role of the
 // BSD-socket message layer in the 1994 prototype, extended with a
 // streaming row-batch transport the original lacked.
 //
@@ -8,10 +8,13 @@
 //   - Request/Response: one synchronous round trip (Client.Do), used
 //     for control operations (ping, schema, stats, transactions, DML).
 //   - Request/Frame-stream: a Stream=true request (Client.DoStream) is
-//     answered by a header frame (columns), row batches (each one gob
-//     frame whose payload holds its rows in the shared value row codec),
-//     and a trailer (error + row count), letting query results pipeline
-//     site → federation → client without materializing. See PROTOCOL.md.
+//     answered by a header frame (columns), row batches (each one frame
+//     whose payload holds its rows in the shared value row codec), and a
+//     trailer (error + row count), letting query results pipeline
+//     site → federation → client without materializing. The header
+//     rides in the same socket write as the first batch or the trailer,
+//     so a result of up to BatchRows rows crosses each hop in one write.
+//     See PROTOCOL.md.
 //
 // The same Request serves the gateway protocol (federation to component
 // DBMS) and the federation's client protocol; which fields are
@@ -20,7 +23,6 @@ package comm
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -136,9 +138,10 @@ var InDoubtError = errors.New("comm: commit in doubt (decision logged, acknowled
 // may be retried under a fresh global id.
 var WoundedError = errors.New("comm: transaction wounded (deadlock victim, retry)")
 
-// ProtocolError wraps every violation of the streaming frame contract
-// detected client-side — an out-of-sequence frame or a malformed batch
-// payload. The stream's connection is never reused after one.
+// ProtocolError wraps every violation of the wire contract: a
+// truncated or malformed message, a length over the message cap, an
+// out-of-sequence frame or a malformed batch payload. The connection is
+// never reused after one.
 var ProtocolError = errors.New("comm: protocol error")
 
 // socketBufferBytes fixes SO_RCVBUF/SO_SNDBUF on every protocol
@@ -225,6 +228,12 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	s.start(ln)
+	return ln.Addr().String(), nil
+}
+
+// start serves ln in the background.
+func (s *Server) start(ln net.Listener) {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
@@ -233,7 +242,6 @@ func (s *Server) Listen(addr string) (string, error) {
 		defer s.wg.Done()
 		s.serve(ln)
 	}()
-	return ln.Addr().String(), nil
 }
 
 func (s *Server) serve(ln net.Listener) {
@@ -266,11 +274,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	w := newWire(conn)
 	for {
+		body, err := w.readMessage()
+		if err != nil {
+			return
+		}
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if decodeRequest(body, &req) != nil {
 			return
 		}
 		ctx := s.baseCtx
@@ -279,7 +290,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
 		}
 		if req.Stream {
-			ok := s.serveStream(ctx, &req, conn, enc)
+			ok := s.serveStream(ctx, &req, w)
 			cancel()
 			if !ok {
 				return
@@ -291,7 +302,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		if resp == nil {
 			resp = &Response{}
 		}
-		if err := enc.Encode(resp); err != nil {
+		start := w.beginMessage()
+		w.out = appendResponse(w.out, resp)
+		if err := w.endMessage(start); err != nil {
+			start = w.beginMessage()
+			w.out = appendResponse(w.out, &Response{Err: err.Error(), Kind: ErrGeneric})
+			w.endMessage(start) //nolint:errcheck // a one-string response is far below the cap
+		}
+		if err := w.flush(); err != nil {
 			return
 		}
 	}
@@ -325,16 +343,10 @@ func (s *Server) Close() error {
 // connection.
 type Client struct {
 	addr string
-	pool chan *clientConn
+	pool chan *wire
 	mu   sync.Mutex
-	all  []*clientConn
+	all  []*wire
 	shut bool
-}
-
-type clientConn struct {
-	conn net.Conn
-	dec  *gob.Decoder
-	enc  *gob.Encoder
 }
 
 // Dial creates a client with a pool of up to poolSize connections
@@ -343,14 +355,14 @@ func Dial(addr string, poolSize int) *Client {
 	if poolSize < 1 {
 		poolSize = 1
 	}
-	c := &Client{addr: addr, pool: make(chan *clientConn, poolSize)}
+	c := &Client{addr: addr, pool: make(chan *wire, poolSize)}
 	for i := 0; i < poolSize; i++ {
 		c.pool <- nil // lazy slot
 	}
 	return c
 }
 
-func (c *Client) get(ctx context.Context) (*clientConn, error) {
+func (c *Client) get(ctx context.Context) (*wire, error) {
 	select {
 	case cc := <-c.pool:
 		if cc != nil {
@@ -363,7 +375,7 @@ func (c *Client) get(ctx context.Context) (*clientConn, error) {
 			return nil, err
 		}
 		tuneConn(conn)
-		cc = &clientConn{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn)}
+		cc = newWire(conn)
 		c.mu.Lock()
 		c.all = append(c.all, cc)
 		c.mu.Unlock()
@@ -378,7 +390,7 @@ func (c *Client) get(ctx context.Context) (*clientConn, error) {
 // particular for a half-consumed stream, whose conn still has batches
 // in flight: reusing it would hand stale frames to the next request.
 // Broken conns are closed and their slot refreshed lazily.
-func (c *Client) put(cc *clientConn, broken bool) {
+func (c *Client) put(cc *wire, broken bool) {
 	if broken {
 		cc.conn.Close()
 		c.pool <- nil
@@ -410,17 +422,31 @@ func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 	} else {
 		cc.conn.SetDeadline(time.Time{}) //nolint:errcheck
 	}
-	if err := cc.enc.Encode(req); err != nil {
+	if err := cc.send(req); err != nil {
 		c.put(cc, true)
 		return nil, fmt.Errorf("comm: send to %s: %w", c.addr, err)
 	}
 	var resp Response
-	if err := cc.dec.Decode(&resp); err != nil {
+	body, err := cc.readMessage()
+	if err == nil {
+		err = decodeResponse(body, &resp)
+	}
+	if err != nil {
 		c.put(cc, true)
 		return nil, fmt.Errorf("comm: receive from %s: %w", c.addr, err)
 	}
 	c.put(cc, false)
 	return &resp, nil
+}
+
+// send writes req in one socket write.
+func (w *wire) send(req *Request) error {
+	start := w.beginMessage()
+	w.out = appendRequest(w.out, req)
+	if err := w.endMessage(start); err != nil {
+		return err
+	}
+	return w.flush()
 }
 
 // Close tears down every pooled connection.

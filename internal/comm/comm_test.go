@@ -152,7 +152,7 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestValuesSurviveGob(t *testing.T) {
+func TestValuesSurviveWire(t *testing.T) {
 	addr, _ := startServer(t)
 	c := Dial(addr, 1)
 	defer c.Close()

@@ -3,10 +3,10 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"strings"
 	"testing"
 
@@ -16,7 +16,7 @@ import (
 
 // FuzzBatchFraming drives the real data path end to end: a
 // fuzzer-shaped result (header, rows of every value kind and width,
-// optional error trailer) goes through frameWriter, the gob envelope
+// optional error trailer) goes through frameWriter, the envelope codec
 // and Stream.Next, and must come back identical — the framing
 // invariant every streaming query rides on. The same input is then
 // replayed as a raw batch frame whose payload is the fuzz bytes
@@ -53,7 +53,7 @@ func FuzzBatchFraming(f *testing.F) {
 		}
 
 		var buf bytes.Buffer
-		w := newFrameWriter(gob.NewEncoder(&buf), batchRows)
+		w := newFrameWriter(newWire(bufConn{buf: &buf}), batchRows)
 		if err := w.Header(cols); err != nil {
 			t.Fatal(err)
 		}
@@ -90,26 +90,23 @@ func FuzzBatchFraming(f *testing.F) {
 		if st.RowCount() != len(want) {
 			t.Fatalf("trailer count %d, want %d", st.RowCount(), len(want))
 		}
-		if buf.Len() != 0 {
-			t.Fatalf("%d bytes left after the trailer", buf.Len())
+		if left := buf.Len() + st.cc.r.Buffered(); left != 0 {
+			t.Fatalf("%d bytes left after the trailer", left)
 		}
 
 		// The fuzz bytes as a raw batch payload, its claimed row count
 		// taken from the first byte.
 		buf.Reset()
-		enc := gob.NewEncoder(&buf)
 		n := 0
 		if len(data) > 0 {
 			n = int(data[0]) - 8 // negative counts are corrupt too
 		}
-		for _, fr := range []*Frame{
-			{Kind: FrameHeader, Columns: cols},
-			{Kind: FrameBatch, N: n, Payload: data},
-			{Kind: FrameTrailer, Count: n},
-		} {
-			if err := enc.Encode(fr); err != nil {
-				t.Fatal(err)
-			}
+		if err := writeFrames(bufConn{buf: &buf},
+			&Frame{Kind: FrameHeader, Columns: cols},
+			&Frame{Kind: FrameBatch, N: n, Payload: data},
+			&Frame{Kind: FrameTrailer, Count: n},
+		); err != nil {
+			t.Fatal(err)
 		}
 		st = bufferStream(&buf)
 		if err := st.readHeader(); err != nil {
@@ -129,10 +126,33 @@ func FuzzBatchFraming(f *testing.F) {
 	})
 }
 
+// bufConn is a connection whose reads and writes go to an in-memory
+// buffer; nothing but Read and Write may be called on it.
+type bufConn struct {
+	net.Conn
+	buf *bytes.Buffer
+}
+
+func (c bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
+func (c bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
 // bufferStream is a client Stream reading frames from buf instead of a
 // pooled connection (nothing that touches the conn may be called).
 func bufferStream(buf *bytes.Buffer) *Stream {
-	return &Stream{c: &Client{addr: "fuzz"}, cc: &clientConn{dec: gob.NewDecoder(buf)}}
+	return &Stream{c: &Client{addr: "fuzz"}, cc: newWire(bufConn{buf: buf})}
+}
+
+// writeFrames writes frames to conn in one write, as a server would.
+func writeFrames(conn net.Conn, frames ...*Frame) error {
+	w := newWire(conn)
+	for _, f := range frames {
+		start := w.beginMessage()
+		w.out = appendFrame(w.out, f)
+		if err := w.endMessage(start); err != nil {
+			return err
+		}
+	}
+	return w.flush()
 }
 
 func drain(st *Stream) ([]schema.Row, error) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -13,11 +12,12 @@ import (
 )
 
 // The streaming response protocol: a Request with Stream=true is
-// answered not by one Response but by a sequence of gob-encoded Frames
-// on the same connection — one header (column names), zero or more row
-// batches, and exactly one trailer (error + row count). A batch's rows
-// travel as one opaque payload in the shared row codec (value.AppendRow),
-// so gob frames the batch but never reflects over a row. See PROTOCOL.md
+// answered not by one Response but by a sequence of Frames on the same
+// connection — one header (column names), zero or more row batches, and
+// exactly one trailer (error + row count). A batch's rows travel as one
+// opaque payload in the shared row codec (value.AppendRow). The header
+// is buffered until the first batch or the trailer goes out, so a
+// result of up to BatchRows rows is one socket write. See PROTOCOL.md
 // for the wire contract.
 
 // FrameKind discriminates streaming frames.
@@ -32,7 +32,7 @@ const (
 
 // DefaultBatchRows is how many rows a server packs per batch frame when
 // no explicit batch size is configured: large enough to amortize the
-// per-frame cost (one gob envelope, one write syscall), small enough
+// per-frame cost (one envelope, one write syscall), small enough
 // that the first batch flushes quickly and a LIMIT 10 never drags
 // hundreds of rows over the wire.
 const DefaultBatchRows = 256
@@ -61,7 +61,7 @@ func (e *KindError) Error() string { return e.Err.Error() }
 func (e *KindError) Unwrap() error { return e.Err }
 
 // DefaultStreamWriteTimeout bounds how long a streaming response may go
-// without write progress: each frame write must complete within it. A slow
+// without write progress: each socket write must complete within it. A slow
 // consumer that keeps draining (backpressure) always makes progress; a
 // dead or wedged client that stops reading trips the deadline, failing
 // the write so the handler tears its scan down and releases locks
@@ -100,44 +100,44 @@ type StreamHandler interface {
 }
 
 // ---------------------------------------------------------------------
-// Server side: frameWriter drives a gob encoder as a RowSink.
+// Server side: frameWriter appends frames to the connection's output
+// buffer as a RowSink. The header waits there for the first batch or
+// the trailer; a full batch flushes once a further row follows it; the
+// last batch and the trailer flush together.
 
 type frameWriter struct {
-	enc       encoder
+	w         *wire
 	batchRows int
-	// conn and writeTimeout arm a per-frame write deadline: every frame
-	// must reach the kernel within writeTimeout or the write fails and
-	// the handler tears down (a scan must not hold its locks hostage to
-	// a client that stopped reading). Zero conn/timeout disables it.
-	conn         net.Conn
-	writeTimeout time.Duration
 
 	payload    []byte // pending batch, reused across frames
 	pending    int    // rows in payload
 	count      int
 	headerSent bool
+	batchDone  bool  // a full batch is buffered, waiting for the next row
 	writeErr   error // transport failure: the conn is dead
 }
 
-// encoder is the subset of gob.Encoder the writer needs (swappable in
-// tests and the fuzzer).
-type encoder interface {
-	Encode(v any) error
-}
-
-func newFrameWriter(enc encoder, batchRows int) *frameWriter {
+func newFrameWriter(w *wire, batchRows int) *frameWriter {
 	if batchRows <= 0 {
 		batchRows = DefaultBatchRows
 	}
-	return &frameWriter{enc: enc, batchRows: batchRows}
+	return &frameWriter{w: w, batchRows: batchRows}
 }
 
-// encode writes one frame under the progress deadline.
-func (w *frameWriter) encode(f *Frame) error {
-	if w.conn != nil && w.writeTimeout > 0 {
-		w.conn.SetWriteDeadline(time.Now().Add(w.writeTimeout)) //nolint:errcheck
+// append adds one frame to the output buffer without writing it.
+func (w *frameWriter) append(f *Frame) error {
+	start := w.w.beginMessage()
+	w.w.out = appendFrame(w.w.out, f)
+	return w.w.endMessage(start)
+}
+
+// flush writes everything buffered in one socket write.
+func (w *frameWriter) flush() error {
+	if err := w.w.flush(); err != nil {
+		w.writeErr = err
+		return err
 	}
-	return w.enc.Encode(f)
+	return nil
 }
 
 func (w *frameWriter) Header(columns []string) error {
@@ -147,11 +147,10 @@ func (w *frameWriter) Header(columns []string) error {
 	if w.headerSent {
 		return errors.New("comm: stream header sent twice")
 	}
-	w.headerSent = true
-	if err := w.encode(&Frame{Kind: FrameHeader, Columns: columns}); err != nil {
-		w.writeErr = err
+	if err := w.append(&Frame{Kind: FrameHeader, Columns: columns}); err != nil {
 		return err
 	}
+	w.headerSent = true
 	return nil
 }
 
@@ -162,67 +161,76 @@ func (w *frameWriter) Row(row schema.Row) error {
 	if !w.headerSent {
 		return errors.New("comm: stream row before header")
 	}
+	if w.batchDone {
+		// The previous row completed a batch and this one follows it:
+		// the batch goes out now. Waiting for this row lets a result of
+		// exactly batchRows rows leave in one write with its trailer.
+		w.batchDone = false
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
 	w.payload = value.AppendRow(w.payload, row)
 	w.pending++
-	if w.pending >= w.batchRows {
-		return w.flush()
+	if w.pending == w.batchRows {
+		w.batchDone = true
+		return w.appendBatch()
 	}
 	return nil
 }
 
-func (w *frameWriter) flush() error {
+// appendBatch moves the pending rows into the output buffer as one
+// batch frame.
+func (w *frameWriter) appendBatch() error {
 	if w.pending == 0 {
-		return w.writeErr
+		return nil
 	}
-	// Encode copies the payload into the gob buffer before returning,
-	// so the next batch can reuse it.
-	err := w.encode(&Frame{Kind: FrameBatch, N: w.pending, Payload: w.payload})
+	err := w.append(&Frame{Kind: FrameBatch, N: w.pending, Payload: w.payload})
 	if err == nil {
-		// Count only what actually went out: an error trailer may
-		// supersede a pending batch, and its Count must not include
-		// rows that were buffered but never sent.
+		// Count only what goes out: an error trailer may supersede a
+		// pending batch, and its Count must not include rows that were
+		// buffered but never sent.
 		w.count += w.pending
 	}
 	w.payload, w.pending = w.payload[:0], 0
-	if err != nil {
-		w.writeErr = err
-	}
 	return err
 }
 
-// finish flushes pending rows and writes the trailer. A handler error
-// supersedes a pending-batch flush error (both mean the same dead conn).
+// finish appends the pending rows and the trailer and writes them (and
+// whatever else is buffered) in one socket write. A handler error
+// supersedes a partial pending batch.
 func (w *frameWriter) finish(handlerErr error) error {
 	if handlerErr == nil {
-		if err := w.flush(); err != nil {
-			return err
-		}
+		handlerErr = w.appendBatch()
 	}
 	t := &Frame{Kind: FrameTrailer, Count: w.count}
 	if handlerErr != nil {
 		t.Err = handlerErr.Error()
 		t.ErrKind = kindOf(handlerErr)
 	}
-	if err := w.encode(t); err != nil {
+	if err := w.append(t); err != nil {
 		w.writeErr = err
 		return err
 	}
-	return nil
+	return w.flush()
 }
 
 // serveStream answers one Stream=true request with a frame sequence.
 // It returns false when the connection is no longer usable.
-func (s *Server) serveStream(ctx context.Context, req *Request, conn net.Conn, enc encoder) bool {
-	w := newFrameWriter(enc, s.BatchRows)
-	w.conn = conn
-	w.writeTimeout = s.StreamWriteTimeout
-	if w.writeTimeout == 0 {
-		w.writeTimeout = DefaultStreamWriteTimeout
+func (s *Server) serveStream(ctx context.Context, req *Request, conn *wire) bool {
+	w := newFrameWriter(conn, s.BatchRows)
+	timeout := s.StreamWriteTimeout
+	if timeout == 0 {
+		timeout = DefaultStreamWriteTimeout
 	}
-	if w.writeTimeout < 0 {
-		w.writeTimeout = 0 // explicit opt-out
+	if timeout > 0 { // negative: explicit opt-out
+		conn.writeTimeout = timeout
+		defer func() {
+			// The conn is reused for later exchanges.
+			conn.writeTimeout = 0
+			conn.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
+		}()
 	}
-	defer conn.SetWriteDeadline(time.Time{}) //nolint:errcheck // the conn is reused for later exchanges
 	var herr error
 	if sh, ok := s.handler.(StreamHandler); ok {
 		herr = sh.HandleStream(ctx, req, w)
@@ -245,23 +253,23 @@ func (s *Server) serveStream(ctx context.Context, req *Request, conn net.Conn, e
 // handed to the next request. Not safe for concurrent use.
 type Stream struct {
 	c  *Client
-	cc *clientConn
+	cc *wire
 
 	cols  []string
-	frame Frame // decode target, its Payload reused across batches
 	batch []schema.Row
 	bpos  int
 	count int
 
-	mu       sync.Mutex
-	done     bool  // trailer consumed: conn is clean
-	err      error // terminal error (trailer error or transport error)
-	released bool  // conn handed back (or abandoned) — guards the watcher
-	stop     chan struct{}
+	mu        sync.Mutex
+	done      bool  // trailer consumed: conn is clean
+	err       error // terminal error (trailer error or transport error)
+	released  bool  // conn handed back (or abandoned) — guards abort
+	stopWatch func() bool
 }
 
 // DoStream sends req with Stream=true and returns the response stream
-// after reading its header. The context governs the whole stream: its
+// after reading its header, which arrives together with the first
+// batch or the trailer. The context governs the whole stream: its
 // deadline propagates to the server (TimeoutMs) and is enforced on the
 // socket; cancelling it aborts the stream and unblocks a pending Next.
 func (c *Client) DoStream(ctx context.Context, req *Request) (*Stream, error) {
@@ -282,12 +290,12 @@ func (c *Client) DoStream(ctx context.Context, req *Request) (*Stream, error) {
 	} else {
 		cc.conn.SetDeadline(time.Time{}) //nolint:errcheck
 	}
-	if err := cc.enc.Encode(req); err != nil {
+	if err := cc.send(req); err != nil {
 		c.put(cc, true)
 		return nil, fmt.Errorf("comm: send to %s: %w", c.addr, err)
 	}
-	st := &Stream{c: c, cc: cc, stop: make(chan struct{})}
-	go st.watch(ctx)
+	st := &Stream{c: c, cc: cc}
+	st.stopWatch = context.AfterFunc(ctx, func() { st.abort(ctx.Err()) })
 	if err := st.readHeader(); err != nil {
 		st.Close()
 		return nil, err
@@ -295,12 +303,24 @@ func (c *Client) DoStream(ctx context.Context, req *Request) (*Stream, error) {
 	return st, nil
 }
 
+// readFrame reads and decodes the next frame into f.
+func (s *Stream) readFrame(f *Frame) error {
+	body, err := s.cc.readMessage()
+	if err == nil {
+		err = decodeFrame(body, f)
+	}
+	if err != nil {
+		return s.fail(fmt.Errorf("comm: receive from %s: %w", s.c.addr, err))
+	}
+	return nil
+}
+
 // readHeader consumes the stream's first frame: the header, or a
 // trailer standing in for it (an error before any rows).
 func (s *Stream) readHeader() error {
 	var first Frame
-	if err := s.cc.dec.Decode(&first); err != nil {
-		return s.fail(fmt.Errorf("comm: receive from %s: %w", s.c.addr, err))
+	if err := s.readFrame(&first); err != nil {
+		return err
 	}
 	switch first.Kind {
 	case FrameHeader:
@@ -315,24 +335,20 @@ func (s *Stream) readHeader() error {
 	}
 }
 
-// watch aborts the stream when ctx is cancelled so a blocked Next
-// returns instead of hanging; it exits silently once the stream is
-// released.
-func (s *Stream) watch(ctx context.Context) {
-	select {
-	case <-ctx.Done():
-		s.mu.Lock()
-		if !s.released {
-			if s.err == nil {
-				s.err = ctx.Err()
-			}
-			// Expire any pending socket read; Close will mark the conn
-			// broken since the trailer was not consumed.
-			s.cc.conn.SetDeadline(time.Unix(1, 0)) //nolint:errcheck
-		}
-		s.mu.Unlock()
-	case <-s.stop:
+// abort runs when the DoStream context is cancelled: it latches the
+// context's error and expires any pending socket read so a blocked Next
+// returns (Close then marks the conn broken, since the trailer was not
+// consumed). A no-op once the stream is released.
+func (s *Stream) abort(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.released {
+		return
 	}
+	if s.err == nil {
+		s.err = err
+	}
+	s.cc.conn.SetDeadline(time.Unix(1, 0)) //nolint:errcheck
 }
 
 // Columns returns the column names from the stream header.
@@ -378,17 +394,15 @@ func (s *Stream) Next() (schema.Row, error) {
 		return nil, nil
 	}
 	for s.bpos >= len(s.batch) {
-		// gob leaves fields absent from the wire untouched: reset all
-		// but the payload buffer, which it refills in place.
-		s.frame = Frame{Payload: s.frame.Payload[:0]}
-		f := &s.frame
-		if err := s.cc.dec.Decode(f); err != nil {
-			return nil, s.fail(fmt.Errorf("comm: receive from %s: %w", s.c.addr, err))
+		var f Frame
+		if err := s.readFrame(&f); err != nil {
+			return nil, err
 		}
 		switch f.Kind {
 		case FrameBatch:
-			// The rows must not alias the payload buffer (consumers keep
-			// them); the decoder copies every text out of it.
+			// The rows must not alias the payload (it is the connection's
+			// read buffer, and consumers keep rows); the decoder copies
+			// every text out of it.
 			batch, err := value.DecodeRows(s.batch[:0], f.N, f.Payload)
 			if err != nil {
 				// Unread frames may follow; the trailer is never consumed,
@@ -397,7 +411,7 @@ func (s *Stream) Next() (schema.Row, error) {
 			}
 			s.batch, s.bpos = batch, 0
 		case FrameTrailer:
-			s.consumeTrailer(f)
+			s.consumeTrailer(&f)
 			s.mu.Lock()
 			err := s.err
 			s.mu.Unlock()
@@ -414,7 +428,7 @@ func (s *Stream) Next() (schema.Row, error) {
 // AsRowStream adapts the stream to schema.RowStream. errMap, when
 // non-nil, translates wire errors into the caller's vocabulary. The
 // per-call ctx is checked between rows; a blocked wire read is
-// unblocked by the DoStream context (watched at the comm layer).
+// unblocked by the DoStream context (registered at the comm layer).
 func (s *Stream) AsRowStream(errMap func(error) error) schema.RowStream {
 	return &rowStreamAdapter{st: s, errMap: errMap}
 }
@@ -457,8 +471,8 @@ func (s *Stream) Close() error {
 	// frame sequence: the conn itself is in sync and reusable. Anything
 	// short of a consumed trailer leaves frames in flight — broken.
 	clean := s.done
-	close(s.stop)
 	s.mu.Unlock()
+	s.stopWatch()
 	s.c.put(s.cc, !clean)
 	return nil
 }

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -387,20 +386,17 @@ func TestMalformedBatchBreaksConn(t *testing.T) {
 			accepted.Add(1)
 			go func() {
 				defer conn.Close()
-				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+				w := newWire(conn)
 				for {
-					var req Request
-					if dec.Decode(&req) != nil {
+					if _, err := w.readMessage(); err != nil {
 						return
 					}
-					for _, f := range []*Frame{
-						{Kind: FrameHeader, Columns: []string{"i"}},
-						{Kind: FrameBatch, N: 3, Payload: []byte{1, 1}}, // one truncated row
-						{Kind: FrameTrailer, Count: 3},
-					} {
-						if enc.Encode(f) != nil {
-							return
-						}
+					if writeFrames(conn,
+						&Frame{Kind: FrameHeader, Columns: []string{"i"}},
+						&Frame{Kind: FrameBatch, N: 3, Payload: []byte{1, 1}}, // one truncated row
+						&Frame{Kind: FrameTrailer, Count: 3},
+					) != nil {
+						return
 					}
 				}
 			}()

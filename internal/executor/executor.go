@@ -146,7 +146,7 @@ type SourceMetrics struct {
 	Site     string
 	Rows     int           // rows shipped from the site
 	Batches  int           // fan-in batches handed downstream
-	FirstRow time.Duration // scan open → first row at the federation
+	FirstRow time.Duration // scan request sent → first row at the federation
 }
 
 // Metrics accumulates execution counters for experiments. Every scan
@@ -396,6 +396,10 @@ func openScanSet(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, in
 		wg.Add(1)
 		go func(i int, scan *planner.RemoteScan) {
 			defer wg.Done()
+			// Timed from before the request: a remote stream's header
+			// arrives with its first batch, so QuerySite itself can
+			// take most of the wait for the first row.
+			start := time.Now()
 			st, err := runner.QuerySite(ctx, scan.Site, scanSQL(scan, inList))
 			if err != nil {
 				errs[i] = fmt.Errorf("executor: scan at %s: %w", scan.Site, err)
@@ -404,7 +408,7 @@ func openScanSet(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, in
 			mu.Lock()
 			m.RemoteQueries++
 			mu.Unlock()
-			streams[i] = &countedStream{RowStream: st, site: scan.Site, m: m, mu: mu, start: time.Now()}
+			streams[i] = &countedStream{RowStream: st, site: scan.Site, m: m, mu: mu, start: start}
 		}(i, scan)
 	}
 	wg.Wait()

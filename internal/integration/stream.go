@@ -109,6 +109,9 @@ type StreamOptions struct {
 
 const (
 	feedBatchRows = 256 // rows per feeder batch
+	// firstFeedBatchRows is the first batch's initial capacity; it
+	// grows by append if the source has more rows.
+	firstFeedBatchRows = 16
 	// DefaultRowBudget is the rows-in-flight cap when the caller does
 	// not set one: 16 batches, i.e. the old fixed 4-batch window at the
 	// 4-source point, deeper for fewer sources, shallower for more.
@@ -422,7 +425,12 @@ func feedLoop(ctx context.Context, src schema.RowStream, spec *Spec, idx int, on
 		send(feedItem{src: idx, err: err})
 		return
 	}
-	batch := make([]schema.Row, 0, feedBatchRows)
+	// A batch is allocated when its first row arrives — a source with
+	// no rows (a pruned one, or a drained one) allocates nothing — and
+	// the first starts small, so a one-row result does not pay for a
+	// full batch. A sent batch belongs to the consumer.
+	var batch []schema.Row
+	batchCap := firstFeedBatchRows
 	var batchBytes int64
 	flush := func() bool {
 		if len(batch) == 0 {
@@ -435,7 +443,7 @@ func feedLoop(ctx context.Context, src schema.RowStream, spec *Spec, idx int, on
 		if onBatch != nil {
 			onBatch(idx, n)
 		}
-		batch = make([]schema.Row, 0, feedBatchRows)
+		batch, batchCap = nil, feedBatchRows
 		batchBytes = 0
 		return true
 	}
@@ -448,6 +456,9 @@ func feedLoop(ctx context.Context, src schema.RowStream, spec *Spec, idx int, on
 		if r == nil {
 			flush()
 			return
+		}
+		if batch == nil {
+			batch = make([]schema.Row, 0, batchCap)
 		}
 		batch = append(batch, r)
 		if maxBytes > 0 {

@@ -1,15 +1,13 @@
 package testfed
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 	"time"
 
-	"myriad/internal/comm"
 	"myriad/internal/core"
 	"myriad/internal/gateway"
 	"myriad/internal/integration"
@@ -55,20 +53,21 @@ func warm(t testing.TB, fx *Fixture) {
 	}
 }
 
-// headerFrameBytes bounds a stream header's wire size from above: the
-// gob encoding of a header frame carrying cols, with the frame type's
-// definition a fresh encoder prepends (a pooled conn that already sent
-// the type sends less). Armed at this offset, a stall lets the header
-// through and wedges the stream before its first batch is complete —
-// whatever the row codec packs into a batch — as long as that batch
-// outweighs the type definition, which any multi-row batch does.
+// headerFrameBytes bounds a stream header's wire size from above under
+// comm's envelope layout (internal/comm/PROTOCOL.md): a length prefix,
+// the kind byte, the column count, each name with its length, and five
+// empty fields, every varint counted at its maximum width. Armed at
+// this offset, a stall lets the header through and wedges the stream
+// before its first batch is complete — the header shares a socket
+// write with that batch — as long as the batch outweighs the slack,
+// which any multi-row batch does.
 func headerFrameBytes(t testing.TB, cols ...string) int64 {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&comm.Frame{Kind: comm.FrameHeader, Columns: cols}); err != nil {
-		t.Fatal(err)
+	n := int64(binary.MaxVarintLen64 * (3 + len(cols) + 5))
+	for _, c := range cols {
+		n += int64(len(c))
 	}
-	return int64(buf.Len())
+	return n
 }
 
 // TestMidStreamDropSurfacesError wounds site b after ~50KB of response
@@ -89,8 +88,9 @@ func TestMidStreamDropSurfacesError(t *testing.T) {
 }
 
 // TestGarbledStreamSurfacesError flips a byte near the start of site
-// b's response stream; the gob framing desynchronizes and the
-// federation must surface an error.
+// b's response stream, inside the header frame's column count; the
+// frame fails to decode as a protocol error and the federation must
+// surface an error.
 func TestGarbledStreamSurfacesError(t *testing.T) {
 	fx := twoSiteUnion(t, integration.UnionAll, 1000, 30_000, true, 0)
 	warm(t, fx)
@@ -140,6 +140,31 @@ func TestCancellationTearsDownRemoteStreams(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("proxied connections never settled: %d still active", fx.Site("b").Proxy.ActiveConns())
+}
+
+// TestFirstRowMetricCoversTheRequest: a source's FirstRow runs from the
+// scan request to its first row at the federation. The stream header
+// arrives with the first batch, inside the site call, so a site whose
+// every response chunk is delayed must report at least that delay.
+func TestFirstRowMetricCoversTheRequest(t *testing.T) {
+	fx := twoSiteUnion(t, integration.UnionAll, 100, 100, true, 0)
+	warm(t, fx)
+	const delay = 50 * time.Millisecond
+	fx.Site("b").Proxy.SetDelay(delay)
+
+	_, m, err := fx.Fed.QueryMetered(context.Background(), `SELECT id, v FROM R`, fx.Fed.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range m.Sources {
+		if src.Site == "b" {
+			if src.FirstRow < delay {
+				t.Fatalf("site b first row after %v, under the %v injected delay", src.FirstRow, delay)
+			}
+			return
+		}
+	}
+	t.Fatalf("no source metrics for site b: %+v", m.Sources)
 }
 
 // TestSlowSiteDoesNotBlockFastSite proves pipelining: with site b
