@@ -10,9 +10,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"myriad/internal/integration"
 	"myriad/internal/schema"
+	"myriad/internal/sqlparser"
 	"myriad/internal/storage"
 )
 
@@ -29,6 +31,11 @@ type SourceDef struct {
 	// Filter optionally restricts the rows this source contributes, as
 	// a canonical SQL predicate over the export's columns.
 	Filter string
+
+	// mapped and filter are ColumnMap (keyed by lower-cased integrated
+	// column) and Filter parsed once, by Validate.
+	mapped map[string]sqlparser.Expr
+	filter sqlparser.Expr
 }
 
 // IntegratedDef defines one integrated relation.
@@ -88,7 +95,8 @@ func (d *IntegratedDef) Validate(exports map[string]map[string]*schema.Schema) e
 			return fmt.Errorf("catalog %s: unknown integration function %q", d.Name, fname)
 		}
 	}
-	for _, s := range d.Sources {
+	for i := range d.Sources {
+		s := &d.Sources[i]
 		siteExports, ok := exports[strings.ToLower(s.Site)]
 		if !ok {
 			return fmt.Errorf("catalog %s: unknown site %q", d.Name, s.Site)
@@ -97,47 +105,69 @@ func (d *IntegratedDef) Validate(exports map[string]map[string]*schema.Schema) e
 		if !ok {
 			return fmt.Errorf("catalog %s: site %s has no export %q", d.Name, s.Site, s.Export)
 		}
-		for col := range s.ColumnMap {
+		mapped := make(map[string]sqlparser.Expr, len(s.ColumnMap))
+		for col, src := range s.ColumnMap {
 			if d.ColIndex(col) < 0 {
 				return fmt.Errorf("catalog %s: source %s.%s maps unknown column %q", d.Name, s.Site, s.Export, col)
+			}
+			e, err := parseOverExport(src, esc)
+			if err != nil {
+				return fmt.Errorf("catalog %s: source %s.%s column %s: %w", d.Name, s.Site, s.Export, col, err)
+			}
+			mapped[strings.ToLower(col)] = e
+		}
+		var filter sqlparser.Expr
+		if s.Filter != "" {
+			var err error
+			if filter, err = parseOverExport(s.Filter, esc); err != nil {
+				return fmt.Errorf("catalog %s: source %s.%s filter: %w", d.Name, s.Site, s.Export, err)
 			}
 		}
 		// Key columns must be supplied by every source for MergeOuter.
 		if d.Combine == integration.MergeOuter {
 			for _, k := range d.Key {
-				if _, ok := s.ColumnMap[strings.ToLower(k)]; !ok && !mapHasFold(s.ColumnMap, k) {
+				if _, ok := mapped[strings.ToLower(k)]; !ok {
 					return fmt.Errorf("catalog %s: source %s.%s does not map key column %q", d.Name, s.Site, s.Export, k)
 				}
 			}
 		}
-		_ = esc
+		s.mapped, s.filter = mapped, filter
 	}
 	return nil
 }
 
-func mapHasFold(m map[string]string, key string) bool {
-	for k := range m {
-		if strings.EqualFold(k, key) {
-			return true
+// parseOverExport parses a mapping or filter expression and checks that
+// every column it names is a column of the export.
+func parseOverExport(src string, esc *schema.Schema) (sqlparser.Expr, error) {
+	e, err := sqlparser.ParseExpr(src)
+	if err != nil {
+		return nil, err
+	}
+	for _, cr := range sqlparser.ColumnsIn(e) {
+		if esc.ColIndex(cr.Column) < 0 {
+			return nil, fmt.Errorf("export %s has no column %q", esc.Table, cr.Column)
 		}
 	}
-	return false
+	return e, nil
 }
 
-// MapFold returns the ColumnMap entry under case-insensitive lookup.
-func (s *SourceDef) MapFold(col string) (string, bool) {
-	for k, v := range s.ColumnMap {
-		if strings.EqualFold(k, col) {
-			return v, true
-		}
-	}
-	return "", false
+// Mapped returns the parsed ColumnMap expression for an integrated
+// column (case-insensitive), as Validate parsed it. The expression is
+// shared: callers must not modify it.
+func (s *SourceDef) Mapped(col string) (sqlparser.Expr, bool) {
+	e, ok := s.mapped[strings.ToLower(col)]
+	return e, ok
 }
+
+// FilterExpr returns the parsed Filter (nil without one), as Validate
+// parsed it. The expression is shared: callers must not modify it.
+func (s *SourceDef) FilterExpr() sqlparser.Expr { return s.filter }
 
 // Catalog is one federation's metadata store. It is safe for concurrent
 // use.
 type Catalog struct {
 	mu         sync.RWMutex
+	version    atomic.Uint64 // see Version
 	federation string
 	exports    map[string]map[string]*schema.Schema // site -> export -> schema
 	integrated map[string]*IntegratedDef
@@ -165,8 +195,15 @@ func (c *Catalog) SetSiteExports(site string, schemas []*schema.Schema) {
 	}
 	c.mu.Lock()
 	c.exports[strings.ToLower(site)] = m
+	c.version.Add(1)
 	c.mu.Unlock()
 }
+
+// Version counts the changes that can change a plan: every Define, Drop
+// and SetSiteExports bumps it, so a cache of planning work keyed by it
+// never serves a plan built against an older catalog. Fragment
+// statistics do not bump it.
+func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // Sites lists known sites, sorted.
 func (c *Catalog) Sites() []string {
@@ -217,6 +254,7 @@ func (c *Catalog) Define(def *IntegratedDef) error {
 		return err
 	}
 	c.integrated[strings.ToLower(def.Name)] = def
+	c.version.Add(1)
 	return nil
 }
 
@@ -229,6 +267,7 @@ func (c *Catalog) Drop(name string) error {
 		return fmt.Errorf("catalog: no integrated relation %q", name)
 	}
 	delete(c.integrated, lc)
+	c.version.Add(1)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"strings"
 	"testing"
 
 	"myriad/internal/integration"
@@ -84,13 +85,86 @@ func TestDefSchemaAndColIndex(t *testing.T) {
 	}
 }
 
-func TestSourceMapFold(t *testing.T) {
-	s := &SourceDef{ColumnMap: map[string]string{"Id": "sid"}}
-	if v, ok := s.MapFold("ID"); !ok || v != "sid" {
-		t.Errorf("MapFold: %q %v", v, ok)
+func TestSourceMapped(t *testing.T) {
+	d := validDef()
+	d.Sources[0].ColumnMap = map[string]string{"Id": "id + 1", "name": "name"}
+	d.Sources[0].Filter = "id > 3"
+	if err := d.Validate(exportSchemas()); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s.MapFold("nope"); ok {
-		t.Error("MapFold found missing key")
+	s := &d.Sources[0]
+	if e, ok := s.Mapped("ID"); !ok || e.String() != "id + 1" {
+		t.Errorf("Mapped: %v %v", e, ok)
+	}
+	if _, ok := s.Mapped("nope"); ok {
+		t.Error("Mapped found missing key")
+	}
+	if f := s.FilterExpr(); f == nil || f.String() != "id > 3" {
+		t.Errorf("FilterExpr: %v", f)
+	}
+	if d.Sources[1].FilterExpr() != nil {
+		t.Error("FilterExpr without a Filter")
+	}
+}
+
+// TestValidateRejectsBadExpressions: a mapping or filter that does not
+// parse, or that names a column the export lacks, fails at Define
+// rather than at the first query.
+func TestValidateRejectsBadExpressions(t *testing.T) {
+	mutations := []struct {
+		name string
+		mut  func(*IntegratedDef)
+		want string
+	}{
+		{"malformed mapping", func(d *IntegratedDef) { d.Sources[0].ColumnMap["name"] = "name +" }, "column name"},
+		{"mapping names a missing column", func(d *IntegratedDef) { d.Sources[1].ColumnMap["name"] = "UPPER(nickname)" }, `no column "nickname"`},
+		{"malformed filter", func(d *IntegratedDef) { d.Sources[0].Filter = "id >" }, "filter"},
+		{"filter names a missing column", func(d *IntegratedDef) { d.Sources[1].Filter = "gpa > 3" }, `no column "gpa"`},
+	}
+	for _, m := range mutations {
+		d := validDef()
+		m.mut(d)
+		err := d.Validate(exportSchemas())
+		if err == nil {
+			t.Errorf("%s: accepted", m.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), m.want) {
+			t.Errorf("%s: error %q does not mention %q", m.name, err, m.want)
+		}
+		c := New("fed")
+		st := exportSchemas()["east"]["student"]
+		c.SetSiteExports("east", []*schema.Schema{st})
+		c.SetSiteExports("west", []*schema.Schema{st})
+		if err := c.Define(d); err == nil {
+			t.Errorf("%s: Define accepted", m.name)
+		}
+	}
+}
+
+func TestVersionCountsPlanChanges(t *testing.T) {
+	c := New("fed")
+	st := exportSchemas()["east"]["student"]
+	v0 := c.Version()
+	c.SetSiteExports("east", []*schema.Schema{st})
+	c.SetSiteExports("west", []*schema.Schema{st})
+	if c.Version() != v0+2 {
+		t.Fatalf("SetSiteExports: version %d, want %d", c.Version(), v0+2)
+	}
+	if err := c.Define(validDef()); err != nil {
+		t.Fatal(err)
+	}
+	if c.Version() != v0+3 {
+		t.Fatalf("Define: version %d, want %d", c.Version(), v0+3)
+	}
+	bad := validDef()
+	bad.Name = ""
+	if c.Define(bad) == nil || c.Version() != v0+3 {
+		t.Fatalf("a rejected Define moved the version to %d", c.Version())
+	}
+	c.SetFragmentStats("east", "STUDENT", nil)
+	if err := c.Drop("ALL_STUDENTS"); err != nil || c.Version() != v0+4 {
+		t.Fatalf("Drop: version %d, want %d (err %v)", c.Version(), v0+4, err)
 	}
 }
 

@@ -59,6 +59,7 @@ type Federation struct {
 	detectInterval time.Duration
 
 	stats statsCache
+	plans *sqlparser.ShapeCache[planKey, *planner.Template]
 
 	// Strategy is the default optimizer for Query; the other query
 	// methods take the strategy explicitly.
@@ -104,6 +105,7 @@ func New(name string) *Federation {
 		cat:      catalog.New(name),
 		conns:    make(map[string]gateway.Conn),
 		stats:    statsCache{slots: make(map[statsKey]*statsSlot)},
+		plans:    sqlparser.NewShapeCache[planKey, *planner.Template](planCacheSize),
 		Strategy: StrategyCostBased,
 	}
 	f.coord = gtm.New(connProvider{f})
@@ -293,23 +295,51 @@ func (r autocommitRunner) QuerySite(ctx context.Context, site, sql string) (sche
 	return conn.QueryStream(ctx, 0, sql)
 }
 
-func (f *Federation) plan(ctx context.Context, sql string, strategy Strategy) (*planner.Plan, error) {
-	stmt, err := sqlparser.Parse(sql)
+// planCacheSize bounds the plan-template cache, in statement shapes.
+const planCacheSize = 1024
+
+// planKey names one cached plan template. The catalog version retires
+// every template when an integrated relation or a site's exports change.
+type planKey struct {
+	shape    string
+	strategy Strategy
+	version  uint64
+}
+
+// Plan plans one global SELECT: the planner's template for the
+// statement's shape, from the cache or built on a miss, instantiated
+// with the statement's literals. Hit or miss, the plan comes from the
+// same Instantiate call.
+func (f *Federation) Plan(ctx context.Context, sql string, strategy Strategy) (*planner.Plan, error) {
+	shape, args, err := sqlparser.Shape(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*sqlparser.Select)
-	if !ok {
-		return nil, fmt.Errorf("core: global queries must be SELECT, got %T", stmt)
-	}
 	pl := planner.New(f.cat, f)
-	return pl.Plan(ctx, sel, strategy)
+	t, err := f.plans.Get(planKey{shape, strategy, f.cat.Version()}, func() (*planner.Template, error) {
+		stmt, err := sqlparser.ParseShape(shape, sql)
+		if err != nil {
+			return nil, err
+		}
+		sel, ok := stmt.(*sqlparser.Select)
+		if !ok {
+			return nil, fmt.Errorf("core: global queries must be SELECT, got %T", stmt)
+		}
+		return pl.Prepare(sel)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pl.Instantiate(ctx, t, args, strategy)
 }
+
+// PlanCacheStats exposes the plan-template cache's live counters.
+func (f *Federation) PlanCacheStats() *sqlparser.CacheStats { return f.plans.Stats() }
 
 // execute plans sql and runs it through the executor's one entry point,
 // shipping subqueries through runner.
 func (f *Federation) execute(ctx context.Context, sql string, strategy Strategy, runner executor.SiteRunner) (schema.RowStream, *executor.Metrics, error) {
-	plan, err := f.plan(ctx, sql, strategy)
+	plan, err := f.Plan(ctx, sql, strategy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -367,7 +397,7 @@ func (f *Federation) QueryTx(ctx context.Context, txn *gtm.Txn, sql string, stra
 // answer (detached, down) degrades to a note instead of failing the
 // explain.
 func (f *Federation) Explain(ctx context.Context, sql string, strategy Strategy) (string, error) {
-	plan, err := f.plan(ctx, sql, strategy)
+	plan, err := f.Plan(ctx, sql, strategy)
 	if err != nil {
 		return "", err
 	}

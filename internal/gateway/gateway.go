@@ -3,6 +3,19 @@
 // federation, translate canonical federation SQL into the component's
 // dialect, enforce the per-query timeout the paper uses to resolve
 // global deadlocks, and participate in two-phase commit.
+//
+// A gateway translates each statement shape once. sqlparser.Shape
+// splits the SELECT text it receives — from a federation or any other
+// client, one path for both — into a shape key (literals replaced by ?
+// slots) and the literal values. A bounded cache (1,024 entries) keyed
+// by (shape, export version) holds the translated statement and its
+// dialect round trip (render, then re-parse), both with slots. Every
+// execution binds its literals into its own copy of the round-tripped
+// statement; the component engine compiles and plans that copy afresh,
+// since its access path depends on the literals. DefineExport bumps the
+// export version, so the next execution of every shape is translated
+// against the new export. Gateway.ShapeCacheStats counts hits, misses
+// and evictions.
 package gateway
 
 import (
@@ -11,6 +24,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"myriad/internal/comm"
@@ -63,6 +77,10 @@ type Gateway struct {
 
 	mu      sync.RWMutex
 	exports map[string]*Export // by lower-cased export name
+	// exportVersion counts DefineExport calls; it keys shapes, so a
+	// translation never outlives the exports it was made against.
+	exportVersion atomic.Uint64
+	shapes        *sqlparser.ShapeCache[shapeKey, *selectTemplate]
 
 	// Delay, when positive, is added before each local operation to
 	// emulate component-DBMS latency in experiments.
@@ -79,6 +97,7 @@ func New(site string, db *localdb.DB, d *dialect.Dialect) *Gateway {
 		db:      db,
 		dialect: d,
 		exports: make(map[string]*Export),
+		shapes:  sqlparser.NewShapeCache[shapeKey, *selectTemplate](shapeCacheSize),
 	}
 }
 
@@ -115,6 +134,7 @@ func (g *Gateway) DefineExport(e Export) error {
 	}
 	g.mu.Lock()
 	g.exports[strings.ToLower(e.Name)] = &e
+	g.exportVersion.Add(1)
 	g.mu.Unlock()
 	return nil
 }
@@ -217,34 +237,80 @@ func mapErr(err error) error {
 	return err
 }
 
+// shapeCacheSize bounds the gateway's translation cache, in statement
+// shapes.
+const shapeCacheSize = 1024
+
+// shapeKey names one cached translation: the statement's shape (see
+// sqlparser.Shape) and the export version it was translated against.
+type shapeKey struct {
+	shape   string
+	version uint64
+}
+
+// selectTemplate is one shape's translation, ? slots unbound: the
+// translated AST (for restoring federation-visible column names) and the
+// dialect-round-tripped AST to bind and execute.
+type selectTemplate struct {
+	translated *sqlparser.Select
+	native     *sqlparser.Select
+}
+
 // prepareSelect runs the gateway's query front half: parse the
 // canonical SELECT, translate exports to local tables, and round-trip
 // through the component dialect — render native SQL and re-parse,
-// exactly what the 1994 gateways did over embedded SQL. It returns the
-// translated AST (for restoring federation-visible column names) and
-// the dialect-round-tripped AST to execute.
+// exactly what the 1994 gateways did over embedded SQL. That work reads
+// no literal, so it runs once per statement shape: the result is cached
+// with ? slots, and each execution binds its own literals into a fresh
+// copy. It returns the translated AST (for restoring federation-visible
+// column names; shared, read-only) and the bound AST to execute.
 func (g *Gateway) prepareSelect(sql string) (translated, relSel *sqlparser.Select, err error) {
-	stmt, err := sqlparser.Parse(sql)
+	shape, args, err := sqlparser.Shape(sql)
 	if err != nil {
 		return nil, nil, fmt.Errorf("gateway %s: %w", g.site, err)
 	}
-	sel, ok := stmt.(*sqlparser.Select)
-	if !ok {
-		return nil, nil, fmt.Errorf("gateway %s: Query requires SELECT", g.site)
-	}
-	if translated, err = g.translateSelect(sel); err != nil {
+	t, err := g.shapes.Get(shapeKey{shape, g.exportVersion.Load()}, func() (*selectTemplate, error) {
+		return g.translateShape(shape, sql)
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	native := g.dialect.Render(translated)
-	reparsed, err := g.dialect.Parse(native)
+	bound, err := sqlparser.Bind(t.native, args)
 	if err != nil {
-		return nil, nil, fmt.Errorf("gateway %s: dialect round-trip: %w", g.site, err)
+		return nil, nil, fmt.Errorf("gateway %s: %w", g.site, err)
 	}
-	if relSel, ok = reparsed.(*sqlparser.Select); !ok {
-		return nil, nil, fmt.Errorf("gateway %s: dialect round-trip changed statement kind", g.site)
-	}
-	return translated, relSel, nil
+	return t.translated, bound.(*sqlparser.Select), nil
 }
+
+// translateShape parses, translates and dialect-round-trips one shape.
+// The dialect text carries the slots as ?, in the order translation
+// keeps them, so the re-parse numbers them as the shape does.
+func (g *Gateway) translateShape(shape, sql string) (*selectTemplate, error) {
+	stmt, err := sqlparser.ParseShape(shape, sql)
+	if err != nil {
+		return nil, fmt.Errorf("gateway %s: %w", g.site, err)
+	}
+	sel, ok := stmt.(*sqlparser.Select)
+	if !ok {
+		return nil, fmt.Errorf("gateway %s: Query requires SELECT", g.site)
+	}
+	translated, err := g.translateSelect(sel)
+	if err != nil {
+		return nil, err
+	}
+	reparsed, err := g.dialect.Parse(g.dialect.Render(translated))
+	if err != nil {
+		return nil, fmt.Errorf("gateway %s: dialect round-trip: %w", g.site, err)
+	}
+	native, ok := reparsed.(*sqlparser.Select)
+	if !ok {
+		return nil, fmt.Errorf("gateway %s: dialect round-trip changed statement kind", g.site)
+	}
+	return &selectTemplate{translated: translated, native: native}, nil
+}
+
+// ShapeCacheStats exposes the translation cache's live counters.
+func (g *Gateway) ShapeCacheStats() *sqlparser.CacheStats { return g.shapes.Stats() }
 
 // Explain renders the access path the component engine would choose
 // for a canonical SELECT — per base relation: heap scan, hash-index

@@ -87,7 +87,7 @@ func (p *Planner) pushAggregates(sel *sqlparser.Select, sets map[string]*ScanSet
 			return nil, false
 		}
 		for i := range ss.Def.Sources {
-			if _, ok := ss.Def.Sources[i].MapFold(cr.Column); !ok {
+			if _, ok := ss.Def.Sources[i].Mapped(cr.Column); !ok {
 				return nil, false
 			}
 		}
@@ -245,11 +245,7 @@ func (p *Planner) pushAggregates(sel *sqlparser.Select, sets map[string]*ScanSet
 			Where: scan.Select.Where,
 		}
 		for _, k := range keys {
-			mapped, _ := src.MapFold(k.col)
-			e, err := sqlparser.ParseExpr(mapped)
-			if err != nil {
-				return nil, false
-			}
+			e, _ := src.Mapped(k.col)
 			grouped.Items = append(grouped.Items, sqlparser.SelectItem{Expr: e, As: k.col})
 			grouped.GroupBy = append(grouped.GroupBy, e)
 		}

@@ -75,6 +75,10 @@ type RemoteScan struct {
 	// with the column's [min, max]). The executor substitutes an empty
 	// fragment instead of contacting the site.
 	Pruned string
+
+	// stats is the fragment's statistics for this execution (nil when
+	// none), pulled once when the scan is made.
+	stats *storage.TableStats
 }
 
 // SQL renders the scan's canonical SQL.
@@ -174,10 +178,75 @@ func New(cat *catalog.Catalog, stats StatsProvider) *Planner {
 	return &Planner{Catalog: cat, Stats: stats, BindMaxKeys: 100000, SemiMinRatio: 4}
 }
 
-// Plan compiles a parsed global SELECT.
+// Template is the part of planning one SELECT that reads no literal
+// and no statistic: relation and alias resolution, the columns each
+// reference needs, and each scan set's skeleton (schema, integration
+// spec, and per source the mapped select items and Filter). It is
+// immutable once built, so one Template serves concurrent executions of
+// a statement shape (see sqlparser.Shape); Instantiate redoes all the
+// rest per execution.
+type Template struct {
+	sel      *sqlparser.Select // ? slots unbound
+	branches []*branchTemplate // one per planned UNION branch, in chain order
+}
+
+// branchTemplate is one UNION branch: a scan-set skeleton per FROM,
+// then per JOIN reference, in query order.
+type branchTemplate struct {
+	sets []*setTemplate
+}
+
+// setTemplate is one scan set's skeleton.
+type setTemplate struct {
+	alias, temp string
+	def         *catalog.IntegratedDef
+	schema      *schema.Schema
+	spec        *integration.Spec
+	scans       []*sqlparser.Select // per source: mapped items, Filter as WHERE
+}
+
+// Plan compiles a parsed global SELECT: Instantiate(Prepare(sel)).
 func (p *Planner) Plan(ctx context.Context, sel *sqlparser.Select, strategy Strategy) (*Plan, error) {
+	t, err := p.Prepare(sel)
+	if err != nil {
+		return nil, err
+	}
+	return p.Instantiate(ctx, t, nil, strategy)
+}
+
+// Prepare builds the Template of sel, which may hold ? slots
+// (sqlparser.Param). The template keeps the catalog definitions it
+// resolved, so a cache of templates must be keyed by the catalog's
+// Version.
+func (p *Planner) Prepare(sel *sqlparser.Select) (*Template, error) {
+	t := &Template{sel: sel}
+	for branch, s := 0, sel; s != nil; branch++ {
+		bt, err := p.prepareBranch(s, branch)
+		if err != nil {
+			return nil, err
+		}
+		t.branches = append(t.branches, bt)
+		if len(bt.sets) == 0 || s.Compound == nil {
+			break // a table-free branch is evaluated whole by the residual
+		}
+		s = s.Compound.Right
+	}
+	return t, nil
+}
+
+// Instantiate plans one execution of t: it binds args into the
+// template's slots, then derives everything that reads a literal or a
+// statistic — estimates and, under CostBased, the pushed selections,
+// source pruning, aggregate and LIMIT pushdown, the bind-join choice and
+// the join order.
+func (p *Planner) Instantiate(ctx context.Context, t *Template, args []value.Value, strategy Strategy) (*Plan, error) {
+	bound, err := sqlparser.Bind(t.sel, args)
+	if err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
+	}
+	sel := bound.(*sqlparser.Select)
 	plan := &Plan{Strategy: strategy, MaxInList: 1000, BindMaxKeys: int(p.BindMaxKeys)}
-	residual, err := p.planSelect(ctx, sel, strategy, plan, 0, false)
+	residual, err := p.planSelect(ctx, sel, t.branches, strategy, plan, 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -185,68 +254,67 @@ func (p *Planner) Plan(ctx context.Context, sel *sqlparser.Select, strategy Stra
 	return plan, nil
 }
 
-// planSelect plans one branch (and its UNION continuations).
+// prepareBranch resolves one UNION branch's references and builds
+// their scan-set skeletons.
+func (p *Planner) prepareBranch(sel *sqlparser.Select, branch int) (*branchTemplate, error) {
+	refs := make([]sqlparser.TableRef, 0, len(sel.From)+len(sel.Joins))
+	refs = append(refs, sel.From...)
+	for _, j := range sel.Joins {
+		refs = append(refs, j.Table)
+	}
+	bt := &branchTemplate{}
+	if len(refs) == 0 {
+		return bt, nil
+	}
+	defs := make([]*catalog.IntegratedDef, len(refs))
+	aliasDef := make(map[string]*catalog.IntegratedDef, len(refs))
+	for i, r := range refs {
+		def, ok := p.Catalog.Integrated(r.Name)
+		if !ok {
+			return nil, fmt.Errorf("planner: no integrated relation %q in federation %s", r.Name, p.Catalog.Federation())
+		}
+		alias := strings.ToLower(r.EffectiveName())
+		if _, dup := aliasDef[alias]; dup {
+			return nil, fmt.Errorf("planner: duplicate relation alias %q", r.EffectiveName())
+		}
+		defs[i], aliasDef[alias] = def, def
+	}
+	needed, err := neededColumns(sel, aliasDef)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range refs {
+		alias := r.EffectiveName()
+		st, err := buildScanSet(defs[i], alias, needed[strings.ToLower(alias)], fmt.Sprintf("t%d_%d_%s", branch, i, strings.ToLower(alias)))
+		if err != nil {
+			return nil, err
+		}
+		bt.sets = append(bt.sets, st)
+	}
+	return bt, nil
+}
+
+// planSelect plans one branch (and its UNION continuations) of the
+// bound statement against its template branches.
 // unionDistinct reports whether any set operation earlier in the chain
 // was a deduplicating UNION, in which case the combined result is
 // deduped before the union-wide LIMIT applies.
-func (p *Planner) planSelect(ctx context.Context, sel *sqlparser.Select, strategy Strategy, plan *Plan, branch int, unionDistinct bool) (*sqlparser.Select, error) {
+func (p *Planner) planSelect(ctx context.Context, sel *sqlparser.Select, branches []*branchTemplate, strategy Strategy, plan *Plan, branch int, unionDistinct bool) (*sqlparser.Select, error) {
 	out := *sel
 	// Copy the slices the planner rewrites so the caller's AST survives.
 	out.From = append([]sqlparser.TableRef{}, sel.From...)
 	out.Joins = append([]sqlparser.Join{}, sel.Joins...)
 
-	// Resolve the FROM references to integrated relations.
-	type refInfo struct {
-		ref  sqlparser.TableRef
-		def  *catalog.IntegratedDef
-		join *sqlparser.Join // nil for FROM entries
-	}
-	var refs []refInfo
-	for _, r := range sel.From {
-		def, ok := p.Catalog.Integrated(r.Name)
-		if !ok {
-			return nil, fmt.Errorf("planner: no integrated relation %q in federation %s", r.Name, p.Catalog.Federation())
-		}
-		refs = append(refs, refInfo{ref: r, def: def})
-	}
-	for i := range sel.Joins {
-		j := &sel.Joins[i]
-		def, ok := p.Catalog.Integrated(j.Table.Name)
-		if !ok {
-			return nil, fmt.Errorf("planner: no integrated relation %q in federation %s", j.Table.Name, p.Catalog.Federation())
-		}
-		refs = append(refs, refInfo{ref: j.Table, def: def, join: j})
-	}
-	if len(refs) == 0 {
+	bt := branches[branch]
+	if len(bt.sets) == 0 {
 		// Table-free SELECT: residual evaluates it directly.
 		return &out, nil
 	}
-
-	aliasDef := make(map[string]*catalog.IntegratedDef, len(refs))
-	for _, ri := range refs {
-		alias := strings.ToLower(ri.ref.EffectiveName())
-		if _, dup := aliasDef[alias]; dup {
-			return nil, fmt.Errorf("planner: duplicate relation alias %q", ri.ref.EffectiveName())
-		}
-		aliasDef[alias] = ri.def
-	}
-
-	needed, err := neededColumns(sel, refs[0].def, aliasDef)
-	if err != nil {
-		return nil, err
-	}
-
-	// Build a scan set per reference.
-	sets := make(map[string]*ScanSet, len(refs))
-	for i, ri := range refs {
-		alias := ri.ref.EffectiveName()
-		cols := needed[strings.ToLower(alias)]
-		ss, err := p.buildScanSet(ctx, ri.def, alias, cols, fmt.Sprintf("t%d_%d_%s", branch, i, strings.ToLower(alias)))
-		if err != nil {
-			return nil, err
-		}
+	sets := make(map[string]*ScanSet, len(bt.sets))
+	for _, st := range bt.sets {
+		ss := p.instantiateSet(ctx, st)
 		plan.ScanSets = append(plan.ScanSets, ss)
-		sets[strings.ToLower(alias)] = ss
+		sets[strings.ToLower(st.alias)] = ss
 	}
 
 	if strategy == CostBased {
@@ -261,11 +329,11 @@ func (p *Planner) planSelect(ctx context.Context, sel *sqlparser.Select, strateg
 		// pruned source under partial aggregation would drop its
 		// zero-count partial row, which is not the same as contributing
 		// nothing (SUM over no partials is NULL, not 0).
-		p.pruneSources(ctx, sets)
+		pruneSources(sets)
 		if nl := p.pushLimit(sel, sets, branch > 0, unionDistinct); nl != nil {
 			out.Limit = nl
 		}
-		p.chooseSemijoin(ctx, sel, sets, plan)
+		p.chooseSemijoin(sel, sets, plan)
 		reorderJoins(&out, sets)
 	}
 
@@ -280,7 +348,7 @@ func (p *Planner) planSelect(ctx context.Context, sel *sqlparser.Select, strateg
 	}
 
 	if sel.Compound != nil {
-		right, err := p.planSelect(ctx, sel.Compound.Right, strategy, plan, branch+1, unionDistinct || !sel.Compound.All)
+		right, err := p.planSelect(ctx, sel.Compound.Right, branches, strategy, plan, branch+1, unionDistinct || !sel.Compound.All)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +359,7 @@ func (p *Planner) planSelect(ctx context.Context, sel *sqlparser.Select, strateg
 
 // neededColumns computes, per alias, which integrated columns the query
 // references (plus merge keys). A star pulls in every column.
-func neededColumns(sel *sqlparser.Select, _ *catalog.IntegratedDef, aliasDef map[string]*catalog.IntegratedDef) (map[string][]string, error) {
+func neededColumns(sel *sqlparser.Select, aliasDef map[string]*catalog.IntegratedDef) (map[string][]string, error) {
 	need := make(map[string]map[string]bool, len(aliasDef))
 	for a := range aliasDef {
 		need[a] = make(map[string]bool)
@@ -419,9 +487,11 @@ func neededColumns(sel *sqlparser.Select, _ *catalog.IntegratedDef, aliasDef map
 	return out, nil
 }
 
-// buildScanSet constructs the per-source scans for one integrated
-// relation reference projected to cols.
-func (p *Planner) buildScanSet(ctx context.Context, def *catalog.IntegratedDef, alias string, cols []string, temp string) (*ScanSet, error) {
+// buildScanSet constructs the skeleton of one integrated relation
+// reference projected to cols: per source, each temp column is either
+// the mapped expression (aliased to the integrated name) or a NULL
+// literal, so all sources align positionally, under the source Filter.
+func buildScanSet(def *catalog.IntegratedDef, alias string, cols []string, temp string) (*setTemplate, error) {
 	sc := &schema.Schema{Table: temp}
 	for _, c := range cols {
 		ci := def.ColIndex(c)
@@ -453,59 +523,49 @@ func (p *Planner) buildScanSet(ctx context.Context, def *catalog.IntegratedDef, 
 		}
 	}
 
-	ss := &ScanSet{Alias: alias, TempTable: temp, Schema: sc, Def: def, Spec: spec}
-	for _, src := range def.Sources {
-		scan, est, err := p.buildScan(ctx, &src, sc)
-		if err != nil {
-			return nil, err
+	st := &setTemplate{alias: alias, temp: temp, def: def, schema: sc, spec: spec}
+	for i := range def.Sources {
+		src := &def.Sources[i]
+		sel := &sqlparser.Select{From: []sqlparser.TableRef{{Name: src.Export}}, Where: src.FilterExpr()}
+		for _, c := range sc.Columns {
+			e, ok := src.Mapped(c.Name)
+			if !ok {
+				e = &sqlparser.Literal{Val: value.Null()}
+			}
+			sel.Items = append(sel.Items, sqlparser.SelectItem{Expr: e, As: c.Name})
 		}
-		scan.EstRows = est
-		ss.Scans = append(ss.Scans, scan)
-		ss.EstRows += est
+		st.scans = append(st.scans, sel)
 	}
-	if def.Combine != integration.UnionAll && ss.EstRows > 1 {
+	return st, nil
+}
+
+// instantiateSet makes one execution's scan set from its skeleton,
+// estimating each source's rows from its statistics. Each scan gets its
+// own copy of the skeleton's Select, which the cost-based rewrites
+// extend; the skeleton's items and filter are shared and never
+// modified.
+func (p *Planner) instantiateSet(ctx context.Context, st *setTemplate) *ScanSet {
+	ss := &ScanSet{Alias: st.alias, TempTable: st.temp, Schema: st.schema, Def: st.def, Spec: st.spec,
+		Scans: make([]*RemoteScan, 0, len(st.scans))}
+	for i := range st.def.Sources {
+		src := &st.def.Sources[i]
+		sel := *st.scans[i]
+		scan := &RemoteScan{Site: src.Site, Select: &sel, EstRows: 1000}
+		if ts, ok := p.sourceStats(ctx, src.Site, src.Export); ok {
+			scan.stats = ts
+			scan.EstRows = float64(ts.Rows)
+			if f := src.FilterExpr(); f != nil {
+				scan.EstRows *= estimateSelectivity(f, ts)
+			}
+		}
+		ss.Scans = append(ss.Scans, scan)
+		ss.EstRows += scan.EstRows
+	}
+	if st.def.Combine != integration.UnionAll && ss.EstRows > 1 {
 		// Dedup/merge reduces cardinality; assume mild overlap.
 		ss.EstRows *= 0.75
 	}
-	return ss, nil
-}
-
-// buildScan produces the canonical per-source subquery: each temp column
-// is either the mapped expression (aliased to the integrated name) or a
-// NULL literal, so all sources align positionally.
-func (p *Planner) buildScan(ctx context.Context, src *catalog.SourceDef, tempSchema *schema.Schema) (*RemoteScan, float64, error) {
-	sel := &sqlparser.Select{From: []sqlparser.TableRef{{Name: src.Export}}}
-	for _, c := range tempSchema.Columns {
-		mapped, ok := src.MapFold(c.Name)
-		var e sqlparser.Expr
-		if !ok {
-			e = &sqlparser.Literal{Val: value.Null()}
-		} else {
-			var err error
-			if e, err = sqlparser.ParseExpr(mapped); err != nil {
-				return nil, 0, fmt.Errorf("planner: source %s.%s column %s: %w", src.Site, src.Export, c.Name, err)
-			}
-		}
-		sel.Items = append(sel.Items, sqlparser.SelectItem{Expr: e, As: c.Name})
-	}
-	if src.Filter != "" {
-		f, err := sqlparser.ParseExpr(src.Filter)
-		if err != nil {
-			return nil, 0, fmt.Errorf("planner: source %s.%s filter: %w", src.Site, src.Export, err)
-		}
-		sel.Where = f
-	}
-
-	est := 1000.0
-	if ts, ok := p.sourceStats(ctx, src.Site, src.Export); ok {
-		est = float64(ts.Rows)
-		if src.Filter != "" {
-			if f, err := sqlparser.ParseExpr(src.Filter); err == nil {
-				est *= estimateSelectivity(f, ts)
-			}
-		}
-	}
-	return &RemoteScan{Site: src.Site, Select: sel}, est, nil
+	return ss
 }
 
 // sourceStats resolves statistics for one export fragment: per-site
@@ -548,8 +608,8 @@ func (p *Planner) pushSelections(sel *sqlparser.Select, sets map[string]*ScanSet
 			} else {
 				scan.Select.Where = &sqlparser.BinaryExpr{Op: "AND", L: scan.Select.Where, R: translated}
 			}
-			if ts, hasStats := p.sourceStats(context.Background(), src.Site, src.Export); hasStats {
-				scan.EstRows *= estimateSelectivity(translated, ts)
+			if scan.stats != nil {
+				scan.EstRows *= estimateSelectivity(translated, scan.stats)
 			} else {
 				scan.EstRows *= 0.25
 			}
@@ -576,20 +636,14 @@ func (p *Planner) pushSelections(sel *sqlparser.Select, sets map[string]*ScanSet
 // target is unknown or the transaction was replayed from the log);
 // writes the coordinator never saw must call
 // Federation.InvalidateStats (see internal/planner/README.md).
-func (p *Planner) pruneSources(ctx context.Context, sets map[string]*ScanSet) {
+func pruneSources(sets map[string]*ScanSet) {
 	for _, ss := range sets {
 		changed := false
-		for i := range ss.Def.Sources {
-			src := &ss.Def.Sources[i]
-			scan := ss.Scans[i]
-			if scan.Pruned != "" {
+		for _, scan := range ss.Scans {
+			if scan.Pruned != "" || scan.stats == nil {
 				continue
 			}
-			ts, ok := p.sourceStats(ctx, src.Site, src.Export)
-			if !ok {
-				continue
-			}
-			if reason := proveEmpty(scan.Select.Where, ts); reason != "" {
+			if reason := proveEmpty(scan.Select.Where, scan.stats); reason != "" {
 				scan.Pruned = reason
 				scan.EstRows = 0
 				changed = true
@@ -658,8 +712,7 @@ func proveEmpty(where sqlparser.Expr, ts *storage.TableStats) string {
 				disjoint = cmpMax > 0
 			}
 			if disjoint {
-				return fmt.Sprintf("%s %s %s disjoint with [%s, %s]",
-					col, op, lit.Text(), cs.Min.Text(), cs.Max.Text())
+				return col + " " + op + " " + lit.Text() + " disjoint with [" + cs.Min.Text() + ", " + cs.Max.Text() + "]"
 			}
 		case *sqlparser.BetweenExpr:
 			if x.Not {
@@ -850,7 +903,7 @@ func scanOrdering(orderBy []sqlparser.OrderItem, ss *ScanSet) []schema.SortKey {
 // The decision is stats-driven: estimated distinct keys must fit the
 // configured cap and the probe fragments must be big enough that keys
 // out + matches back beats shipping the fragments whole.
-func (p *Planner) chooseSemijoin(ctx context.Context, sel *sqlparser.Select, sets map[string]*ScanSet, plan *Plan) {
+func (p *Planner) chooseSemijoin(sel *sqlparser.Select, sets map[string]*ScanSet, plan *Plan) {
 	maxIn := plan.MaxInList
 	if maxIn <= 0 {
 		maxIn = 1000
@@ -896,7 +949,7 @@ func (p *Planner) chooseSemijoin(ctx context.Context, sel *sqlparser.Select, set
 		if probes == 0 {
 			continue // every probe fragment pruned; nothing to reduce
 		}
-		keys := p.estimateKeys(ctx, small, smallCol)
+		keys := estimateKeys(small, smallCol)
 		if keys > maxKeys {
 			continue // IN-lists would exceed the configured key budget
 		}
@@ -904,7 +957,7 @@ func (p *Planner) chooseSemijoin(ctx context.Context, sel *sqlparser.Select, set
 		// pays keys out (once per live probe scan) plus matches back,
 		// against ship-all's full fragment set.
 		match := big.EstRows
-		if bd := p.estimateKeys(ctx, big, bigCol); bd > 0 && keys < bd {
+		if bd := estimateKeys(big, bigCol); bd > 0 && keys < bd {
 			match = big.EstRows * keys / bd
 		}
 		if big.EstRows < keys*p.SemiMinRatio || big.EstRows <= keys*float64(probes)+match {
@@ -920,14 +973,9 @@ func (p *Planner) chooseSemijoin(ctx context.Context, sel *sqlparser.Select, set
 		// Every probe source must map the probe column.
 		probeExprs := make([]sqlparser.Expr, len(big.Def.Sources))
 		allMapped := true
-		for i, src := range big.Def.Sources {
-			mapped, ok := src.MapFold(bigCol)
+		for i := range big.Def.Sources {
+			e, ok := big.Def.Sources[i].Mapped(bigCol)
 			if !ok {
-				allMapped = false
-				break
-			}
-			e, err := sqlparser.ParseExpr(mapped)
-			if err != nil {
 				allMapped = false
 				break
 			}
@@ -981,7 +1029,7 @@ func comparableJoinCols(a *catalog.IntegratedDef, acol string, b *catalog.Integr
 // estimateKeys estimates the distinct values of integrated column col
 // across ss's live scans: per scan, the column's distinct count capped
 // by the scan's post-pushdown row estimate, summed (floored at 1).
-func (p *Planner) estimateKeys(ctx context.Context, ss *ScanSet, col string) float64 {
+func estimateKeys(ss *ScanSet, col string) float64 {
 	total := 0.0
 	for i := range ss.Def.Sources {
 		src := &ss.Def.Sources[i]
@@ -990,14 +1038,10 @@ func (p *Planner) estimateKeys(ctx context.Context, ss *ScanSet, col string) flo
 			continue
 		}
 		d := scan.EstRows
-		if mapped, ok := src.MapFold(col); ok {
-			if e, err := sqlparser.ParseExpr(mapped); err == nil {
-				if cr, isCol := e.(*sqlparser.ColumnRef); isCol {
-					if ts, found := p.sourceStats(ctx, src.Site, src.Export); found {
-						if cs, has := ts.Col(cr.Column); has && cs.Distinct > 0 && float64(cs.Distinct) < d {
-							d = float64(cs.Distinct)
-						}
-					}
+		if e, ok := src.Mapped(col); ok && scan.stats != nil {
+			if cr, isCol := e.(*sqlparser.ColumnRef); isCol {
+				if cs, has := scan.stats.Col(cr.Column); has && cs.Distinct > 0 && float64(cs.Distinct) < d {
+					d = float64(cs.Distinct)
 				}
 			}
 		}
@@ -1122,17 +1166,12 @@ func translateExpr(e sqlparser.Expr, src *catalog.SourceDef, alias string) (sqlp
 			ok = false
 			return x
 		}
-		mapped, found := src.MapFold(cr.Column)
+		mapped, found := src.Mapped(cr.Column)
 		if !found {
 			ok = false
 			return x
 		}
-		me, err := sqlparser.ParseExpr(mapped)
-		if err != nil {
-			ok = false
-			return x
-		}
-		return me
+		return mapped
 	})
 	if !ok {
 		return nil, false

@@ -583,3 +583,93 @@ func TestUnionPlan(t *testing.T) {
 }
 
 func contextBG() context.Context { return context.Background() }
+
+type queryCtxKey struct{}
+
+// ctxStats serves statistics and counts the pulls made without the
+// query's context.
+type ctxStats struct{ pulls, detached int }
+
+func (s *ctxStats) Stats(ctx context.Context, site, export string) (*storage.TableStats, bool) {
+	s.pulls++
+	if ctx.Value(queryCtxKey{}) == nil {
+		s.detached++
+	}
+	return &storage.TableStats{Table: export, Rows: 100, Columns: []storage.ColumnStats{
+		{Name: "gpa", Distinct: 10, Min: value.NewFloat(0), Max: value.NewFloat(4)},
+	}}, true
+}
+
+// TestStatsPullsCarryQueryContext: every statistics pull, the
+// selection pushdown's included, runs under the query's context, so a
+// cold pull honours its deadline and cancellation.
+func TestStatsPullsCarryQueryContext(t *testing.T) {
+	st := &ctxStats{}
+	p := New(testCatalog(t), st)
+	stmt, err := sqlparser.Parse(`SELECT name FROM S WHERE gpa > 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.WithValue(context.Background(), queryCtxKey{}, true)
+	if _, err := p.Plan(ctx, stmt.(*sqlparser.Select), CostBased); err != nil {
+		t.Fatal(err)
+	}
+	if st.pulls == 0 || st.detached != 0 {
+		t.Fatalf("%d of %d stats pulls ran without the query's context", st.detached, st.pulls)
+	}
+}
+
+// TestTemplateInstantiatesLikeAFreshPlan: one template, bound with
+// different literals, plans each execution exactly as planning the
+// literal statement from scratch does, and stays unchanged.
+func TestTemplateInstantiatesLikeAFreshPlan(t *testing.T) {
+	stats := fixedStats{
+		"east/student": {Table: "STUDENT", Rows: 100, Columns: []storage.ColumnStats{
+			{Name: "id", Distinct: 100, Min: value.NewInt(0), Max: value.NewInt(99)}}},
+		"west/student": {Table: "STUDENT", Rows: 100, Columns: []storage.ColumnStats{
+			{Name: "id", Distinct: 100, Min: value.NewInt(100), Max: value.NewInt(199)}}},
+	}
+	p := New(testCatalog(t), stats)
+	key, _, err := sqlparser.Shape(`SELECT name, campus FROM S WHERE id = 1 ORDER BY name LIMIT 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := sqlparser.Parse(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, err := p.Prepare(stmt.(*sqlparser.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := map[int64]string{}
+	for _, strat := range []Strategy{Simple, CostBased} {
+		// id 5 prunes west, id 150 prunes east, id 500 prunes both.
+		for _, id := range []int64{5, 150, 500, 5} {
+			got, err := p.Instantiate(context.Background(), tmpl, []value.Value{value.NewInt(id)}, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := mustPlan(t, p, strings.Replace(`SELECT name, campus FROM S WHERE id = ? ORDER BY name LIMIT 3`, "?", value.NewInt(id).Text(), 1), strat)
+			if got.Describe() != want.Describe() {
+				t.Fatalf("%v id %d: template plan\n%s\nfresh plan\n%s", strat, id, got.Describe(), want.Describe())
+			}
+			if strat == CostBased {
+				for _, sc := range got.ScanSets[0].Scans {
+					if sc.Pruned != "" {
+						pruned[id] += sc.Site + " "
+					}
+				}
+			}
+		}
+	}
+	if pruned[5] != "west west " || pruned[150] != "east " || pruned[500] != "east west " {
+		t.Fatalf("pruned sites per id: %v", pruned)
+	}
+	if got := sqlparser.FormatStatement(stmt, nil); got != key {
+		t.Fatalf("template changed: %q, was %q", got, key)
+	}
+	if _, err := p.Instantiate(context.Background(), tmpl, nil, CostBased); err == nil {
+		t.Fatal("instantiated a template with an unbound slot")
+	}
+}

@@ -246,6 +246,15 @@ type SlotRef struct {
 	Slot int
 }
 
+// Param is a ? slot of a statement template (see Shape): the literal
+// at that position, lifted out so one parse serves every execution of
+// the shape. Index counts the template's slots from 0 in source order.
+// Bind replaces each Param with its argument; an executor never sees
+// one.
+type Param struct {
+	Index int
+}
+
 func (*Literal) expr()     {}
 func (*ColumnRef) expr()   {}
 func (*BinaryExpr) expr()  {}
@@ -256,6 +265,7 @@ func (*BetweenExpr) expr() {}
 func (*FuncExpr) expr()    {}
 func (*CaseExpr) expr()    {}
 func (*SlotRef) expr()     {}
+func (*Param) expr()       {}
 
 // AggregateFuncs is the set of aggregate function names the executor
 // understands.

@@ -6,11 +6,12 @@ import (
 	"unicode/utf8"
 )
 
-// lexer converts SQL text into a token stream. It is only used by the
-// parser; errors surface as *Error with byte offsets.
+// lexer converts SQL text into a token stream for the parser and for
+// Shape; errors surface as *Error with byte offsets.
 type lexer struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	slots int // ? slots lexed so far
 }
 
 func newLexer(src string) *lexer { return &lexer{src: src} }
@@ -71,6 +72,10 @@ func (l *lexer) next() (token, error) {
 		return l.lexString()
 	case c == '"':
 		return l.lexQuotedIdent()
+	case c == '?':
+		l.pos++
+		l.slots++
+		return token{kind: tokParam, val: "?", pos: start, slot: l.slots - 1}, nil
 	}
 	// Multi-byte operators first.
 	two := ""
@@ -105,9 +110,8 @@ func (l *lexer) lexIdent() token {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
-	upper := strings.ToUpper(word)
-	if keywords[upper] {
-		return token{kind: tokKeyword, val: upper, pos: start}
+	if kw, ok := keyword(word); ok {
+		return token{kind: tokKeyword, val: kw, pos: start}
 	}
 	return token{kind: tokIdent, val: word, pos: start}
 }

@@ -1104,17 +1104,17 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if !strings.ContainsAny(lit, ".eE") {
-			i, err := strconv.ParseInt(lit, 10, 64)
-			if err == nil {
-				return &Literal{Val: value.NewInt(i)}, nil
-			}
-		}
-		f, err := strconv.ParseFloat(lit, 64)
-		if err != nil {
+		v, ok := numberValue(lit)
+		if !ok {
 			return nil, errf(p.tok.pos, "bad number %q", lit)
 		}
-		return &Literal{Val: value.NewFloat(f)}, nil
+		return &Literal{Val: v}, nil
+	case p.tok.kind == tokParam:
+		slot := p.tok.slot
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+		return &Param{Index: slot}, nil
 	case p.tok.kind == tokString:
 		s := p.tok.val
 		if err := p.advance(); err != nil {
@@ -1172,6 +1172,21 @@ func (p *parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, errf(p.tok.pos, "expected expression, found %s", p.tok)
 	}
+}
+
+// numberValue converts a number token: an integer when it has no '.'
+// or exponent and fits int64, a float otherwise.
+func numberValue(lit string) (value.Value, bool) {
+	if !strings.ContainsAny(lit, ".eE") {
+		if i, err := strconv.ParseInt(lit, 10, 64); err == nil {
+			return value.NewInt(i), true
+		}
+	}
+	f, err := strconv.ParseFloat(lit, 64)
+	if err != nil {
+		return value.Value{}, false
+	}
+	return value.NewFloat(f), true
 }
 
 func (p *parser) parseFuncCall(name string) (Expr, error) {

@@ -359,3 +359,19 @@ func TestParseIntPropertyRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestKeywordLookup(t *testing.T) {
+	for w := range keywords {
+		if len(w) > maxKeyword {
+			t.Errorf("keyword %s is longer than maxKeyword", w)
+		}
+		if kw, ok := keyword(strings.ToLower(w)); !ok || kw != w {
+			t.Errorf("keyword(%q) = %q, %v", strings.ToLower(w), kw, ok)
+		}
+	}
+	for _, w := range []string{"selects", "sel", "ordered", "", "distinctly"} {
+		if _, ok := keyword(w); ok {
+			t.Errorf("keyword(%q) matched", w)
+		}
+	}
+}

@@ -49,7 +49,7 @@ func defaultIdent(s string) string {
 			plain = false
 		}
 	}
-	if plain && !keywords[strings.ToUpper(s)] {
+	if _, kw := keyword(s); plain && !kw {
 		return s
 	}
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
@@ -101,6 +101,7 @@ func (e *BetweenExpr) String() string { return FormatExpr(e, nil) }
 func (e *FuncExpr) String() string    { return FormatExpr(e, nil) }
 func (e *CaseExpr) String() string    { return FormatExpr(e, nil) }
 func (e *SlotRef) String() string     { return FormatExpr(e, nil) }
+func (e *Param) String() string       { return FormatExpr(e, nil) }
 
 func writeStatement(b *strings.Builder, s Statement, st *Style) {
 	switch x := s.(type) {
@@ -458,6 +459,8 @@ func writeExpr(b *strings.Builder, e Expr, st *Style) {
 	case *SlotRef:
 		b.WriteString("$")
 		b.WriteString(strconv.Itoa(x.Slot))
+	case *Param:
+		b.WriteByte('?')
 	case *CaseExpr:
 		b.WriteString("CASE")
 		for _, w := range x.Whens {

@@ -1,6 +1,9 @@
 package sqlparser
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // tokenKind classifies lexical tokens.
 type tokenKind uint8
@@ -12,6 +15,7 @@ const (
 	tokString
 	tokOp      // punctuation and operators: ( ) , . + - * / % = <> != < <= > >= ||
 	tokKeyword // reserved word, normalized to upper case in val
+	tokParam   // a ? slot of a statement template; slot is its index
 )
 
 // token is one lexical token with its source position (byte offset).
@@ -19,6 +23,7 @@ type token struct {
 	kind tokenKind
 	val  string
 	pos  int
+	slot int // tokParam only: the slot's index in source order
 }
 
 func (t token) String() string {
@@ -32,22 +37,40 @@ func (t token) String() string {
 	}
 }
 
-// keywords is the reserved-word set of the MYRIAD SQL subset.
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
-	"GROUP": true, "BY": true, "HAVING": true, "ORDER": true,
-	"ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true,
-	"UNION": true, "ALL": true, "AS": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "OUTER": true, "ON": true,
-	"INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true, "DELETE": true,
-	"CREATE": true, "TABLE": true, "DROP": true, "INDEX": true,
-	"PRIMARY": true, "KEY": true, "NOT": true, "NULL": true, "UNIQUE": true,
-	"AND": true, "OR": true, "IN": true, "BETWEEN": true, "LIKE": true,
-	"IS": true, "TRUE": true, "FALSE": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "WORK": true,
-	"EXISTS": true, "FETCH": true, "FIRST": true, "ROWS": true, "ONLY": true,
+// keywords maps each reserved word of the MYRIAD SQL subset to itself,
+// so a lookup can return the canonical spelling (see keyword).
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, w := range strings.Fields(`
+	SELECT DISTINCT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT OFFSET
+	UNION ALL AS JOIN INNER LEFT OUTER ON INSERT INTO VALUES UPDATE SET
+	DELETE CREATE TABLE DROP INDEX PRIMARY KEY NOT NULL UNIQUE AND OR IN
+	BETWEEN LIKE IS TRUE FALSE CASE WHEN THEN ELSE END BEGIN COMMIT
+	ROLLBACK WORK EXISTS FETCH FIRST ROWS ONLY`) {
+		m[w] = w
+	}
+	return m
+}()
+
+// maxKeyword is the length of the longest keyword.
+const maxKeyword = 8
+
+// keyword reports whether word (ASCII, any case) is a reserved word, and
+// returns its upper-case spelling. It does not allocate.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeyword {
+		return "", false
+	}
+	var buf [maxKeyword]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // Error is a parse or lex error with the byte offset in the input.

@@ -113,23 +113,13 @@ func (o *Oracle) load(ctx context.Context, fed *core.Federation, def *catalog.In
 // as its mapped expression (NULL where unmapped), under the source
 // filter, in the order the site returns them.
 func sourceRows(ctx context.Context, fed *core.Federation, def *catalog.IntegratedDef, src *catalog.SourceDef) ([]schema.Row, error) {
-	sel := &sqlparser.Select{From: []sqlparser.TableRef{{Name: src.Export}}}
+	sel := &sqlparser.Select{From: []sqlparser.TableRef{{Name: src.Export}}, Where: src.FilterExpr()}
 	for _, c := range def.Columns {
-		var e sqlparser.Expr = &sqlparser.Literal{Val: value.Null()}
-		if mapped, ok := src.MapFold(c.Name); ok {
-			var err error
-			if e, err = sqlparser.ParseExpr(mapped); err != nil {
-				return nil, err
-			}
+		e, ok := src.Mapped(c.Name)
+		if !ok {
+			e = &sqlparser.Literal{Val: value.Null()}
 		}
 		sel.Items = append(sel.Items, sqlparser.SelectItem{Expr: e, As: c.Name})
-	}
-	if src.Filter != "" {
-		f, err := sqlparser.ParseExpr(src.Filter)
-		if err != nil {
-			return nil, err
-		}
-		sel.Where = f
 	}
 	conn, ok := fed.Conn(src.Site)
 	if !ok {
