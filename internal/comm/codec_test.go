@@ -346,26 +346,30 @@ func TestSocketWritesPerExchange(t *testing.T) {
 	}); cw != 1 || sw != 1 {
 		t.Fatalf("Do: %d client and %d server writes, want 1 and 1", cw, sw)
 	}
-	for _, tc := range []struct{ rows, serverWrites int }{
-		{0, 1},
-		{1, 1},
-		{DefaultBatchRows, 1},
-		{DefaultBatchRows + 1, 2},
-		{3*DefaultBatchRows + 1, 4},
-	} {
-		cw, sw := writes(func() {
-			st, err := c.DoStream(ctx, &Request{Op: OpQuery, SQL: fmt.Sprintf("rows:%d", tc.rows)})
-			if err != nil {
-				t.Fatal(err)
+	// Rows packed by Row and rows handed over as encoded batches flush
+	// alike: a batch waits for the next one or the trailer.
+	for _, mode := range []string{"", ":batches"} {
+		for _, tc := range []struct{ rows, serverWrites int }{
+			{0, 1},
+			{1, 1},
+			{DefaultBatchRows, 1},
+			{DefaultBatchRows + 1, 2},
+			{3*DefaultBatchRows + 1, 4},
+		} {
+			cw, sw := writes(func() {
+				st, err := c.DoStream(ctx, &Request{Op: OpQuery, SQL: fmt.Sprintf("rows:%d%s", tc.rows, mode)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := len(drainStream(t, st)); got != tc.rows || st.RowCount() != tc.rows {
+					t.Fatalf("%d rows, trailer count %d, want %d", got, st.RowCount(), tc.rows)
+				}
+				st.Close()
+			})
+			if cw != 1 || sw != int64(tc.serverWrites) {
+				t.Fatalf("stream of %d rows%s: %d client and %d server writes, want 1 and %d",
+					tc.rows, mode, cw, sw, tc.serverWrites)
 			}
-			if got := len(drainStream(t, st)); got != tc.rows {
-				t.Fatalf("%d rows, want %d", got, tc.rows)
-			}
-			st.Close()
-		})
-		if cw != 1 || sw != int64(tc.serverWrites) {
-			t.Fatalf("stream of %d rows: %d client and %d server writes, want 1 and %d",
-				tc.rows, cw, sw, tc.serverWrites)
 		}
 	}
 }

@@ -81,11 +81,15 @@ func kindOf(err error) ErrKind {
 }
 
 // RowSink receives a streaming response as it is produced. Header must
-// be called exactly once before any Row. Both return an error when the
-// client is gone; the handler should stop producing.
+// be called exactly once before any Row or Batch. Batch takes n rows
+// already in the row codec (value.AppendRow encodings back to back) and
+// sends them as one batch frame; Row packs rows into frames itself. All
+// return an error when the client is gone; the handler should stop
+// producing.
 type RowSink interface {
 	Header(columns []string) error
 	Row(row schema.Row) error
+	Batch(n int, payload []byte) error
 }
 
 // StreamHandler is implemented by handlers that can produce a query
@@ -179,6 +183,34 @@ func (w *frameWriter) Row(row schema.Row) error {
 	return nil
 }
 
+// Batch sends n encoded rows as one batch frame of their own, after any
+// rows Row has pending. It follows Row's flush rule at batch
+// granularity: a batch waits in the buffer until another batch or the
+// trailer follows it, so a result of one batch is one socket write.
+func (w *frameWriter) Batch(n int, payload []byte) error {
+	if w.writeErr != nil {
+		return w.writeErr
+	}
+	if !w.headerSent {
+		return errors.New("comm: stream batch before header")
+	}
+	if err := w.appendBatch(); err != nil {
+		return err
+	}
+	if w.batchDone {
+		w.batchDone = false
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	if err := w.append(&Frame{Kind: FrameBatch, N: n, Payload: payload}); err != nil {
+		return err
+	}
+	w.count += n
+	w.batchDone = true
+	return nil
+}
+
 // appendBatch moves the pending rows into the output buffer as one
 // batch frame.
 func (w *frameWriter) appendBatch() error {
@@ -259,6 +291,7 @@ type Stream struct {
 	batch []schema.Row
 	bpos  int
 	count int
+	scan  value.RowScanner // checks the batches NextBatch hands over
 
 	mu        sync.Mutex
 	done      bool  // trailer consumed: conn is clean
@@ -369,15 +402,18 @@ func (s *Stream) fail(err error) error {
 	return s.err
 }
 
-func (s *Stream) consumeTrailer(f *Frame) {
+// consumeTrailer records the trailer and returns the stream's terminal
+// error, if any.
+func (s *Stream) consumeTrailer(f *Frame) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.done = true
 	s.count = f.Count
 	if f.Err != "" && s.err == nil {
 		resp := &Response{Err: f.Err, Kind: f.ErrKind}
 		s.err = resp.AsError()
 	}
-	s.mu.Unlock()
+	return s.err
 }
 
 // Next returns the next row, or (nil, nil) once the trailer has been
@@ -405,17 +441,11 @@ func (s *Stream) Next() (schema.Row, error) {
 			// every text out of it.
 			batch, err := value.DecodeRows(s.batch[:0], f.N, f.Payload)
 			if err != nil {
-				// Unread frames may follow; the trailer is never consumed,
-				// so Close marks the conn broken.
-				return nil, s.fail(fmt.Errorf("%w: batch from %s: %w", ProtocolError, s.c.addr, err))
+				return nil, s.badBatch(err)
 			}
 			s.batch, s.bpos = batch, 0
 		case FrameTrailer:
-			s.consumeTrailer(&f)
-			s.mu.Lock()
-			err := s.err
-			s.mu.Unlock()
-			return nil, err
+			return nil, s.consumeTrailer(&f)
 		default:
 			return nil, s.fail(fmt.Errorf("%w: frame kind %d mid-stream", ProtocolError, f.Kind))
 		}
@@ -423,6 +453,60 @@ func (s *Stream) Next() (schema.Row, error) {
 	r := s.batch[s.bpos]
 	s.bpos++
 	return r, nil
+}
+
+// NextBatch returns the next batch frame's rows still encoded, checked
+// exactly as Next checks a batch and with the same failure, in a
+// payload the caller owns; a zero Batch once the trailer has been
+// consumed with no error. A stream is read by Next or by NextBatch,
+// never both.
+func (s *Stream) NextBatch() (schema.Batch, error) {
+	s.mu.Lock()
+	err, done, released := s.err, s.done, s.released
+	s.mu.Unlock()
+	if err != nil {
+		return schema.Batch{}, err
+	}
+	if done || released {
+		return schema.Batch{}, nil
+	}
+	for {
+		var f Frame
+		if err := s.readFrame(&f); err != nil {
+			return schema.Batch{}, err
+		}
+		switch f.Kind {
+		case FrameBatch:
+			if err := s.scan.Reset(f.Payload, f.N); err != nil {
+				return schema.Batch{}, s.badBatch(err)
+			}
+			for {
+				_, _, ok, err := s.scan.Next()
+				if err != nil {
+					return schema.Batch{}, s.badBatch(err)
+				}
+				if !ok {
+					break
+				}
+			}
+			if f.N > 0 {
+				// The payload aliases the connection's read buffer, which
+				// the next frame overwrites.
+				return schema.Batch{N: f.N, Payload: append([]byte(nil), f.Payload...)}, nil
+			}
+		case FrameTrailer:
+			return schema.Batch{}, s.consumeTrailer(&f)
+		default:
+			return schema.Batch{}, s.fail(fmt.Errorf("%w: frame kind %d mid-stream", ProtocolError, f.Kind))
+		}
+	}
+}
+
+// badBatch fails the stream on a batch that does not decode. Unread
+// frames may follow; the trailer is never consumed, so Close marks the
+// conn broken.
+func (s *Stream) badBatch(err error) error {
+	return s.fail(fmt.Errorf("%w: batch from %s: %w", ProtocolError, s.c.addr, err))
 }
 
 // AsRowStream adapts the stream to schema.RowStream. errMap, when
@@ -452,6 +536,20 @@ func (a *rowStreamAdapter) Next(ctx context.Context) (schema.Row, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// Batched: a wire stream always hands over its batch frames.
+func (a *rowStreamAdapter) Batched() bool { return true }
+
+func (a *rowStreamAdapter) NextBatch(ctx context.Context) (schema.Batch, error) {
+	if err := schema.Canceled(ctx); err != nil {
+		return schema.Batch{}, err
+	}
+	b, err := a.st.NextBatch()
+	if err != nil && a.errMap != nil {
+		err = a.errMap(err)
+	}
+	return b, err
 }
 
 func (a *rowStreamAdapter) Close() error { return a.st.Close() }

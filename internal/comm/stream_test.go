@@ -18,8 +18,9 @@ import (
 // streamHandler serves OpQuery as a row stream. SQL encodes the script:
 // "rows:N" emits N rows, "rows:N:err" fails after N rows, "rows:N:slow"
 // sleeps between rows until the context dies, "rows:N:timeout" fails
-// after N rows with a timeout-kind error. Any other streamed request is
-// refused; plain requests go to the echo handler.
+// after N rows with a timeout-kind error, and "rows:N:batches" sends the
+// N rows already encoded, DefaultBatchRows to a Batch. Any other
+// streamed request is refused; plain requests go to the echo handler.
 type streamHandler struct {
 	echoHandler
 	started  atomic.Int64
@@ -41,6 +42,23 @@ func (h *streamHandler) HandleStream(ctx context.Context, req *Request, sink Row
 	if err := sink.Header([]string{"i", "label"}); err != nil {
 		return err
 	}
+	row := func(i int) schema.Row {
+		return schema.Row{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("row-%d", i))}
+	}
+	switch mode {
+	case "batches":
+		for i := 0; i < n; i += DefaultBatchRows {
+			var payload []byte
+			k := min(DefaultBatchRows, n-i)
+			for j := i; j < i+k; j++ {
+				payload = value.AppendRow(payload, row(j))
+			}
+			if err := sink.Batch(k, payload); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for i := 0; i < n; i++ {
 		if mode == "slow" && i > 0 {
 			select {
@@ -49,7 +67,7 @@ func (h *streamHandler) HandleStream(ctx context.Context, req *Request, sink Row
 				return ctx.Err()
 			}
 		}
-		if err := sink.Row(schema.Row{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("row-%d", i))}); err != nil {
+		if err := sink.Row(row(i)); err != nil {
 			return err
 		}
 	}
@@ -405,14 +423,23 @@ func TestMalformedBatchBreaksConn(t *testing.T) {
 
 	c := Dial(ln.Addr().String(), 1)
 	defer c.Close()
-	for i := 1; i <= 2; i++ {
+	// Streams 1 and 2 are read by rows, 3 and 4 by batches: NextBatch
+	// checks a batch exactly as Next does, with the same failure.
+	for i := 1; i <= 4; i++ {
 		st, err := c.DoStream(context.Background(), &Request{Op: OpQuery, Stream: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := st.Next()
-		if !errors.Is(err, ProtocolError) || !errors.Is(err, value.ErrCorrupt) || row != nil {
-			t.Fatalf("stream %d: Next = %v, %v; want a ProtocolError", i, row, err)
+		var rows bool
+		if i <= 2 {
+			r, rerr := st.Next()
+			rows, err = r != nil, rerr
+		} else {
+			b, berr := st.NextBatch()
+			rows, err = b.N != 0, berr
+		}
+		if !errors.Is(err, ProtocolError) || !errors.Is(err, value.ErrCorrupt) || rows {
+			t.Fatalf("stream %d: rows %v, err %v; want a ProtocolError and no rows", i, rows, err)
 		}
 		st.Close()
 		if got := accepted.Load(); got != int64(i) {

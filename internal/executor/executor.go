@@ -13,11 +13,25 @@
 //
 // When the residual is a bare projection over a single scan set the
 // pipeline is bypassed entirely: integrated rows stream straight from
-// the fan-in to the client (filtered by a residual WHERE, projected,
-// offset/limited inline), and a residual ORDER BY that every source
-// already ships pre-sorted is satisfied by the ordered k-way merge
-// fan-in instead of a sort. See Options for the fan-in policy and
-// backpressure budget knobs.
+// the fan-in to the client (coerced to the declared kinds, filtered by
+// a residual WHERE, projected, offset/limited inline), and a residual
+// ORDER BY that every source already ships pre-sorted is satisfied by
+// the ordered k-way merge fan-in instead of a sort. See Options for the
+// fan-in policy and backpressure budget knobs.
+//
+// Rows that are only forwarded need not be decoded at all. A stream
+// that can hand its rows over still in the wire's row codec offers
+// schema.Batch values: the site streams do, their counted wrappers and
+// a UNION ALL fan-in over them do, and so does the bypass when its
+// projection is the identity and its fan-in offers them (an ordered
+// merge, UNION distinct, OUTERJOIN-MERGE, in-process sites and the
+// residual pipeline never do). The bypass walks each batch in place
+// (value.RowScanner), decoding only the columns its WHERE reads, cuts
+// the surviving rows out at row boundaries, and forwards a batch that
+// survives whole as it arrived; a batch holding a value of another kind
+// than its column declares takes the slow path — decoded, coerced and
+// re-encoded — so both paths return the same kinds. fedserver sends such
+// a result batch by batch.
 //
 // Execution is memory-bounded under Options.MemBudget: one spill.Budget
 // per query is shared by the residual's blocking operators
@@ -452,6 +466,13 @@ func (f *fanIn) Close() error {
 	return f.RowStream.Close()
 }
 
+// Batched reports whether the combined stream offers batches.
+func (f *fanIn) Batched() bool { return schema.Batches(f.RowStream) != nil }
+
+func (f *fanIn) NextBatch(ctx context.Context) (schema.Batch, error) {
+	return f.RowStream.(schema.BatchStream).NextBatch(ctx)
+}
+
 // openFanIn opens every source scan of ss (reduced by inList when it is
 // a bind-join probe batch) and combines them single-pass in mode. The
 // ordered merge combines on ss.ScanOrdering and first cross-checks the
@@ -525,12 +546,28 @@ type countedStream struct {
 func (s *countedStream) Next(ctx context.Context) (schema.Row, error) {
 	r, err := s.RowStream.Next(ctx)
 	if r != nil {
-		if s.n == 0 {
-			s.first = time.Since(s.start)
-		}
-		s.n++
+		s.count(1)
 	}
 	return r, err
+}
+
+// Batched reports whether the site stream hands over its batches.
+func (s *countedStream) Batched() bool { return schema.Batches(s.RowStream) != nil }
+
+// NextBatch meters the site stream's batches as Next meters its rows.
+func (s *countedStream) NextBatch(ctx context.Context) (schema.Batch, error) {
+	b, err := s.RowStream.(schema.BatchStream).NextBatch(ctx)
+	if b.N > 0 {
+		s.count(b.N)
+	}
+	return b, err
+}
+
+func (s *countedStream) count(rows int) {
+	if s.n == 0 {
+		s.first = time.Since(s.start)
+	}
+	s.n += rows
 }
 
 // Ordering forwards the site stream's sort guarantee (non-nil only for
@@ -568,6 +605,8 @@ type bypassPlan struct {
 	// integrated rows inline (compiled by the component engine's
 	// expression machinery against the scan set's schema).
 	where localdb.Predicate
+	// reads marks the scan-set columns where reads.
+	reads []bool
 	// mergeKeys, non-nil when the residual has an ORDER BY, is the
 	// source ordering that satisfies it via the k-way merge fan-in.
 	mergeKeys []schema.SortKey
@@ -613,12 +652,13 @@ func planBypass(plan *planner.Plan, opts Options) *bypassPlan {
 		return nil
 	}
 	var where localdb.Predicate
+	var reads []bool
 	if r.Where != nil {
-		pred, err := localdb.CompileRowPredicate(r.Where, ss.Schema, ss.Alias, ss.TempTable)
+		pred, cols, err := localdb.CompileRowPredicate(r.Where, ss.Schema, ss.Alias, ss.TempTable)
 		if err != nil {
 			return nil
 		}
-		where = pred
+		where, reads = pred, cols
 	}
 	sameRel := func(table string) bool {
 		return table == "" || strings.EqualFold(table, ss.Alias) || strings.EqualFold(table, ss.TempTable)
@@ -632,7 +672,7 @@ func planBypass(plan *planner.Plan, opts Options) *bypassPlan {
 		return -1
 	}
 
-	bp := &bypassPlan{ss: ss, where: where, count: -1}
+	bp := &bypassPlan{ss: ss, where: where, reads: reads, count: -1}
 	for _, it := range r.Items {
 		switch {
 		case it.Star:
@@ -721,11 +761,13 @@ func execBypass(ctx context.Context, bp *bypassPlan, runner SiteRunner, opts Opt
 	}
 	return &bypassStream{
 		inner:  combined,
+		schema: bp.ss.Schema,
 		where:  bp.where,
 		proj:   proj,
 		cols:   bp.names,
 		count:  bp.count,
 		offset: bp.offset,
+		scan:   value.RowScanner{Kinds: bp.ss.Schema.Kinds(), Need: bp.reads},
 	}, nil
 }
 
@@ -748,13 +790,20 @@ func orderingSatisfies(declared, keys []schema.SortKey) bool {
 	return true
 }
 
-// bypassStream filters, projects and offset/limits the fan-in inline.
-// OFFSET/LIMIT count rows that survive the filter, matching the
-// residual's semantics. Once the count is satisfied it half-closes the
-// fan-in eagerly, tearing remote scans down mid-flight exactly like
-// the residual pipeline's limit.
+// bypassStream coerces, filters, projects and offset/limits the fan-in
+// inline. Rows are coerced to the scan set's declared kinds exactly as
+// the residual pipeline's stream relation coerces them, so both paths
+// return the same kinds. OFFSET/LIMIT count rows that survive the
+// filter, matching the residual's semantics. Once the count is
+// satisfied it half-closes the fan-in eagerly, tearing remote scans
+// down mid-flight exactly like the residual pipeline's limit.
+//
+// An identity projection over a fan-in that offers encoded batches
+// offers them too (see residualBatch), so the rows of a plain scan
+// cross the federation without being decoded.
 type bypassStream struct {
 	inner   schema.RowStream
+	schema  *schema.Schema    // the scan set's: rows are coerced to it
 	where   localdb.Predicate // nil = no filter
 	proj    []int             // nil = identity
 	cols    []string
@@ -765,9 +814,26 @@ type bypassStream struct {
 	done    bool
 	closed  bool
 	err     error
+	scan    value.RowScanner // walks batches: the schema's kinds, where's columns
 }
 
 func (b *bypassStream) Columns() []string { return b.cols }
+
+// admit applies the filter and the OFFSET to one coerced row, counting
+// skipped rows in *skipped.
+func (b *bypassStream) admit(r []value.Value, skipped *int64) (bool, error) {
+	if b.where != nil {
+		t, err := b.where(r)
+		if err != nil || t != localdb.True {
+			return false, err
+		}
+	}
+	if *skipped < b.offset {
+		*skipped++
+		return false, nil
+	}
+	return true, nil
+}
 
 func (b *bypassStream) Next(ctx context.Context) (schema.Row, error) {
 	if b.err != nil {
@@ -782,6 +848,9 @@ func (b *bypassStream) Next(ctx context.Context) (schema.Row, error) {
 	}
 	for {
 		r, err := b.inner.Next(ctx)
+		if err == nil && r != nil {
+			r, err = schema.ConformRow(b.schema, r)
+		}
 		if err != nil {
 			b.err = err
 			return nil, err
@@ -790,18 +859,12 @@ func (b *bypassStream) Next(ctx context.Context) (schema.Row, error) {
 			b.done = true
 			return nil, nil
 		}
-		if b.where != nil {
-			t, err := b.where(r)
-			if err != nil {
-				b.err = err
-				return nil, err
-			}
-			if t != localdb.True {
-				continue
-			}
+		ok, err := b.admit(r, &b.skipped)
+		if err != nil {
+			b.err = err
+			return nil, err
 		}
-		if b.skipped < b.offset {
-			b.skipped++
+		if !ok {
 			continue
 		}
 		if b.proj != nil {
@@ -819,6 +882,116 @@ func (b *bypassStream) Next(ctx context.Context) (schema.Row, error) {
 		}
 		return r, nil
 	}
+}
+
+// Batched reports whether NextBatch is available: the projection is the
+// identity and the fan-in offers batches (an ordered merge never does).
+func (b *bypassStream) Batched() bool { return b.proj == nil && schema.Batches(b.inner) != nil }
+
+// NextBatch is Next by encoded batches: each fan-in batch passes through
+// residualBatch, and one that keeps no row is skipped.
+func (b *bypassStream) NextBatch(ctx context.Context) (schema.Batch, error) {
+	if b.err != nil {
+		return schema.Batch{}, b.err
+	}
+	for !b.closed && !b.done {
+		if b.count >= 0 && b.emitted >= b.count {
+			b.halt()
+			break
+		}
+		in, err := b.inner.(schema.BatchStream).NextBatch(ctx)
+		if err == nil && in.N > 0 {
+			in, err = b.residualBatch(in)
+		} else if err == nil {
+			b.done = true
+		}
+		if err != nil {
+			b.err = err
+			return schema.Batch{}, err
+		}
+		if in.N > 0 {
+			b.emitted += int64(in.N)
+			if b.count >= 0 && b.emitted >= b.count {
+				b.halt()
+			}
+			return in, nil
+		}
+	}
+	return schema.Batch{}, nil
+}
+
+// residualBatch applies the bypass's residual — the WHERE, OFFSET and
+// LIMIT — to one encoded batch without building its rows. The walk
+// decodes only the columns the WHERE reads, into one scratch row, and
+// cuts the surviving rows out as byte ranges; a batch that survives
+// whole is returned as it arrived. A batch holding a non-NULL value of
+// another kind than its column declares takes residualRows instead.
+func (b *bypassStream) residualBatch(in schema.Batch) (schema.Batch, error) {
+	if err := b.scan.Reset(in.Payload, in.N); err != nil {
+		return schema.Batch{}, err
+	}
+	skipped := b.skipped
+	var out schema.Batch
+	whole := true // every row so far kept: out is in.Payload[:end]
+	for b.count < 0 || b.emitted+int64(out.N) < b.count {
+		start, end, ok, err := b.scan.Next()
+		if err != nil {
+			return schema.Batch{}, err
+		}
+		if !ok {
+			break
+		}
+		if !b.scan.Conform {
+			return b.residualRows(in)
+		}
+		keep, err := b.admit(b.scan.Row, &skipped)
+		if err != nil {
+			return schema.Batch{}, err
+		}
+		switch {
+		case keep && whole:
+			out.Payload = in.Payload[:end]
+		case keep:
+			out.Payload = append(out.Payload, in.Payload[start:end]...)
+		case whole:
+			whole = false
+			out.Payload = append(make([]byte, 0, len(in.Payload)-(end-start)), out.Payload...)
+		}
+		if keep {
+			out.N++
+		}
+	}
+	b.skipped = skipped
+	return out, nil
+}
+
+// residualRows is residualBatch's slow path: the batch is decoded, each
+// row coerced as Next coerces it, and the survivors re-encoded.
+func (b *bypassStream) residualRows(in schema.Batch) (schema.Batch, error) {
+	rows, err := value.DecodeRows([]schema.Row(nil), in.N, in.Payload)
+	if err != nil {
+		return schema.Batch{}, err
+	}
+	skipped := b.skipped
+	var out schema.Batch
+	for _, r := range rows {
+		if b.count >= 0 && b.emitted+int64(out.N) >= b.count {
+			break
+		}
+		if r, err = schema.ConformRow(b.schema, r); err != nil {
+			return schema.Batch{}, err
+		}
+		keep, err := b.admit(r, &skipped)
+		if err != nil {
+			return schema.Batch{}, err
+		}
+		if keep {
+			out.Payload = value.AppendRow(out.Payload, r)
+			out.N++
+		}
+	}
+	b.skipped = skipped
+	return out, nil
 }
 
 // halt tears the fan-in down without marking the stream closed (the

@@ -207,7 +207,9 @@ func (s *Server) Handle(ctx context.Context, req *comm.Request) *comm.Response {
 // is served: global queries — autocommit, or inside the global
 // transaction TxnID names — stream their residual rows to the client as
 // the federation produces them, completing the pipeline site →
-// federation → client. Every other op is a Handle request.
+// federation → client. A result that offers encoded batches (a plain
+// scan over remote sites) goes out batch by batch, its rows never
+// decoded here. Every other op is a Handle request.
 func (s *Server) HandleStream(ctx context.Context, req *comm.Request, sink comm.RowSink) error {
 	if req.Op != comm.OpQuery {
 		return fmt.Errorf("fedserver: op %q does not stream", req.Op)
@@ -234,6 +236,23 @@ func (s *Server) HandleStream(ctx context.Context, req *comm.Request, sink comm.
 	defer rows.Close()
 	if err := sink.Header(rows.Columns()); err != nil {
 		return err
+	}
+	if bs := schema.Batches(rows); bs != nil {
+		// The rows are already in the wire's row codec (a plain scan's
+		// site batches, checked and filtered where they lie): forward
+		// each batch as one frame.
+		for {
+			b, err := bs.NextBatch(ctx)
+			if err != nil {
+				return streamErr(err)
+			}
+			if b.N == 0 {
+				return nil
+			}
+			if err := sink.Batch(b.N, b.Payload); err != nil {
+				return err
+			}
+		}
 	}
 	for {
 		r, err := rows.Next(ctx)

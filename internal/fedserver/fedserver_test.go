@@ -13,6 +13,7 @@ import (
 	"myriad/internal/integration"
 	"myriad/internal/localdb"
 	"myriad/internal/schema"
+	"myriad/internal/value"
 )
 
 func testServer(t *testing.T) *Server {
@@ -154,6 +155,11 @@ type collectSink struct {
 
 func (s *collectSink) Header(cols []string) error { s.cols = cols; return nil }
 func (s *collectSink) Row(r schema.Row) error     { s.rows = append(s.rows, r); return nil }
+func (s *collectSink) Batch(n int, payload []byte) error {
+	rows, err := value.DecodeRows(s.rows, n, payload)
+	s.rows = rows
+	return err
+}
 
 // TestStreamMetricsLogged: a streamed query reports per-source metrics
 // through Logf once the stream has completed.

@@ -48,6 +48,14 @@ import (
 // batch early once its observed schema.RowBytes reach the per-batch
 // byte cap derived from the budget, so the same batch-count windows
 // hold bounded bytes whatever the row width.
+//
+// A UNION ALL fan-in in source order or interleaved, over sources that
+// all offer encoded batches (schema.BatchStream), offers batches
+// itself: its feeders start on the first pull, and when that pull is a
+// NextBatch they hand each source batch downstream as it arrived —
+// split at row boundaries only where it would overflow a feeder batch's
+// rows or its byte cap, which then counts payload bytes — so rows that
+// are only forwarded are never decoded here.
 
 // FanInMode selects how multiple source streams combine into one.
 type FanInMode uint8
@@ -192,26 +200,12 @@ func CombineStreamsOpts(ctx context.Context, spec *Spec, sources []schema.RowStr
 			}
 			c := &interleaveStream{seen: seen}
 			c.init(spec, sources, fctx, cancel)
-			cap := windowBatches(len(sources), opts.RowBudget) * len(sources)
-			if cap < len(sources) {
-				cap = len(sources)
-			}
-			c.ch = make(chan feedItem, cap)
-			maxBytes := perBatchBytes(len(sources), opts)
-			for i, src := range sources {
-				startSharedFeed(fctx, &c.wg, c.ch, src, spec, i, maxBytes, opts.OnBatch)
-			}
-			c.closerDone = make(chan struct{})
-			go func() {
-				defer close(c.closerDone)
-				c.wg.Wait()
-				close(c.ch)
-			}()
+			c.initFeeds(opts, !distinct)
 			return c
 		case FanInMergeOrdered:
 			c := &mergeStream{keys: opts.MergeKeys, dedup: distinct, budget: budget}
 			c.init(spec, sources, fctx, cancel)
-			c.feeds = startFeeds(fctx, &c.wg, sources, spec, opts)
+			c.feeds = startFeeds(fctx, &c.wg, sources, spec, opts, false)
 			c.heads = make([]schema.Row, len(sources))
 			c.done = make([]bool, len(sources))
 			c.batches = make([][]schema.Row, len(sources))
@@ -224,7 +218,7 @@ func CombineStreamsOpts(ctx context.Context, spec *Spec, sources []schema.RowStr
 			}
 			c := &combinedStream{seen: seen}
 			c.init(spec, sources, fctx, cancel)
-			c.feeds = startFeeds(fctx, &c.wg, sources, spec, opts)
+			c.initFeeds(opts, !distinct)
 			return c
 		}
 	case MergeOuter:
@@ -257,6 +251,15 @@ type fanInBase struct {
 
 	err    error
 	closed bool
+
+	// The source-order and interleave unions start their feeders on the
+	// first pull, by rows for Next or by batches for NextBatch; batches
+	// are offered when every source offers them and the combine keeps
+	// rows as they come.
+	opts      StreamOptions
+	batchable bool
+	started   bool
+	batches   bool
 }
 
 // init wires the shared fields in place (fanInBase holds a WaitGroup,
@@ -266,6 +269,38 @@ func (b *fanInBase) init(spec *Spec, sources []schema.RowStream, fctx context.Co
 	b.sources = sources
 	b.fctx = fctx
 	b.cancel = cancel
+}
+
+// initFeeds records how the feeders will start; keepsRows says the
+// combine forwards every row unchanged (UNION ALL).
+func (b *fanInBase) initFeeds(opts StreamOptions, keepsRows bool) {
+	b.opts = opts
+	b.batchable = keepsRows
+	for _, src := range b.sources {
+		if schema.Batches(src) == nil {
+			b.batchable = false
+		}
+	}
+}
+
+// Batched reports whether NextBatch may be used: every source offers
+// batches and nothing has been read by rows yet.
+func (b *fanInBase) Batched() bool { return b.batchable && (!b.started || b.batches) }
+
+// begin marks the feeders started in the given mode; it reports false
+// when they were already running (and refuses a mode switch).
+func (b *fanInBase) begin(batches bool) (bool, error) {
+	if b.started {
+		if batches != b.batches {
+			return false, errors.New("integration: fan-in read by both rows and batches")
+		}
+		return false, nil
+	}
+	if batches && !b.batchable {
+		return false, errors.New("integration: fan-in sources do not offer batches")
+	}
+	b.started, b.batches = true, batches
+	return true, nil
 }
 
 func (b *fanInBase) Columns() []string { return b.spec.Columns }
@@ -364,14 +399,18 @@ type sourceFeed struct {
 	ch chan feedItem
 }
 
+// feedItem is one handoff from a feeder: decoded rows, or an encoded
+// batch when the feeders run by batches, or the source's error.
 type feedItem struct {
-	src  int
-	rows []schema.Row
-	err  error
+	src   int
+	rows  []schema.Row
+	batch schema.Batch
+	err   error
 }
 
-// startFeeds launches one windowed feeder per source.
-func startFeeds(ctx context.Context, wg *sync.WaitGroup, sources []schema.RowStream, spec *Spec, opts StreamOptions) []*sourceFeed {
+// startFeeds launches one windowed feeder per source, by batches or by
+// rows.
+func startFeeds(ctx context.Context, wg *sync.WaitGroup, sources []schema.RowStream, spec *Spec, opts StreamOptions, batches bool) []*sourceFeed {
 	window := windowBatches(len(sources), opts.RowBudget)
 	maxBytes := perBatchBytes(len(sources), opts)
 	feeds := make([]*sourceFeed, len(sources))
@@ -382,7 +421,7 @@ func startFeeds(ctx context.Context, wg *sync.WaitGroup, sources []schema.RowStr
 		go func(i int, src schema.RowStream) {
 			defer wg.Done()
 			defer close(f.ch)
-			feedLoop(ctx, src, spec, i, opts.OnBatch, maxBytes, func(it feedItem) bool {
+			feed(ctx, src, spec, i, opts.OnBatch, maxBytes, batches, func(it feedItem) bool {
 				select {
 				case f.ch <- it:
 					return true
@@ -398,11 +437,11 @@ func startFeeds(ctx context.Context, wg *sync.WaitGroup, sources []schema.RowStr
 // startSharedFeed launches a feeder that sends into the interleave
 // operator's shared channel (never closing it; the operator's closer
 // does once every feeder has exited).
-func startSharedFeed(ctx context.Context, wg *sync.WaitGroup, ch chan feedItem, src schema.RowStream, spec *Spec, idx int, maxBytes int64, onBatch func(int, int)) {
+func startSharedFeed(ctx context.Context, wg *sync.WaitGroup, ch chan feedItem, src schema.RowStream, spec *Spec, idx int, maxBytes int64, onBatch func(int, int), batches bool) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		feedLoop(ctx, src, spec, idx, onBatch, maxBytes, func(it feedItem) bool {
+		feed(ctx, src, spec, idx, onBatch, maxBytes, batches, func(it feedItem) bool {
 			select {
 			case ch <- it:
 				return true
@@ -413,6 +452,19 @@ func startSharedFeed(ctx context.Context, wg *sync.WaitGroup, ch chan feedItem, 
 	}()
 }
 
+// feed runs one source's feeder loop by batches or by rows.
+func feed(ctx context.Context, src schema.RowStream, spec *Spec, idx int, onBatch func(int, int), maxBytes int64, batches bool, send func(feedItem) bool) {
+	if err := checkArityCols(spec, src.Columns()); err != nil {
+		send(feedItem{src: idx, err: err})
+		return
+	}
+	if batches {
+		feedBatchLoop(ctx, src.(schema.BatchStream), idx, onBatch, maxBytes, send)
+	} else {
+		feedLoop(ctx, src, idx, onBatch, maxBytes, send)
+	}
+}
+
 // feedLoop pulls src in batches until EOF, error or cancellation,
 // handing each batch to send. A batch flushes at feedBatchRows rows
 // or, under a byte budget, as soon as its accumulated row bytes reach
@@ -420,11 +472,7 @@ func startSharedFeed(ctx context.Context, wg *sync.WaitGroup, ch chan feedItem, 
 // batch-count windows stay byte-bounded. The feeder owns only the
 // pulling; closing src stays with the operator's Close (after the
 // feeder has exited).
-func feedLoop(ctx context.Context, src schema.RowStream, spec *Spec, idx int, onBatch func(int, int), maxBytes int64, send func(feedItem) bool) {
-	if err := checkArityCols(spec, src.Columns()); err != nil {
-		send(feedItem{src: idx, err: err})
-		return
-	}
+func feedLoop(ctx context.Context, src schema.RowStream, idx int, onBatch func(int, int), maxBytes int64, send func(feedItem) bool) {
 	// A batch is allocated when its first row arrives — a source with
 	// no rows (a pruned one, or a drained one) allocates nothing — and
 	// the first starts small, so a one-row result does not pay for a
@@ -470,6 +518,60 @@ func feedLoop(ctx context.Context, src schema.RowStream, spec *Spec, idx int, on
 			}
 		}
 	}
+}
+
+// feedBatchLoop is feedLoop for a source read by batches: each source
+// batch goes downstream as it arrived, cut at row boundaries only where
+// it holds more than feedBatchRows rows or, under a byte budget, more
+// than maxBytes of payload.
+func feedBatchLoop(ctx context.Context, src schema.BatchStream, idx int, onBatch func(int, int), maxBytes int64, send func(feedItem) bool) {
+	var scan value.RowScanner
+	for {
+		b, err := src.NextBatch(ctx)
+		if err != nil {
+			send(feedItem{src: idx, err: err})
+			return
+		}
+		if b.N == 0 {
+			return
+		}
+		for b.N > 0 {
+			head := b
+			b = schema.Batch{}
+			if head.N > feedBatchRows || (maxBytes > 0 && head.N > 1 && int64(len(head.Payload)) > maxBytes) {
+				if head, b, err = cutBatch(&scan, head, maxBytes); err != nil {
+					send(feedItem{src: idx, err: err})
+					return
+				}
+			}
+			if !send(feedItem{src: idx, batch: head}) {
+				return
+			}
+			if onBatch != nil {
+				onBatch(idx, head.N)
+			}
+		}
+	}
+}
+
+// cutBatch splits b after its first feedBatchRows rows or, under a byte
+// cap, after as many rows as fit in maxBytes — at least one.
+func cutBatch(scan *value.RowScanner, b schema.Batch, maxBytes int64) (head, rest schema.Batch, err error) {
+	if err := scan.Reset(b.Payload, b.N); err != nil {
+		return head, rest, err
+	}
+	for head.N < feedBatchRows {
+		_, end, ok, err := scan.Next()
+		if err != nil {
+			return head, rest, err
+		}
+		if !ok || (head.N > 0 && maxBytes > 0 && int64(end) > maxBytes) {
+			break
+		}
+		head.N++
+		head.Payload = b.Payload[:end:end]
+	}
+	return head, schema.Batch{N: b.N - head.N, Payload: b.Payload[len(head.Payload):]}, nil
 }
 
 func checkArityCols(spec *Spec, cols []string) error {
@@ -534,6 +636,64 @@ func mergeKeyCompare(keyCols []int) func(a, b schema.Row) int {
 	}
 }
 
+// start launches the union's feeders on the first pull.
+func (c *combinedStream) start(batches bool) error {
+	first, err := c.begin(batches)
+	if first {
+		c.feeds = startFeeds(c.fctx, &c.wg, c.sources, c.spec, c.opts, batches)
+	}
+	return err
+}
+
+// nextItem receives the next feeder handoff in source order; ok is
+// false once every source is exhausted or the fan-in has failed
+// (c.err says which).
+func (c *combinedStream) nextItem(ctx context.Context) (item feedItem, ok bool) {
+	for c.cur < len(c.feeds) {
+		select {
+		case item, ok = <-c.feeds[c.cur].ch:
+		case <-ctx.Done():
+			// Honor the per-call context like every other RowStream,
+			// even when it is not the context the feeders watch.
+			c.fail(ctx.Err())
+			return item, false
+		}
+		if !ok {
+			// A feeder racing a cancellation may drop its terminal error
+			// item (its send selects against fctx.Done); a closed channel
+			// under a dead feed context is an abort, never clean
+			// exhaustion — truncation must not read as success.
+			if err := c.fctx.Err(); err != nil {
+				c.fail(err)
+				return item, false
+			}
+			c.cur++ // source exhausted; move on in source order
+			continue
+		}
+		if item.err != nil {
+			c.fail(item.err)
+			return item, false
+		}
+		return item, true
+	}
+	return item, false
+}
+
+// NextBatch returns the sources' batches in source order.
+func (c *combinedStream) NextBatch(ctx context.Context) (schema.Batch, error) {
+	if c.err != nil {
+		return schema.Batch{}, c.err
+	}
+	if c.closed {
+		return schema.Batch{}, nil
+	}
+	if err := c.start(true); err != nil {
+		return schema.Batch{}, err
+	}
+	item, _ := c.nextItem(ctx)
+	return item.batch, c.err
+}
+
 func (c *combinedStream) Next(ctx context.Context) (schema.Row, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -544,9 +704,16 @@ func (c *combinedStream) Next(ctx context.Context) (schema.Row, error) {
 	if c.spec.Kind == MergeOuter {
 		return c.nextMerged(ctx)
 	}
+	if err := c.start(false); err != nil {
+		return nil, err
+	}
 	for {
 		for c.bpos >= len(c.batch) {
-			if c.cur >= len(c.feeds) {
+			item, ok := c.nextItem(ctx)
+			if c.err != nil {
+				return nil, c.err
+			}
+			if !ok {
 				// Every source is exhausted; drain any dedup tail (first
 				// occurrences deferred after a spill, in arrival order).
 				if c.seen == nil {
@@ -558,33 +725,6 @@ func (c *combinedStream) Next(ctx context.Context) (schema.Row, error) {
 					return nil, c.err
 				}
 				return r, nil
-			}
-			var item feedItem
-			var ok bool
-			select {
-			case item, ok = <-c.feeds[c.cur].ch:
-			case <-ctx.Done():
-				// Honor the per-call context like every other RowStream,
-				// even when it is not the context the feeders watch.
-				c.fail(ctx.Err())
-				return nil, c.err
-			}
-			if !ok {
-				// A feeder racing a cancellation may drop its terminal
-				// error item (its send selects against fctx.Done); a
-				// closed channel under a dead feed context is an abort,
-				// never clean exhaustion — truncation must not read as
-				// success.
-				if err := c.fctx.Err(); err != nil {
-					c.fail(err)
-					return nil, c.err
-				}
-				c.cur++ // source exhausted; move on in source order
-				continue
-			}
-			if item.err != nil {
-				c.fail(item.err)
-				return nil, c.err
 			}
 			c.batch, c.bpos = item.rows, 0
 		}
@@ -834,6 +974,69 @@ type interleaveStream struct {
 	seen       *dedupState
 }
 
+// start launches every feeder into the shared channel on the first
+// pull, and the closer that closes it once they have all exited.
+func (c *interleaveStream) start(batches bool) error {
+	first, err := c.begin(batches)
+	if !first {
+		return err
+	}
+	n := len(c.sources)
+	c.ch = make(chan feedItem, max(windowBatches(n, c.opts.RowBudget)*n, n))
+	maxBytes := perBatchBytes(n, c.opts)
+	for i, src := range c.sources {
+		startSharedFeed(c.fctx, &c.wg, c.ch, src, c.spec, i, maxBytes, c.opts.OnBatch, batches)
+	}
+	c.closerDone = make(chan struct{})
+	go func() {
+		defer close(c.closerDone)
+		c.wg.Wait()
+		close(c.ch)
+	}()
+	return nil
+}
+
+// nextItem receives the next feeder handoff in completion order; ok is
+// false once every feeder has exited or the fan-in has failed (c.err
+// says which).
+func (c *interleaveStream) nextItem(ctx context.Context) (item feedItem, ok bool) {
+	select {
+	case item, ok = <-c.ch:
+	case <-ctx.Done():
+		c.fail(ctx.Err())
+		return item, false
+	}
+	if !ok {
+		// All feeders exited. Same truncation guard as the source-ordered
+		// path: a close under a dead feed context is an abort, not
+		// exhaustion.
+		if err := c.fctx.Err(); err != nil {
+			c.fail(err)
+		}
+		return item, false
+	}
+	if item.err != nil {
+		c.fail(item.err)
+		return item, false
+	}
+	return item, true
+}
+
+// NextBatch returns the sources' batches in completion order.
+func (c *interleaveStream) NextBatch(ctx context.Context) (schema.Batch, error) {
+	if c.err != nil {
+		return schema.Batch{}, c.err
+	}
+	if c.closed {
+		return schema.Batch{}, nil
+	}
+	if err := c.start(true); err != nil {
+		return schema.Batch{}, err
+	}
+	item, _ := c.nextItem(ctx)
+	return item.batch, c.err
+}
+
 func (c *interleaveStream) Next(ctx context.Context) (schema.Row, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -841,24 +1044,16 @@ func (c *interleaveStream) Next(ctx context.Context) (schema.Row, error) {
 	if c.closed {
 		return nil, nil
 	}
+	if err := c.start(false); err != nil {
+		return nil, err
+	}
 	for {
 		for c.bpos >= len(c.batch) {
-			var item feedItem
-			var ok bool
-			select {
-			case item, ok = <-c.ch:
-			case <-ctx.Done():
-				c.fail(ctx.Err())
+			item, ok := c.nextItem(ctx)
+			if c.err != nil {
 				return nil, c.err
 			}
 			if !ok {
-				// All feeders exited. Same truncation guard as the
-				// source-ordered path: a close under a dead feed context
-				// is an abort, not exhaustion.
-				if err := c.fctx.Err(); err != nil {
-					c.fail(err)
-					return nil, c.err
-				}
 				if c.seen == nil {
 					return nil, nil
 				}
@@ -868,10 +1063,6 @@ func (c *interleaveStream) Next(ctx context.Context) (schema.Row, error) {
 					return nil, c.err
 				}
 				return r, nil
-			}
-			if item.err != nil {
-				c.fail(item.err)
-				return nil, c.err
 			}
 			c.batch, c.bpos = item.rows, 0
 		}
@@ -896,7 +1087,9 @@ func (c *interleaveStream) Close() error {
 	c.seen.close()
 	// closeBase waited the feeders out; the closer goroutine only has
 	// the channel close left. Wait so Close leaves no goroutine behind.
-	<-c.closerDone
+	if c.closerDone != nil {
+		<-c.closerDone
+	}
 	return err
 }
 

@@ -89,14 +89,16 @@ func newHeapScanIter(db *DB, t *storage.Table) *heapScanIter {
 	return &heapScanIter{db: db, t: t}
 }
 
+// Next polls ctx once per refill, not per row: a cancelled scan stops
+// within one batch.
 func (s *heapScanIter) Next(ctx context.Context) ([]value.Value, error) {
-	if err := schema.Canceled(ctx); err != nil {
-		return nil, err
-	}
 	if s.closed {
 		return nil, nil
 	}
 	if s.bpos >= len(s.batch) {
+		if err := schema.Canceled(ctx); err != nil {
+			return nil, err
+		}
 		if s.done {
 			return nil, nil
 		}

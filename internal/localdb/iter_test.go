@@ -2,11 +2,13 @@ package localdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"myriad/internal/schema"
 	"myriad/internal/value"
 )
 
@@ -81,6 +83,50 @@ func TestHeapScanIterStreamsAllRows(t *testing.T) {
 	}
 }
 
+// TestHeapScanIterCancelWithinBatch: the scan polls its context once
+// per refill, so a scan cancelled mid-table still hands out the rest of
+// the batch in hand and then returns the context's error — never a
+// further batch, and never a clean end.
+func TestHeapScanIterCancelWithinBatch(t *testing.T) {
+	db := New("scan")
+	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`)
+	rows := make([]schema.Row, 3*scanBatchSize)
+	for i := range rows {
+		rows[i] = schema.Row{value.NewInt(int64(i))}
+	}
+	if err := db.Load("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := db.table("t")
+	it := newHeapScanIter(db, tab)
+	ctx, cancel := context.WithCancel(context.Background())
+	for i := 0; i < scanBatchSize+10; i++ { // into the second batch
+		if r, err := it.Next(ctx); r == nil || err != nil {
+			t.Fatalf("row %d: %v %v", i, r, err)
+		}
+	}
+	cancel()
+	after := 0
+	for {
+		r, err := it.Next(ctx)
+		if err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			break
+		}
+		if r == nil {
+			t.Fatal("cancelled scan ended cleanly")
+		}
+		if after++; after > scanBatchSize {
+			t.Fatalf("%d rows after cancellation: more than one batch", after)
+		}
+	}
+	if after != scanBatchSize-10 {
+		t.Fatalf("%d rows after cancellation, want the batch's remaining %d", after, scanBatchSize-10)
+	}
+}
+
 func TestHeapScanIterEarlyClose(t *testing.T) {
 	db := New("scan")
 	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`)
@@ -112,8 +158,19 @@ func TestSourceItersHonorCancellation(t *testing.T) {
 			t.Fatalf("%s: first Next: %v %v", name, r, err)
 		}
 		cancel()
-		if _, err := it.Next(ctx); err == nil {
-			t.Errorf("%s: Next after cancel returned no error", name)
+		// The heap scan polls once per refill, so it may finish the
+		// batch in hand first (TestHeapScanIterCancelWithinBatch pins
+		// exactly how far); every other iterator fails on the next row.
+		tries := 1
+		if name == "heap" {
+			tries = scanBatchSize + 1
+		}
+		var err error
+		for i := 0; i < tries && err == nil; i++ {
+			_, err = it.Next(ctx)
+		}
+		if err == nil {
+			t.Errorf("%s: Next after cancel returned no error within %d calls", name, tries)
 		}
 		it.Close()
 	}

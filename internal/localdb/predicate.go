@@ -599,16 +599,20 @@ func errShortRow(slot int) error {
 // Column references may be bare or qualified by any of quals
 // (case-insensitive). Aggregates and unresolvable references fail
 // compilation, so callers can probe an expression and fall back when it
-// does not fit.
-func CompileRowPredicate(e sqlparser.Expr, sc *schema.Schema, quals ...string) (Predicate, error) {
-	return compilePred(e, &schemaResolver{sc: sc, quals: quals})
+// does not fit. reads marks the columns of sc the predicate reads; it
+// reads no others, so a caller may leave them undecoded.
+func CompileRowPredicate(e sqlparser.Expr, sc *schema.Schema, quals ...string) (pred Predicate, reads []bool, err error) {
+	r := &schemaResolver{sc: sc, quals: quals, reads: make([]bool, len(sc.Columns))}
+	pred, err = compilePred(e, r)
+	return pred, r.reads, err
 }
 
 // schemaResolver binds column references directly to one schema's
-// column positions.
+// column positions, marking each column it binds.
 type schemaResolver struct {
 	sc    *schema.Schema
 	quals []string
+	reads []bool
 }
 
 func (r *schemaResolver) resolve(table, column string) (int, error) {
@@ -628,5 +632,6 @@ func (r *schemaResolver) resolve(table, column string) (int, error) {
 	if ci < 0 {
 		return 0, fmt.Errorf("localdb: unknown column %q", column)
 	}
+	r.reads[ci] = true
 	return ci, nil
 }

@@ -111,16 +111,7 @@ func (s *streamIter) Next(ctx context.Context) ([]value.Value, error) {
 	if err != nil || r == nil {
 		return nil, err
 	}
-	cols := s.rel.Schema.Columns
-	if len(r) != len(cols) {
-		return schema.CoerceRow(s.rel.Schema, r) // reports the arity mismatch
-	}
-	for i, v := range r {
-		if !v.IsNull() && v.K != cols[i].Type.Kind() {
-			return schema.CoerceRow(s.rel.Schema, r)
-		}
-	}
-	return r, nil
+	return schema.ConformRow(s.rel.Schema, r)
 }
 
 func (s *streamIter) Close() { s.rel.close() }

@@ -172,7 +172,7 @@ func TestCompileRowPredicate(t *testing.T) {
 		{`name LIKE 'b%'`, schema.Row{value.NewInt(3), value.NewText("abc")}, False},
 		{`id IS NULL`, schema.Row{value.Null(), value.NewText("a")}, True},
 	} {
-		pred, err := CompileRowPredicate(parseWhere(t, tc.where), sc, "t")
+		pred, _, err := CompileRowPredicate(parseWhere(t, tc.where), sc, "t")
 		if err != nil {
 			t.Fatalf("%s: compile: %v", tc.where, err)
 		}
@@ -184,9 +184,13 @@ func TestCompileRowPredicate(t *testing.T) {
 			t.Fatalf("%s over %v: got %v, want %v", tc.where, tc.row, got, tc.want)
 		}
 	}
+	// reads marks exactly the columns the predicate binds.
+	if _, reads, err := CompileRowPredicate(parseWhere(t, `id > 5 OR id IS NULL`), sc, "t"); err != nil || !reads[0] || reads[1] {
+		t.Fatalf("reads = %v (err %v), want only id", reads, err)
+	}
 	// Unknown columns and aliases fail compilation.
 	for _, bad := range []string{`ghost = 1`, `x.id = 1`, `COUNT(*) > 1`} {
-		if _, err := CompileRowPredicate(parseWhere(t, bad), sc, "t"); err == nil {
+		if _, _, err := CompileRowPredicate(parseWhere(t, bad), sc, "t"); err == nil {
 			t.Fatalf("%s: compiled but should not bind", bad)
 		}
 	}

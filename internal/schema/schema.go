@@ -210,6 +210,31 @@ func CoerceRow(s *Schema, r Row) (Row, error) {
 	return out, nil
 }
 
+// ConformRow returns r coerced to s the way a heap insert would coerce
+// it: r itself, uncopied, when every non-NULL value already has its
+// column's kind, and otherwise CoerceRow's copy (or its error, an arity
+// mismatch included).
+func ConformRow(s *Schema, r Row) (Row, error) {
+	if len(r) != len(s.Columns) {
+		return CoerceRow(s, r)
+	}
+	for i, v := range r {
+		if !v.IsNull() && v.K != s.Columns[i].Type.Kind() {
+			return CoerceRow(s, r)
+		}
+	}
+	return r, nil
+}
+
+// Kinds lists each column's value kind.
+func (s *Schema) Kinds() []value.Kind {
+	kinds := make([]value.Kind, len(s.Columns))
+	for i, c := range s.Columns {
+		kinds[i] = c.Type.Kind()
+	}
+	return kinds
+}
+
 // Coerce converts a single value to a column type.
 func Coerce(v value.Value, t Type) (value.Value, error) {
 	if v.IsNull() {

@@ -13,8 +13,36 @@ type RowStream interface {
 	Close() error
 }
 
+// Batch is N rows still in the shared row codec: value.AppendRow
+// encodings back to back in one payload, as a batch frame carries them.
+type Batch struct {
+	N       int
+	Payload []byte
+}
+
+// BatchStream is a RowStream that can also hand its rows over as
+// encoded batches, so a consumer that only forwards them never builds
+// a Value. Batched reports whether NextBatch is available: a wrapper
+// offers batches only when the stream it wraps does. A stream is read
+// by Next or by NextBatch, never both. NextBatch returns the next
+// non-empty batch, whose payload the caller owns, or a zero Batch once
+// the stream is exhausted.
+type BatchStream interface {
+	RowStream
+	Batched() bool
+	NextBatch(ctx context.Context) (Batch, error)
+}
+
+// Batches returns s as a BatchStream when it offers batches, else nil.
+func Batches(s RowStream) BatchStream {
+	if bs, ok := s.(BatchStream); ok && bs.Batched() {
+		return bs
+	}
+	return nil
+}
+
 // Canceled returns ctx's error once ctx is done, and nil until then.
-// Row sources call it on every Next: it polls ctx.Done() without
+// Row sources call it as they pull: it polls ctx.Done() without
 // blocking, where ctx.Err() takes the context's mutex on each call.
 func Canceled(ctx context.Context) error {
 	select {
@@ -55,6 +83,16 @@ func (s *sliceStream) Next(ctx context.Context) (Row, error) {
 	return r, nil
 }
 
+// Batched: an empty result offers batches, so a pruned source does not
+// stop its scan set's batches from passing through; a result with rows
+// is read by Next.
+func (s *sliceStream) Batched() bool { return len(s.rs.Rows) == 0 }
+
+// NextBatch ends the empty result.
+func (s *sliceStream) NextBatch(ctx context.Context) (Batch, error) {
+	return Batch{}, Canceled(ctx)
+}
+
 func (s *sliceStream) Close() error { s.closed = true; return nil }
 
 // DrainStream pulls a stream dry into a materialized ResultSet. It does
@@ -93,6 +131,14 @@ func (s *onCloseStream) Close() error {
 		s.fn()
 	}
 	return err
+}
+
+// Batched reports whether the wrapped stream offers batches.
+func (s *onCloseStream) Batched() bool { return Batches(s.RowStream) != nil }
+
+// NextBatch forwards the wrapped stream's batches.
+func (s *onCloseStream) NextBatch(ctx context.Context) (Batch, error) {
+	return s.RowStream.(BatchStream).NextBatch(ctx)
 }
 
 // Ordering forwards the wrapped stream's sort guarantee (nil when it

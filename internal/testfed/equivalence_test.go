@@ -81,21 +81,33 @@ var equivalenceCorpus = []string{
 // single-database oracle for the whole corpus, under both optimizer
 // strategies and both fan-in policies: row for row where the query's
 // ORDER BY fixes the order, as a multiset where SQL leaves it open.
+// An answer the bypass serves — every shape fedserver may relay as the
+// sites' batches — is checked again as read from fedserver over TCP.
 func TestStreamingMatchesOracle(t *testing.T) {
 	fx := equivalenceFixture(t)
 	oracle := fx.Oracle(t)
+	cl := relayClient(t, fx)
 	ctx := context.Background()
 	for _, policy := range []core.FanInPolicy{core.FanInAuto, core.FanInInterleave} {
 		fx.Fed.FanIn = policy
 		for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
 			for _, sql := range equivalenceCorpus {
 				t.Run(fmt.Sprintf("%v/%v/%s", policy, strategy, sql), func(t *testing.T) {
-					got, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
+					got, m, err := fx.Fed.QueryMetered(ctx, sql, strategy)
 					if err != nil {
 						t.Fatalf("streaming: %v", err)
 					}
 					if err := oracle.Check(ctx, sql, got); err != nil {
 						t.Fatal(err)
+					}
+					if !m.ScratchBypassed {
+						return
+					}
+					if got, err = cl.Query(ctx, strategyPrefix(strategy)+sql); err != nil {
+						t.Fatalf("through fedserver: %v", err)
+					}
+					if err := oracle.Check(ctx, sql, got); err != nil {
+						t.Fatalf("through fedserver: %v", err)
 					}
 				})
 			}

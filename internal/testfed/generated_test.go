@@ -34,9 +34,11 @@ var (
 
 // generatedFixture spreads one employee relation over three sites in
 // three dialects with different local names, NULL-bearing columns and
-// indexes, and integrates it three ways:
+// indexes, plus a fourth site whose pay column is FLOAT under E's
+// INTEGER (every value it ships must be coerced to the declared kind),
+// and integrates them three ways:
 //
-//	E = a.emp UNION ALL b.staff UNION ALL c.emp (c filtered)
+//	E = a.emp UNION ALL b.staff UNION ALL c.emp (c filtered) UNION ALL d.emp
 //	U = a.emp UNION c.emp           (ids 0..39 identical at both)
 //	X = a.emp ⟗ b.staff ⟗ c.emp on id (pay max, note last)
 func generatedFixture(t testing.TB) *Fixture {
@@ -50,6 +52,8 @@ func generatedFixture(t testing.TB) *Fixture {
 			`CREATE ORDERED INDEX staff_salary ON staff (salary)`},
 			Exports: []gateway.Export{{Name: "STAFF", LocalTable: "staff"}}},
 		{Name: "c", Setup: []string{createEmp, `CREATE ORDERED INDEX emp_pay ON emp (pay)`},
+			Exports: []gateway.Export{{Name: "EMP", LocalTable: "emp"}}},
+		{Name: "d", Setup: []string{`CREATE TABLE emp (id INTEGER PRIMARY KEY, dept TEXT, pay FLOAT, note TEXT)`},
 			Exports: []gateway.Export{{Name: "EMP", LocalTable: "emp"}}},
 	}
 	cols := []schema.Column{
@@ -65,9 +69,10 @@ func generatedFixture(t testing.TB) *Fixture {
 	srcC := catalog.SourceDef{Site: "c", Export: "EMP", ColumnMap: same}
 	srcCFiltered := srcC
 	srcCFiltered.Filter = "pay IS NULL OR pay < 80"
+	srcD := catalog.SourceDef{Site: "d", Export: "EMP", ColumnMap: same}
 	defs := []*catalog.IntegratedDef{
 		{Name: "E", Columns: cols, Key: []string{"id"}, Combine: integration.UnionAll,
-			Sources: []catalog.SourceDef{srcA, srcB, srcCFiltered}},
+			Sources: []catalog.SourceDef{srcA, srcB, srcCFiltered, srcD}},
 		{Name: "U", Columns: cols, Key: []string{"id"}, Combine: integration.UnionDistinct,
 			Sources: []catalog.SourceDef{srcA, srcC}},
 		{Name: "X", Columns: cols, Key: []string{"id"}, Combine: integration.MergeOuter,
@@ -98,6 +103,7 @@ func generatedFixture(t testing.TB) *Fixture {
 	fx.LoadRows(t, "a", "emp", a)
 	fx.LoadRows(t, "b", "staff", rows(60, 120)) // ids 60..179: conflicts with a in X
 	fx.LoadRows(t, "c", "emp", append(append([]schema.Row(nil), a[:40]...), rows(200, 40)...))
+	fx.LoadRows(t, "d", "emp", rows(300, 40)) // pay stored as FLOAT: whole numbers, so coercion is exact
 	return fx
 }
 
@@ -257,13 +263,17 @@ func (g *queryGen) query() string {
 }
 
 // TestGeneratedQueriesMatchOracle holds the federation to the oracle on
-// a seeded random corpus over three dialects, every combinator and
-// NULL-bearing text and integer columns, under both fan-in policies,
-// both strategies, and both without a memory budget and with a forced
-// 4 KB one (every blocking operator spills).
+// a seeded random corpus over three dialects, every combinator,
+// NULL-bearing text and integer columns and a source of another kind
+// than its column declares, under both fan-in policies, both
+// strategies, and both without a memory budget and with a forced 4 KB
+// one (every blocking operator spills). An answer the bypass serves —
+// every shape fedserver may relay as the sites' batches — is checked
+// again as a client reads it from fedserver over TCP.
 func TestGeneratedQueriesMatchOracle(t *testing.T) {
 	fx := generatedFixture(t)
 	oracle := fx.Oracle(t)
+	cl := relayClient(t, fx)
 	ctx := context.Background()
 	g := &queryGen{rng: rand.New(rand.NewSource(genSeed))}
 	corpus := make([]string, genQueries)
@@ -283,12 +293,21 @@ func TestGeneratedQueriesMatchOracle(t *testing.T) {
 			for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
 				for i, sql := range corpus {
 					t.Run(fmt.Sprintf("%s/%v/%v/q%02d", mode, policy, strategy, i), func(t *testing.T) {
-						got, _, err := fx.Fed.QueryMetered(ctx, sql, strategy)
+						got, m, err := fx.Fed.QueryMetered(ctx, sql, strategy)
 						if err != nil {
 							t.Fatalf("seed %d: %s: %v", genSeed, sql, err)
 						}
 						if err := oracle.Check(ctx, sql, got); err != nil {
 							t.Fatalf("seed %d: %s: %v", genSeed, sql, err)
+						}
+						if !m.ScratchBypassed {
+							return
+						}
+						if got, err = cl.Query(ctx, strategyPrefix(strategy)+sql); err != nil {
+							t.Fatalf("seed %d: %s: through fedserver: %v", genSeed, sql, err)
+						}
+						if err := oracle.Check(ctx, sql, got); err != nil {
+							t.Fatalf("seed %d: %s: through fedserver: %v", genSeed, sql, err)
 						}
 					})
 				}

@@ -15,6 +15,7 @@ import (
 	"myriad/internal/gateway"
 	"myriad/internal/integration"
 	"myriad/internal/schema"
+	"myriad/internal/value"
 )
 
 // budgetFed points the fixture's federation at a tiny per-query memory
@@ -112,6 +113,11 @@ type logSink struct {
 
 func (s *logSink) Header(cols []string) error { s.cols = cols; return nil }
 func (s *logSink) Row(r schema.Row) error     { s.rows = append(s.rows, r); return nil }
+func (s *logSink) Batch(n int, payload []byte) error {
+	rows, err := value.DecodeRows(s.rows, n, payload)
+	s.rows = rows
+	return err
+}
 
 // TestFedserverLogsSpillRuns: the acceptance criterion's observability
 // half — after a spilling query streams to a client, the fedserver

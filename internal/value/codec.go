@@ -175,3 +175,152 @@ func DecodeRows[R ~[]Value](dst []R, n int, b []byte) ([]R, error) {
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
+
+// skipValue is decodeValue without building the value: the kind and
+// encoded length of the value at the front of b, under the same checks.
+func skipValue(b []byte) (Kind, int, error) {
+	if len(b) == 0 {
+		return KindNull, 0, corrupt("truncated value")
+	}
+	switch tag := b[0]; tag {
+	case tagNull:
+		return KindNull, 1, nil
+	case tagInt:
+		if n := uvarintLen(b[1:]); n > 0 {
+			return KindInt, 1 + n, nil
+		}
+		return KindNull, 0, corrupt("truncated integer")
+	case tagFloat:
+		if len(b) < 9 {
+			return KindNull, 0, corrupt("truncated float")
+		}
+		return KindFloat, 9, nil
+	case tagText:
+		l, n := uint64(0), 1
+		if len(b) > 1 && b[1] < 0x80 {
+			l = uint64(b[1])
+		} else if l, n = binary.Uvarint(b[1:]); n <= 0 {
+			return KindNull, 0, corrupt("truncated text length")
+		}
+		start := 1 + n
+		if l > uint64(len(b)-start) {
+			return KindNull, 0, corrupt("%d-byte text overruns %d remaining bytes", l, len(b)-start)
+		}
+		return KindText, start + int(l), nil
+	case tagBool:
+		if len(b) < 2 {
+			return KindNull, 0, corrupt("truncated boolean")
+		}
+		return KindBool, 2, nil
+	default:
+		return KindNull, 0, corrupt("unknown value tag %d", tag)
+	}
+}
+
+// uvarintLen is the length of the uvarint at the front of b, or 0 where
+// binary.Uvarint would fail (truncated, or over 64 bits).
+func uvarintLen(b []byte) int {
+	for i, c := range b {
+		if i == binary.MaxVarintLen64 {
+			return 0
+		}
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				return 0
+			}
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// RowScanner walks a batch of AppendRow encodings where it lies: it
+// makes every check DecodeRows makes and finds each row's byte range,
+// but decodes only the columns Need marks, into one reused row. Text
+// nobody needs is skipped, not copied, and nothing else is allocated.
+// A batch is walked with Reset, then Next until it reports the end.
+type RowScanner struct {
+	// Kinds, when non-nil, is the number of values every row must hold
+	// and each column's declared kind.
+	Kinds []Kind
+	// Need, when non-nil, marks the columns Next decodes into Row.
+	Need []bool
+	// Row holds the needed columns of the row Next walked last, by
+	// column position; the positions Need leaves unmarked stay NULL.
+	Row []Value
+	// Conform reports whether every non-NULL value walked since Reset
+	// has its column's kind in Kinds.
+	Conform bool
+
+	b    []byte
+	n, i int
+	off  int
+}
+
+// Reset starts a walk over the n rows that must fill all of b. A row
+// count beyond len(b) is an error, as in DecodeRows.
+func (s *RowScanner) Reset(b []byte, n int) error {
+	if n < 0 || n > len(b) {
+		return corrupt("row count %d for a %d-byte batch", n, len(b))
+	}
+	s.b, s.n, s.i, s.off, s.Conform = b, n, 0, 0, true
+	width := max(len(s.Kinds), len(s.Need))
+	if cap(s.Row) < width {
+		s.Row = make([]Value, width)
+	}
+	s.Row = s.Row[:width]
+	clear(s.Row)
+	return nil
+}
+
+// Next walks the next row and returns its byte range b[start:end]. Once
+// all n rows are walked it reports ok=false, and a nil error only when
+// they fill b exactly. Errors wrap ErrCorrupt.
+func (s *RowScanner) Next() (start, end int, ok bool, err error) {
+	if s.i == s.n {
+		if s.off != len(s.b) {
+			return 0, 0, false, corrupt("%d trailing bytes after %d rows", len(s.b)-s.off, s.n)
+		}
+		return 0, 0, false, nil
+	}
+	start = s.off
+	b := s.b[start:]
+	ncols, off := uint64(0), 1
+	if len(b) > 0 && b[0] < 0x80 {
+		ncols = uint64(b[0])
+	} else {
+		ncols, off = binary.Uvarint(b)
+	}
+	switch {
+	case off <= 0:
+		err = corrupt("truncated column count")
+	case ncols > uint64(len(b)-off):
+		err = corrupt("column count %d exceeds %d remaining bytes", ncols, len(b)-off)
+	case s.Kinds != nil && ncols != uint64(len(s.Kinds)):
+		err = corrupt("%d values, want %d", ncols, len(s.Kinds))
+	}
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("%w (row %d of %d)", err, s.i, s.n)
+	}
+	for c := 0; c < int(ncols); c++ {
+		var k Kind
+		var used int
+		if c < len(s.Need) && s.Need[c] {
+			var v Value
+			v, used, err = decodeValue(b[off:])
+			s.Row[c], k = v, v.K
+		} else {
+			k, used, err = skipValue(b[off:])
+		}
+		if err != nil {
+			return 0, 0, false, fmt.Errorf("%w (column %d at byte %d) (row %d of %d)", err, c, off, s.i, s.n)
+		}
+		if s.Kinds != nil && k != KindNull && k != s.Kinds[c] {
+			s.Conform = false
+		}
+		off += used
+	}
+	s.i++
+	s.off = start + off
+	return start, s.off, true, nil
+}
