@@ -570,6 +570,10 @@ func (s *countedStream) count(rows int) {
 	s.n += rows
 }
 
+// Site names the site the stream reads (the ordered merge names it
+// when the site breaks its sort order).
+func (s *countedStream) Site() string { return s.site }
+
 // Ordering forwards the site stream's sort guarantee (non-nil only for
 // in-process connections; the wire erases it) so the bypass can
 // cross-check the planner's ScanOrdering claim.

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"myriad/internal/catalog"
 	"myriad/internal/core"
@@ -17,6 +19,7 @@ import (
 	"myriad/internal/schema"
 	"myriad/internal/sqlparser"
 	"myriad/internal/testfed"
+	"myriad/internal/value"
 )
 
 // buildJoinFederation creates crm (small CUSTOMERS) + oltp (large
@@ -326,5 +329,102 @@ func TestParseFanIn(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `"auto" or "interleave"`) {
 			t.Errorf("ParseFanIn(%q) err = %v", s, err)
 		}
+	}
+}
+
+// unsortingRunner runs each scan over the fixture's pooled site
+// connections, except that the named site's scan loses its ORDER BY —
+// an autonomous site that does not keep the ordered-stream promise. It
+// counts the streams it hands out and the ones closed.
+type unsortingRunner struct {
+	fx             *testfed.Fixture
+	site           string
+	opened, closed atomic.Int64
+}
+
+type closeCounted struct {
+	schema.RowStream
+	closed *atomic.Int64
+}
+
+func (s closeCounted) Close() error { s.closed.Add(1); return s.RowStream.Close() }
+
+func (r *unsortingRunner) QuerySite(ctx context.Context, site, sql string) (schema.RowStream, error) {
+	if site == r.site {
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			return nil, err
+		}
+		stmt.(*sqlparser.Select).OrderBy = nil
+		sql = sqlparser.FormatStatement(stmt, nil)
+	}
+	conn, ok := r.fx.Fed.Conn(site)
+	if !ok {
+		return nil, fmt.Errorf("no site %q", site)
+	}
+	st, err := conn.QueryStream(ctx, 0, sql)
+	if err != nil {
+		return nil, err
+	}
+	r.opened.Add(1)
+	return closeCounted{st, &r.closed}, nil
+}
+
+// TestUnsortedSiteFailsMergeAndReleasesPool: a site that ignores the
+// top-K ORDER BY shipped to it fails the ordered-merge bypass with
+// integration.ErrUnsortedSource naming the site, instead of a wrongly
+// ordered answer; closing the result closes every site stream, so the
+// query, failed more times than a site's pool has connections, leaves
+// each pooled connection free for the next query.
+func TestUnsortedSiteFailsMergeAndReleasesPool(t *testing.T) {
+	var specs []testfed.SiteSpec
+	for _, name := range []string{"a", "b"} {
+		specs = append(specs, testfed.SiteSpec{Name: name,
+			Setup:   []string{`CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)`},
+			Exports: []gateway.Export{{Name: "T", LocalTable: "t"}}})
+	}
+	same := map[string]string{"id": "id", "v": "v"}
+	fx := testfed.New(t, specs, []*catalog.IntegratedDef{{
+		Name:    "R",
+		Columns: []schema.Column{{Name: "id", Type: schema.TInt}, {Name: "v", Type: schema.TInt}},
+		Combine: integration.UnionAll,
+		Sources: []catalog.SourceDef{{Site: "a", Export: "T", ColumnMap: same}, {Site: "b", Export: "T", ColumnMap: same}},
+	}})
+	for i, site := range []string{"a", "b"} {
+		rows := make([]schema.Row, 2000)
+		for j := range rows {
+			rows[j] = schema.Row{value.NewInt(int64(i*10_000 + j)), value.NewInt(int64(j % 97))}
+		}
+		fx.LoadRows(t, site, "t", rows)
+	}
+	// The LIMIT exceeds every fragment, so each site is asked for its
+	// whole fragment, sorted.
+	plan := planFor(t, planner.New(fx.Fed.Catalog(), fx.Fed), `SELECT id, v FROM R ORDER BY v, id LIMIT 5000`)
+	if plan.ScanSets[0].ScanOrdering == nil {
+		t.Fatal("ORDER BY not shipped to the sites")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	bad := &unsortingRunner{fx: fx, site: "b"}
+	for i := 0; i < 9; i++ {
+		_, m, err := execute(ctx, plan, bad, executor.Options{})
+		if !errors.Is(err, integration.ErrUnsortedSource) || !strings.Contains(err.Error(), "site b") {
+			t.Fatalf("run %d: err = %v", i, err)
+		}
+		if !m.ScratchBypassed {
+			t.Fatalf("run %d: not served by the ordered-merge bypass", i)
+		}
+	}
+	if o, c := bad.opened.Load(), bad.closed.Load(); o != 18 || c != o {
+		t.Fatalf("site streams: %d opened, %d closed", o, c)
+	}
+	good := &unsortingRunner{fx: fx}
+	rs, _, err := execute(ctx, plan, good, executor.Options{})
+	if err != nil {
+		t.Fatalf("query after the failures: %v", err)
+	}
+	if len(rs.Rows) != 4000 {
+		t.Fatalf("query after the failures: %d rows", len(rs.Rows))
 	}
 }

@@ -1104,6 +1104,11 @@ func (c *interleaveStream) Close() error {
 // engine's ORDER BY without changing a single row. The merge must hold
 // one row per source, so its first row waits for the slowest site; it
 // trades first-row latency for never re-sorting.
+//
+// A source's sortedness is a promise an autonomous site makes, so the
+// merge checks it: every row is compared with the row its source sent
+// before it, and one that sorts earlier fails the stream with
+// ErrUnsortedSource instead of silently misordering the answer.
 type mergeStream struct {
 	fanInBase
 
@@ -1128,14 +1133,33 @@ type mergeStream struct {
 	groupKey  schema.Row
 }
 
+// ErrUnsortedSource reports a source of an ordered merge that broke its
+// promise to arrive sorted on the merge keys: a protocol violation by
+// the site, which the merge cannot repair without re-sorting.
+var ErrUnsortedSource = errors.New("integration: ordered merge source out of order")
+
+// siteNamed is a source stream that knows the site it reads (the
+// executor's metered site streams do); the merge names it in errors.
+type siteNamed interface{ Site() string }
+
 // advance loads the next row of source i into heads[i] (nil + done when
 // the source is exhausted), pulling a fresh batch from its feed when
-// the buffered one runs dry.
+// the buffered one runs dry. A row that sorts before the one it
+// replaces is ErrUnsortedSource.
 func (c *mergeStream) advance(ctx context.Context, i int) error {
+	prev := c.heads[i]
 	for {
 		if c.bpos[i] < len(c.batches[i]) {
-			c.heads[i] = c.batches[i][c.bpos[i]]
+			h := c.batches[i][c.bpos[i]]
 			c.bpos[i]++
+			if prev != nil && schema.CompareRowsBy(h, prev, c.keys) < 0 {
+				name := fmt.Sprintf("source %d", i)
+				if sn, ok := c.sources[i].(siteNamed); ok {
+					name = "site " + sn.Site()
+				}
+				return fmt.Errorf("%w: %s sent a row that sorts before the row it sent last", ErrUnsortedSource, name)
+			}
+			c.heads[i] = h
 			return nil
 		}
 		if c.done[i] {

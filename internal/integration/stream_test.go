@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -224,6 +225,37 @@ func TestMergeErrorSurfaces(t *testing.T) {
 	_, err := schema.DrainStream(context.Background(), c)
 	if !errors.Is(err, boom) {
 		t.Fatalf("merge lost the source error: %v", err)
+	}
+}
+
+// siteStream is a gatedStream that names its site, as the executor's
+// metered site streams do.
+type siteStream struct {
+	*gatedStream
+	site string
+}
+
+func (s siteStream) Site() string { return s.site }
+
+// TestMergeRejectsUnsortedSource: a source whose rows go backwards on
+// the merge keys (here the second key, DESC) fails the merge with
+// ErrUnsortedSource naming its site, instead of yielding a misordered
+// answer; every source is closed with the stream.
+func TestMergeRejectsUnsortedSource(t *testing.T) {
+	spec := &Spec{Kind: UnionAll, Columns: []string{"k", "src"}}
+	keys := []schema.SortKey{{Col: 0}, {Col: 1, Desc: true}}
+	s0 := &gatedStream{cols: spec.Columns, rows: []schema.Row{row2(1, 0), row2(4, 0)}}
+	s1 := &gatedStream{cols: spec.Columns, rows: []schema.Row{row2(2, 5), row2(2, 7), row2(3, 1)}}
+	c := CombineStreamsOpts(context.Background(), spec,
+		[]schema.RowStream{s0, siteStream{s1, "east"}},
+		StreamOptions{Mode: FanInMergeOrdered, MergeKeys: keys})
+	_, err := schema.DrainStream(context.Background(), c)
+	if !errors.Is(err, ErrUnsortedSource) || !strings.Contains(err.Error(), "site east") {
+		t.Fatalf("unsorted source: err = %v", err)
+	}
+	c.Close()
+	if !s0.closed || !s1.closed {
+		t.Fatalf("sources left open: %v %v", s0.closed, s1.closed)
 	}
 }
 

@@ -831,7 +831,7 @@ func (p *Planner) pushLimit(sel *sqlparser.Select, sets map[string]*ScanSet, uni
 			for i := range ss.Def.Sources {
 				for _, o := range sel.OrderBy {
 					te, ok := translateExpr(o.Expr, &ss.Def.Sources[i], ss.Alias)
-					if !ok {
+					if !ok || !p.sortsAlike(o.Expr, ss, i) {
 						return nil
 					}
 					perSource[i] = append(perSource[i], sqlparser.OrderItem{Expr: te, Desc: o.Desc})
@@ -863,6 +863,40 @@ func (p *Planner) pushLimit(sel *sqlparser.Select, sets map[string]*ScanSet, uni
 		ss.ScanOrdering = scanOrdering(sel.OrderBy, ss)
 	}
 	return nil
+}
+
+// sortsAlike reports whether source i of ss orders rows by the ORDER BY
+// key e exactly as the coordinator would order the integrated rows: it
+// maps every column e reads to a plain export column of the integrated
+// column's type, so the site evaluates e over the very values the
+// coordinator's rows hold once coerced. Anything else can order the
+// site's rows differently (TEXT '10' before '9' under INTEGER; FLOAT
+// under INTEGER, where the site breaks ties the truncated values do
+// not have), and a site that picks its top-K by another order hands
+// the coordinator the wrong candidates. A bare literal is an ordinal:
+// it names an item of the query's select list, which the scan's select
+// list does not share.
+func (p *Planner) sortsAlike(e sqlparser.Expr, ss *ScanSet, i int) bool {
+	if _, ordinal := e.(*sqlparser.Literal); ordinal || p.Catalog == nil {
+		return false
+	}
+	src := &ss.Def.Sources[i]
+	export, ok := p.Catalog.ExportSchema(src.Site, src.Export)
+	if !ok {
+		return false
+	}
+	for _, cr := range sqlparser.ColumnsIn(e) {
+		ci := ss.Def.ColIndex(cr.Column)
+		m, _ := src.Mapped(cr.Column)
+		mc, isCol := m.(*sqlparser.ColumnRef)
+		if ci < 0 || !isCol {
+			return false
+		}
+		if ei := export.ColIndex(mc.Column); ei < 0 || export.Columns[ei].Type != ss.Def.Columns[ci].Type {
+			return false
+		}
+	}
+	return true
 }
 
 // scanOrdering maps a pushed-down ORDER BY onto the scan set's schema

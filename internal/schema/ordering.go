@@ -1,6 +1,11 @@
 package schema
 
-import "myriad/internal/value"
+import (
+	"cmp"
+	"strings"
+
+	"myriad/internal/value"
+)
 
 // SortKey names one ordering column of a row stream: an index into the
 // stream's Columns plus a direction. A stream "ordered by" a key list
@@ -36,10 +41,11 @@ func StreamOrdering(s RowStream) []SortKey {
 // CompareSort's — the one comparator the component engine's sorts also
 // use — because a merged stream of engine-sorted sources must
 // interleave on the same order the engines produced, or the merge
-// silently reorders.
+// silently reorders. It compares the rows' values in place, without
+// copying them.
 func CompareRowsBy(a, b Row, keys []SortKey) int {
 	for _, k := range keys {
-		c := CompareSort(a[k.Col], b[k.Col])
+		c := compareSort(&a[k.Col], &b[k.Col])
 		if c == 0 {
 			continue
 		}
@@ -55,7 +61,22 @@ func CompareRowsBy(a, b Row, keys []SortKey) int {
 // ascending (so last under DESC), incomparable values compare equal.
 // The component engine's full-sort/top-K paths and the fan-in merge
 // both delegate here so their orderings cannot drift apart.
-func CompareSort(a, b value.Value) int {
+func CompareSort(a, b value.Value) int { return compareSort(&a, &b) }
+
+// compareSort is CompareSort by pointer. Two values of one kind (INT,
+// FLOAT or TEXT) compare inline, exactly as value.Compare would; NULLs,
+// booleans and kind mixes go through value.Compare.
+func compareSort(a, b *value.Value) int {
+	if a.K == b.K {
+		switch a.K {
+		case value.KindInt:
+			return cmp.Compare(a.I, b.I)
+		case value.KindFloat:
+			return value.CompareFloat(a.F, b.F)
+		case value.KindText:
+			return strings.Compare(a.S, b.S)
+		}
+	}
 	switch {
 	case a.IsNull() && b.IsNull():
 		return 0
@@ -64,7 +85,7 @@ func CompareSort(a, b value.Value) int {
 	case b.IsNull():
 		return 1
 	}
-	c, ok := value.Compare(a, b)
+	c, ok := value.Compare(*a, *b)
 	if !ok {
 		return 0
 	}

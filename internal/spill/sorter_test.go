@@ -87,8 +87,9 @@ func TestSorterMatchesSliceStable(t *testing.T) {
 }
 
 // BenchmarkSorter sorts one sort_spill-shaped row set — 20,000 (id,
-// name, price) rows ordered by price — under a 1 MB budget, the
-// federation's default, so the sort both fills memory and spills runs.
+// name, price) rows ordered by price — in memory, and under a 1 MB
+// budget, the federation's default, where the sort both fills memory
+// and spills runs.
 func BenchmarkSorter(b *testing.B) {
 	rows := make([]schema.Row, 20_000)
 	for i := range rows {
@@ -96,12 +97,19 @@ func BenchmarkSorter(b *testing.B) {
 		rows[i] = schema.Row{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("part %06d", i)), value.NewFloat(price)}
 	}
 	keys := []schema.SortKey{{Col: 2}}
-	dir := b.TempDir()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := sortAll(b, NewBudget(1<<20, dir), keys, rows); len(got) != len(rows) {
-			b.Fatalf("sorted %d of %d rows", len(got), len(rows))
-		}
+	for _, limit := range []int64{0, 1 << 20} {
+		b.Run(fmt.Sprintf("budget=%d", limit), func(b *testing.B) {
+			dir := b.TempDir()
+			b.ReportAllocs()
+			for b.Loop() {
+				var budget *Budget
+				if limit > 0 {
+					budget = NewBudget(limit, dir)
+				}
+				if got := sortAll(b, budget, keys, rows); len(got) != len(rows) {
+					b.Fatalf("sorted %d of %d rows", len(got), len(rows))
+				}
+			}
+		})
 	}
 }

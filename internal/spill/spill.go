@@ -248,6 +248,7 @@ func (d *DedupSet) Admit(key string) (bool, error) {
 // over a shared Budget).
 type Sorter struct {
 	budget   *Budget
+	keys     []schema.SortKey // nil under NewSorterFunc
 	cmp      func(a, b schema.Row) int
 	rows     []schema.Row
 	reserved int64
@@ -257,10 +258,12 @@ type Sorter struct {
 
 // NewSorter creates a sorter ordering rows by keys (via
 // schema.CompareRowsBy) under budget (nil = unlimited, never spills).
+// A single INT or FLOAT key with no NULL or NaN in a batch of buffered
+// rows sorts by radix (radixKeys) instead.
 func NewSorter(budget *Budget, keys []schema.SortKey) *Sorter {
-	return NewSorterFunc(budget, func(a, b schema.Row) int {
+	return &Sorter{budget: budget, keys: keys, cmp: func(a, b schema.Row) int {
 		return schema.CompareRowsBy(a, b, keys)
-	})
+	}}
 }
 
 // NewSorterFunc is NewSorter with an explicit comparator. The merge
@@ -302,7 +305,8 @@ func (s *Sorter) Add(row schema.Row) error {
 // sortRows stable-sorts the buffered rows: an unstable typed sort over
 // an index permutation whose comparator breaks key ties by arrival
 // index is exactly the stable order, and the rows then move once
-// instead of being swapped through reflection on every exchange.
+// instead of being swapped through reflection on every exchange. A
+// key radixKeys can map sorts by radix, which gives the same order.
 func (s *Sorter) sortRows() {
 	rows := s.rows
 	if len(rows) < 2 {
@@ -312,12 +316,16 @@ func (s *Sorter) sortRows() {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := s.cmp(rows[a], rows[b]); c != 0 {
-			return c
-		}
-		return int(a) - int(b)
-	})
+	if u := radixKeys(rows, s.keys); u != nil {
+		radixSort(perm, u)
+	} else {
+		slices.SortFunc(perm, func(a, b int32) int {
+			if c := s.cmp(rows[a], rows[b]); c != 0 {
+				return c
+			}
+			return int(a) - int(b)
+		})
+	}
 	sorted := make([]schema.Row, len(rows))
 	for i, p := range perm {
 		sorted[i] = rows[p]

@@ -156,6 +156,61 @@ func TestFedserverLogsSpillRuns(t *testing.T) {
 	assertNoSpillFiles(t, dir)
 }
 
+// TestSortKeysOfAnotherTypeStayAtCoordinator: site b stores R's INTEGER
+// v as TEXT, where '10' sorts before '9'. A top-K ORDER BY on v must
+// not ship there: the site's top-K would pick the wrong candidates.
+// Every answer equals the oracle's.
+func TestSortKeysOfAnotherTypeStayAtCoordinator(t *testing.T) {
+	specs := []SiteSpec{
+		{Name: "a", Setup: []string{createT}, Exports: []gateway.Export{{Name: "T", LocalTable: "t"}}},
+		{Name: "b", Setup: []string{`CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)`},
+			Exports: []gateway.Export{{Name: "T", LocalTable: "t"}}},
+	}
+	fx := New(t, specs, []*catalog.IntegratedDef{unionDef(integration.UnionAll, "a", "b")})
+	vi, vt := value.NewInt, value.NewText
+	fx.LoadRows(t, "a", "t", []schema.Row{{vi(1), vi(50)}, {vi(2), vi(5)}})
+	fx.LoadRows(t, "b", "t", []schema.Row{{vi(3), vt("10")}, {vi(4), vt("9")}, {vi(5), vt("100")}})
+	oracle := fx.Oracle(t)
+	ctx := context.Background()
+	for _, sql := range []string{
+		`SELECT id, v FROM R ORDER BY v LIMIT 2`,
+		`SELECT id, v FROM R ORDER BY v DESC LIMIT 3`,
+		`SELECT id, v FROM R ORDER BY v`,
+	} {
+		got, err := fx.Fed.Query(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.Check(ctx, sql, got); err != nil {
+			t.Errorf("%s: %v", sql, err)
+		}
+	}
+}
+
+// TestOrdinalOrderByStaysAtCoordinator: an ORDER BY position names an
+// item of the query's select list, not of a site scan's, so a top-K by
+// ordinal must not ship (it used to, and each site picked its
+// candidates by its scan's first column, id). Every answer equals the
+// oracle's.
+func TestOrdinalOrderByStaysAtCoordinator(t *testing.T) {
+	fx := twoSiteUnion(t, integration.UnionAll, 200, 200, false, 0)
+	oracle := fx.Oracle(t)
+	ctx := context.Background()
+	for _, sql := range []string{
+		`SELECT v, id FROM R ORDER BY 1, 2 LIMIT 4`,
+		`SELECT v, id FROM R ORDER BY 1 DESC, 2 LIMIT 3`,
+		`SELECT v, id FROM R ORDER BY 1, 2`,
+	} {
+		got, err := fx.Fed.Query(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.Check(ctx, sql, got); err != nil {
+			t.Errorf("%s: %v", sql, err)
+		}
+	}
+}
+
 // outerMergeFixture builds M = a.T outer-merge b.T on id over sizable
 // overlapping fragments, with site b optionally faulty.
 func outerMergeFixture(t testing.TB, rowsEach int, faultyB bool) *Fixture {

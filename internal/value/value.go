@@ -176,7 +176,7 @@ func Compare(a, b Value) (cmp int, ok bool) {
 	case a.isNumeric() && b.isNumeric():
 		af, _ := a.Float()
 		bf, _ := b.Float()
-		return cmpFloat(af, bf), true
+		return CompareFloat(af, bf), true
 	case a.K == KindText && b.K == KindText:
 		return strings.Compare(a.S, b.S), true
 	case a.K == KindBool && b.K == KindBool:
@@ -184,7 +184,7 @@ func Compare(a, b Value) (cmp int, ok bool) {
 	case a.K == KindText && b.isNumeric():
 		if af, ok := a.Float(); ok {
 			bf, _ := b.Float()
-			return cmpFloat(af, bf), true
+			return CompareFloat(af, bf), true
 		}
 		return strings.Compare(a.Text(), b.Text()), true
 	case a.isNumeric() && b.K == KindText:
@@ -206,7 +206,10 @@ func cmpOrdered(a, b int64) int {
 	}
 }
 
-func cmpFloat(a, b float64) int {
+// CompareFloat is Compare's order on two floats: NaN compares equal to
+// every number and -0.0 equal to 0.0 (unlike cmp.Compare, which puts
+// NaN first).
+func CompareFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
