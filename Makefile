@@ -4,7 +4,7 @@
 
 BENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off
 
-.PHONY: check check-modes bench-pairs
+.PHONY: check check-modes fuzz-smoke bench-pairs
 check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	go vet ./...
@@ -18,6 +18,26 @@ check:
 check-modes:
 	MYRIAD_TEST_MEM_BUDGET=4096 go test -race -timeout 300s ./...
 	MYRIAD_TEST_DURABLE=4096 go test -race -timeout 600s ./...
+
+# `make fuzz-smoke` runs every fuzz target for FUZZTIME (default 10s):
+# enough to catch a freshly introduced parser, framing, codec, sort or
+# WAL-replay crash without turning CI into a fuzz farm. CI's fuzz smoke
+# step calls it, so a new target is added here once.
+FUZZTIME ?= 10s
+FUZZ_TARGETS := \
+	FuzzParse:./internal/sqlparser \
+	FuzzShapeBind:./internal/sqlparser \
+	FuzzBatchFraming:./internal/comm \
+	FuzzDecodeMessage:./internal/comm \
+	FuzzDecodeRow:./internal/value \
+	FuzzScanRows:./internal/value \
+	FuzzSortKernel:./internal/spill \
+	FuzzWALReplay:./internal/wal
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t%%:*} ($${t#*:}, $(FUZZTIME))"; \
+		go test -run='^$$' -fuzz="^$${t%%:*}$$" -fuzztime=$(FUZZTIME) "$${t#*:}"; \
+	done
 
 # `make bench-pairs PARENT=<rev> W="<workload> [<workload>...]" SEED=<n>
 # PAIRS=10` runs PERF.md's paired protocol: the working tree against a

@@ -170,7 +170,11 @@ type Metrics struct {
 	RemoteQueries int
 	RowsShipped   int
 	SemijoinUsed  bool
-	SemijoinSkip  bool // key set exceeded the cap/budget; fell back to full scan
+	// SemijoinSkip reports a nominated bind join that did not pay at run
+	// time: the build side's exact distinct keys exceeded the probe's
+	// break-even cap (ScanSet.BindMaxKeys) or the query budget, so the
+	// probe fragments shipped whole.
+	SemijoinSkip bool
 	// ShippedKeys counts join-key literals shipped to probe sites by the
 	// bind join (each live probe scan receives every batch, so a key
 	// probing two sites counts twice). Batches open as the residual
@@ -1019,10 +1023,6 @@ func (b *bypassStream) Close() error {
 // ---------------------------------------------------------------------
 // Bind join
 
-// defaultBindMaxKeys bounds bind-join key collection when the plan
-// does not set Plan.BindMaxKeys.
-const defaultBindMaxKeys = 100000
-
 // countPrunedSources totals the scans source selection proved empty.
 func countPrunedSources(plan *planner.Plan) int {
 	n := 0
@@ -1036,27 +1036,20 @@ func countPrunedSources(plan *planner.Plan) int {
 	return n
 }
 
-// bindMaxKeys is the plan's bind-join key cap, defaulted.
-func bindMaxKeys(plan *planner.Plan) int {
-	if plan.BindMaxKeys > 0 {
-		return plan.BindMaxKeys
-	}
-	return defaultBindMaxKeys
-}
-
 // openProbe builds bind-join probe set ss's stream against its spooled
 // build side: the build's distinct keys split into MaxInList-sized
 // IN-list batches whose fan-ins open one after another. The batches
 // partition the distinct keys, so each probe row matches exactly one
-// batch and per-batch combining stays exact for every combine kind. A
-// key set over the cap or the budget falls back to the unreduced probe
-// (SemijoinSkip); an empty one ships nothing.
+// batch and per-batch combining stays exact for every combine kind.
+// This is where the bind join is decided: a key set over the planner's
+// break-even cap (ss.BindMaxKeys) or the budget falls back to the
+// unreduced probe (SemijoinSkip); an empty one ships nothing.
 func openProbe(ctx context.Context, plan *planner.Plan, ss, build *planner.ScanSet, sp *spill.Spool, runner SiteRunner, opts Options, budget *spill.Budget, m *Metrics, mu *sync.Mutex) (schema.RowStream, error) {
 	col := build.Schema.ColIndex(ss.SemiBuildCol)
 	if col < 0 {
 		return nil, fmt.Errorf("executor: semijoin build column %s.%s missing", build.Alias, ss.SemiBuildCol)
 	}
-	typ, maxKeys := build.Schema.Columns[col].Type, bindMaxKeys(plan)
+	typ, maxKeys := build.Schema.Columns[col].Type, ss.BindMaxKeys
 	vals, reserved, over, err := semiValues(ctx, sp, col, typ, maxKeys, budget)
 	if err == nil && over == keysOverBudget && !sp.Spilled() {
 		// The build rows the spool holds in memory crowd out the key set;
@@ -1120,7 +1113,7 @@ type keyOverflow uint8
 
 const (
 	keysFit        keyOverflow = iota
-	keysOverCap                // more distinct keys than the plan's cap
+	keysOverCap                // more distinct keys than the probe's cap
 	keysOverBudget             // the query budget refused a key
 )
 
@@ -1136,8 +1129,9 @@ func semiValues(ctx context.Context, sp *spill.Spool, col int, typ schema.Type, 
 		return nil, 0, keysFit, err
 	}
 	defer rd.Close()
-	seen := make(map[string]bool)
+	seen := make(map[string]struct{})
 	var keys []value.Value
+	var buf []byte
 	for {
 		r, rerr := rd.Next(ctx)
 		if rerr != nil {
@@ -1153,16 +1147,16 @@ func semiValues(ctx context.Context, sp *spill.Spool, col int, typ schema.Type, 
 		if v.IsNull() {
 			continue
 		}
-		k := fmt.Sprintf("%d|%s", v.K, v.Text())
-		if seen[k] {
+		buf = value.AppendKey(buf[:0], &v)
+		if _, dup := seen[string(buf)]; dup {
 			continue
 		}
-		cost := int64(len(k)) + 48
+		cost := int64(len(buf)) + 48
 		if !budget.Reserve(cost) {
 			return nil, reserved, keysOverBudget, nil
 		}
 		reserved += cost
-		seen[k] = true
+		seen[string(buf)] = struct{}{}
 		keys = append(keys, v)
 		if len(keys) > max {
 			return nil, reserved, keysOverCap, nil

@@ -178,7 +178,11 @@ func TestSemijoinFallbackWhenListTooLarge(t *testing.T) {
 	// Force the distinct-key cap below the actual build size: batching
 	// would happily ship 90 keys as many IN lists, so cap the keys
 	// themselves.
-	plan.BindMaxKeys = 50
+	for _, ss := range plan.ScanSets {
+		if ss.SemiFrom != "" {
+			ss.BindMaxKeys = 50
+		}
+	}
 
 	rs, m, err := execute(context.Background(), plan, fedRunner{fed}, executor.Options{})
 	if err != nil {

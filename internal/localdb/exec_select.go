@@ -923,7 +923,8 @@ func splitEquiPair(bx *sqlparser.BinaryExpr, leftBinder, full *rowBinder, rightS
 func hasColumns(e sqlparser.Expr) bool { return len(sqlparser.ColumnsIn(e)) > 0 }
 
 // hashKeyOf evaluates the key fns and appends the join key to buf (see
-// appendKey); null reports any NULL key column (which never matches).
+// value.AppendKey); null reports any NULL key column (which never
+// matches).
 func hashKeyOf(buf []byte, fns []evalFn, row []value.Value) (key []byte, null bool, err error) {
 	for _, fn := range fns {
 		v, err := fn(row)
@@ -933,7 +934,7 @@ func hashKeyOf(buf []byte, fns []evalFn, row []value.Value) (key []byte, null bo
 		if v.IsNull() {
 			return buf, true, nil
 		}
-		buf = appendKey(buf, &v)
+		buf = value.AppendKey(buf, &v)
 	}
 	return buf, false, nil
 }

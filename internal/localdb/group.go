@@ -499,6 +499,7 @@ func (g *sortGroupIter) fill(ctx context.Context) error {
 		return strings.Compare(a[0].S, b[0].S)
 	}
 	sorter := spill.NewSorterFunc(g.tx.db.budget, cmp)
+	slab := recordSlab{limit: g.tx.db.budget.Limit()}
 	for {
 		r, err := g.child.Next(ctx)
 		if err != nil {
@@ -508,7 +509,7 @@ func (g *sortGroupIter) fill(ctx context.Context) error {
 		if r == nil {
 			break
 		}
-		rec := make(schema.Row, 1+nk+len(r))
+		rec := slab.next(1 + nk + len(r))
 		for i, fn := range g.plan.keyFns {
 			if rec[1+i], err = fn(r); err != nil {
 				sorter.Close()

@@ -3,6 +3,7 @@ package localdb
 import (
 	"context"
 	"sort"
+	"unsafe"
 
 	"myriad/internal/schema"
 	"myriad/internal/spill"
@@ -382,6 +383,37 @@ func newSortIter(child rowIter, itemFns, sortFns []evalFn, descs []bool, budget 
 	return &sortIter{child: child, itemFns: itemFns, sortFns: sortFns, descs: descs, budget: budget}
 }
 
+// recordSlab carves fixed-width sort records out of shared backing
+// arrays of up to slabRecords records each, so a sort allocates once
+// per slab rather than once per input row. Each record's capacity is
+// its width, so an append to one cannot spill into its neighbour. The
+// sorter reserves budget per record as it is added, so the current
+// slab's uncarved tail, and its records a spilled run no longer needs,
+// are held beyond that account; under a budget a slab is therefore at
+// most 1/slabShare of the limit, which bounds the excess.
+type recordSlab struct {
+	free  []value.Value
+	limit int64 // the sort's budget limit (0 = unlimited)
+}
+
+const (
+	slabRecords = 256
+	slabShare   = 8
+)
+
+func (s *recordSlab) next(w int) schema.Row {
+	if len(s.free) < w {
+		n := int64(slabRecords)
+		if s.limit > 0 {
+			n = max(1, min(n, s.limit/slabShare/(int64(w)*int64(unsafe.Sizeof(value.Value{})))))
+		}
+		s.free = make([]value.Value, int64(w)*n)
+	}
+	r := s.free[:w:w]
+	s.free = s.free[w:]
+	return r
+}
+
 func (s *sortIter) fill(ctx context.Context) error {
 	nk := len(s.sortFns)
 	keys := make([]schema.SortKey, nk)
@@ -389,6 +421,7 @@ func (s *sortIter) fill(ctx context.Context) error {
 		keys[i] = schema.SortKey{Col: i, Desc: s.descs[i]}
 	}
 	sorter := spill.NewSorter(s.budget, keys)
+	slab := recordSlab{limit: s.budget.Limit()}
 	for {
 		r, err := s.child.Next(ctx)
 		if err != nil {
@@ -398,7 +431,7 @@ func (s *sortIter) fill(ctx context.Context) error {
 		if r == nil {
 			break
 		}
-		rec := make(schema.Row, nk+len(s.itemFns))
+		rec := slab.next(nk + len(s.itemFns))
 		for i, fn := range s.sortFns {
 			if rec[i], err = fn(r); err != nil {
 				sorter.Close()

@@ -487,3 +487,40 @@ func TestIteratorEquivalenceWithFullSort(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordSlabBoundedByBudget: a sort's record slab holds at most
+// slabRecords records, and under a budget at most an eighth of the
+// limit (one record when even that is wider), so the records carved
+// ahead of the sorter's reservations stay a small share of the budget.
+// Records never share capacity, so appending to one cannot overwrite
+// the next.
+func TestRecordSlabBoundedByBudget(t *testing.T) {
+	for _, tc := range []struct {
+		limit   int64
+		w, want int
+	}{
+		{0, 5, slabRecords},
+		{1 << 20, 5, slabRecords},
+		{4096, 5, 2},   // 4096/8 bytes hold two 5-value records
+		{4096, 100, 1}, // one record is over the eighth; carve it alone
+	} {
+		s := recordSlab{limit: tc.limit}
+		r := s.next(tc.w)
+		if got := 1 + len(s.free)/tc.w; got != tc.want {
+			t.Errorf("limit %d, width %d: slab of %d records, want %d", tc.limit, tc.w, got, tc.want)
+		}
+		if tc.limit > 0 && tc.want > 1 && int64(tc.want*tc.w*48) > tc.limit/slabShare {
+			t.Errorf("limit %d, width %d: slab over 1/%d of the budget", tc.limit, tc.w, slabShare)
+		}
+		if len(r) != tc.w || cap(r) != tc.w {
+			t.Errorf("record len %d cap %d, want %d", len(r), cap(r), tc.w)
+		}
+		if tc.want > 1 {
+			next := s.next(tc.w)
+			_ = append(r, value.NewInt(1))
+			if !next[0].IsNull() {
+				t.Errorf("append to one record overwrote the next")
+			}
+		}
+	}
+}

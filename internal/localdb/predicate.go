@@ -1,10 +1,8 @@
 package localdb
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"myriad/internal/schema"
@@ -387,9 +385,9 @@ const inHashMin = 8
 
 // inList is an IN predicate's list of constants. A long list whose items
 // share one kind class (all numeric or all TEXT) also keeps a set of
-// their appendKey keys. A probe uses the set only where key equality is
-// exactly value.Compare's equality for it; every other probe walks the
-// list, so both paths give the same answer.
+// their value.AppendKey keys. A probe uses the set only where key
+// equality is exactly value.Compare's equality for it; every other
+// probe walks the list, so both paths give the same answer.
 type inList struct {
 	items   []constant // the non-NULL items, in list order
 	hasNull bool
@@ -432,7 +430,7 @@ func newInList(list []sqlparser.Expr, r resolver) (*inList, bool) {
 		s.set = make(map[string]struct{}, len(s.items))
 		var buf []byte
 		for i := range s.items {
-			buf = appendKey(buf[:0], &s.items[i].v)
+			buf = value.AppendKey(buf[:0], &s.items[i].v)
 			s.set[string(buf)] = struct{}{}
 		}
 	}
@@ -446,7 +444,7 @@ func (s *inList) test(v *value.Value, not bool) Truth {
 	}
 	if s.hashes(v) {
 		var a [64]byte
-		if _, ok := s.set[string(appendKey(a[:0], v))]; ok {
+		if _, ok := s.set[string(value.AppendKey(a[:0], v))]; ok {
 			return boolTruth(!not)
 		}
 	} else {
@@ -476,29 +474,6 @@ func (s *inList) hashes(v *value.Value) bool {
 		return !s.text && !s.wideInt && !math.IsNaN(v.F)
 	}
 	return false
-}
-
-// appendKey appends v's equality key to b: INTEGER values with equal
-// keys are equal, and so are FLOAT and TEXT ones. An INTEGER encodes
-// exactly, and an integral FLOAT within int64 range encodes as that
-// integer, so 1 = 1.0 still match; any other FLOAT uses its shortest
-// strconv form. Every key starts with a tag and has a fixed length or a
-// length prefix, so the keys of several columns concatenate
-// unambiguously. v must not be NULL.
-func appendKey(b []byte, v *value.Value) []byte {
-	switch v.K {
-	case value.KindInt:
-		return binary.BigEndian.AppendUint64(append(b, 'i'), uint64(v.I))
-	case value.KindFloat:
-		if f := v.F; f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
-			return binary.BigEndian.AppendUint64(append(b, 'i'), uint64(int64(f)))
-		}
-		var a [32]byte
-		s := strconv.AppendFloat(a[:0], v.F, 'g', -1, 64)
-		return append(append(b, 'f', byte(len(s))), s...)
-	}
-	s := v.Text()
-	return append(binary.AppendUvarint(append(b, byte(v.K)), uint64(len(s))), s...)
 }
 
 // constant is the constant side of a typed leaf: a literal, or a

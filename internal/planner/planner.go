@@ -98,14 +98,15 @@ type ScanSet struct {
 	// the probe subqueries once per MaxInList-sized batch of them, each
 	// batch ANDed onto the scans' SemiProbe expression as an IN-list
 	// (the batches partition the keys, so per-batch combining is exact).
-	// A key set larger than Plan.BindMaxKeys falls back to shipping the
-	// fragments whole.
+	// BindMaxKeys is the break-even key count (see bindCap): a build
+	// with more distinct keys falls back to shipping the fragments
+	// whole.
 	SemiFrom     string
 	SemiBuildCol string
-	// EstKeys/EstBatches are the planner's distinct-key and batch-count
-	// estimates for the bind join (EXPLAIN only).
-	EstKeys    float64
-	EstBatches int
+	BindMaxKeys  int
+	// EstKeys is the planner's distinct-key estimate for the build side
+	// (EXPLAIN only; the executor decides on the exact count).
+	EstKeys float64
 
 	// ScanOrdering, when non-nil, declares that every source scan
 	// streams its fragment already sorted on these keys (indexes into
@@ -128,10 +129,6 @@ type Plan struct {
 	// MaxInList bounds one shipped IN-list — the bind join's batch size
 	// (0 = default 1000).
 	MaxInList int
-	// BindMaxKeys bounds the total distinct keys a bind join may collect
-	// before falling back to shipping fragments whole (0 = default
-	// 100000).
-	BindMaxKeys int
 }
 
 // Describe renders a human-readable plan (myriadctl EXPLAIN).
@@ -141,8 +138,8 @@ func (p *Plan) Describe() string {
 	for _, ss := range p.ScanSets {
 		fmt.Fprintf(&b, "scan-set %s (%s, est %.0f rows)", ss.Alias, ss.Def.Name, ss.EstRows)
 		if ss.SemiFrom != "" {
-			fmt.Fprintf(&b, " [bind-join probe of %s on %s, ~%.0f keys in ~%d batches]",
-				ss.SemiFrom, ss.SemiBuildCol, ss.EstKeys, ss.EstBatches)
+			fmt.Fprintf(&b, " [bind-join probe of %s on %s if ≤ %d keys, est ~%.0f]",
+				ss.SemiFrom, ss.SemiBuildCol, ss.BindMaxKeys, ss.EstKeys)
 		}
 		b.WriteByte('\n')
 		for _, sc := range ss.Scans {
@@ -161,12 +158,12 @@ func (p *Plan) Describe() string {
 type Planner struct {
 	Catalog *catalog.Catalog
 	Stats   StatsProvider
-	// BindMaxKeys is the largest estimated distinct-key set a bind join
-	// may ship; beyond it the join falls back to whole fragments
-	// (default 100000 keys).
+	// BindMaxKeys is the largest distinct-key set a bind join may ship;
+	// beyond it the join falls back to whole fragments (default 100000
+	// keys).
 	BindMaxKeys float64
-	// SemiMinRatio is the minimum probe/shipped-keys size ratio to
-	// bother with a semijoin at all (default 4).
+	// SemiMinRatio is the minimum probe rows per shipped key for a bind
+	// join to pay at all (default 4).
 	SemiMinRatio float64
 }
 
@@ -245,7 +242,7 @@ func (p *Planner) Instantiate(ctx context.Context, t *Template, args []value.Val
 		return nil, fmt.Errorf("planner: %w", err)
 	}
 	sel := bound.(*sqlparser.Select)
-	plan := &Plan{Strategy: strategy, MaxInList: 1000, BindMaxKeys: int(p.BindMaxKeys)}
+	plan := &Plan{Strategy: strategy, MaxInList: 1000}
 	residual, err := p.planSelect(ctx, sel, t.branches, strategy, plan, 0, false)
 	if err != nil {
 		return nil, err
@@ -333,7 +330,7 @@ func (p *Planner) planSelect(ctx context.Context, sel *sqlparser.Select, branche
 		if nl := p.pushLimit(sel, sets, branch > 0, unionDistinct); nl != nil {
 			out.Limit = nl
 		}
-		p.chooseSemijoin(sel, sets, plan)
+		p.chooseSemijoin(sel, sets)
 		reorderJoins(&out, sets)
 	}
 
@@ -931,21 +928,12 @@ func scanOrdering(orderBy []sqlparser.OrderItem, ss *ScanSet) []schema.SortKey {
 	return keys
 }
 
-// chooseSemijoin finds one equi-join between two aliases where shipping
-// the small (driving) side's distinct keys into the big (probe) side's
-// scans pays off, and marks the probe set for the batched bind join.
-// The decision is stats-driven: estimated distinct keys must fit the
-// configured cap and the probe fragments must be big enough that keys
-// out + matches back beats shipping the fragments whole.
-func (p *Planner) chooseSemijoin(sel *sqlparser.Select, sets map[string]*ScanSet, plan *Plan) {
-	maxIn := plan.MaxInList
-	if maxIn <= 0 {
-		maxIn = 1000
-	}
-	maxKeys := p.BindMaxKeys
-	if maxKeys <= 0 {
-		maxKeys = 100000
-	}
+// chooseSemijoin nominates the first equi-join between two aliases
+// that passes the bind join's gates: the smaller (driving) side's
+// distinct keys are to be shipped into the bigger (probe) side's
+// scans. The cost rule is the probe's break-even key count (bindCap),
+// which the executor holds the build side's exact distinct keys to.
+func (p *Planner) chooseSemijoin(sel *sqlparser.Select, sets map[string]*ScanSet) {
 	conds := sqlparser.SplitConjuncts(sel.Where)
 	for _, j := range sel.Joins {
 		if j.Kind == sqlparser.JoinInner {
@@ -983,22 +971,9 @@ func (p *Planner) chooseSemijoin(sel *sqlparser.Select, sets map[string]*ScanSet
 		if probes == 0 {
 			continue // every probe fragment pruned; nothing to reduce
 		}
-		keys := estimateKeys(small, smallCol)
-		if keys > maxKeys {
-			continue // IN-lists would exceed the configured key budget
-		}
-		// Probe rows matching the keys ship either way; the bind join
-		// pays keys out (once per live probe scan) plus matches back,
-		// against ship-all's full fragment set.
-		match := big.EstRows
-		if bd := estimateKeys(big, bigCol); bd > 0 && keys < bd {
-			match = big.EstRows * keys / bd
-		}
-		if big.EstRows < keys*p.SemiMinRatio || big.EstRows <= keys*float64(probes)+match {
+		limit := p.bindCap(big, bigCol, probes)
+		if limit < 1 || small.EstRows > bindBuildSlack*float64(limit) {
 			continue
-		}
-		if big.SemiFrom != "" || small.SemiFrom != "" {
-			continue // one reduction per scan set; chains need the DAG executor ordering anyway
 		}
 		// Probe-side pushdown must be semantically safe, like selections.
 		if big.Def.Combine == integration.MergeOuter && !keyColumn(big.Def, bigCol) {
@@ -1020,16 +995,50 @@ func (p *Planner) chooseSemijoin(sel *sqlparser.Select, sets map[string]*ScanSet
 		}
 		big.SemiFrom = small.Alias
 		big.SemiBuildCol = smallCol
+		big.BindMaxKeys = limit
+		big.EstKeys = estimateKeys(small, smallCol)
 		for i := range big.Scans {
 			big.Scans[i].SemiProbe = probeExprs[i]
 		}
-		big.EstKeys = keys
-		big.EstBatches = int(math.Ceil(keys / float64(maxIn)))
-		if big.EstBatches < 1 {
-			big.EstBatches = 1
-		}
 		return // one semijoin per query keeps the executor's DAG simple
 	}
+}
+
+// bindBuildSlack bounds how far over its probe's cap a build side may
+// be estimated and still be nominated. Every nominated build drains
+// into a spool before the residual reads a row, so a LIMIT no longer
+// stops it early and a small budget sends it to disk; a build
+// estimated at more than bindBuildSlack times the cap would need its
+// rows overestimated that many times over for its keys to fit. The
+// slack covers a two-valued column's one-half selectivity on a value
+// a twentieth of the rows hold (about 10x).
+const bindBuildSlack = 10
+
+// bindCap is the bind-join cost rule: the largest distinct build-key
+// count k for which shipping k keys into probe set ss beats shipping
+// its fragments whole. With E the probe's estimated rows, the bind
+// join ships k keys to each of the live probe scans and gets back the
+// E·k/D rows matching them (D the probe column's estimated distinct
+// values); ship-all moves all E. So k must satisfy both
+// E ≥ k·SemiMinRatio and E ≥ k·probes + E·k/D, and stay under the
+// planner's BindMaxKeys:
+//
+//	cap = ⌊min(E/SemiMinRatio, E/(probes + E/D), BindMaxKeys)⌋
+//
+// Both sides of each inequality are monotone in k, so the one number
+// carries the whole rule, and the executor applies it to the exact key
+// count of the spooled build side.
+func (p *Planner) bindCap(ss *ScanSet, col string, probes int) int {
+	maxKeys := p.BindMaxKeys
+	if maxKeys <= 0 {
+		maxKeys = 100000
+	}
+	e := ss.EstRows
+	k := min(maxKeys, e/(float64(probes)+e/estimateKeys(ss, col)))
+	if p.SemiMinRatio > 0 {
+		k = min(k, e/p.SemiMinRatio)
+	}
+	return int(math.Floor(k))
 }
 
 // liveScanCount counts the scans source selection did not prune.

@@ -378,7 +378,12 @@ func TestSemijoinChosenWhenProfitable(t *testing.T) {
 			t.Error("probe scan missing SemiProbe expression")
 		}
 	}
-	if out := plan.Describe(); !strings.Contains(out, "bind-join probe") {
+	// E = 100000 probe rows at one live scan, D = 5000 distinct sids:
+	// ⌊min(E/4, E/(1 + E/D), 100000)⌋ = ⌊100000/21⌋.
+	if probe.BindMaxKeys != 4761 {
+		t.Errorf("BindMaxKeys = %d, want 4761", probe.BindMaxKeys)
+	}
+	if out := plan.Describe(); !strings.Contains(out, "bind-join probe of s on id if ≤ 4761 keys") {
 		t.Errorf("Describe missing bind-join marker:\n%s", out)
 	}
 }

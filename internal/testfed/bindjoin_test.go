@@ -247,7 +247,7 @@ func TestBindJoinBuildRowsCrowdingKeys(t *testing.T) {
 		probePerSite = 5000
 		driving      = 500
 		// Each build row (id, k) takes 120 bytes of the spool's budget
-		// and each distinct key about 54: the 500 rows fit in 64 KB, the
+		// and each distinct key about 57: the 500 rows fit in 64 KB, the
 		// rows and their keys together do not.
 		budget = 64 << 10
 	)
@@ -424,7 +424,7 @@ func BenchmarkBindJoin(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, ss := range shipAllPlan.ScanSets {
-		ss.SemiFrom, ss.EstKeys, ss.EstBatches = "", 0, 0
+		ss.SemiFrom, ss.BindMaxKeys, ss.EstKeys = "", 0, 0
 		for i := range ss.Scans {
 			ss.Scans[i].SemiProbe = nil
 		}

@@ -8,6 +8,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -278,6 +279,30 @@ func (v Value) Hash() uint64 {
 		}
 	}
 	return h.Sum64()
+}
+
+// AppendKey appends v's equality key to b: INTEGER values with equal
+// keys are equal, and so are FLOAT and TEXT ones. An INTEGER encodes
+// exactly, and an integral FLOAT within int64 range encodes as that
+// integer, so 1 = 1.0 still match; any other FLOAT uses its shortest
+// strconv form. Every key starts with a tag and has a fixed length or a
+// length prefix, so the keys of several columns concatenate
+// unambiguously. v must not be NULL. One key form serves the engine's IN
+// lists and hash joins and the federation's bind-join key sets.
+func AppendKey(b []byte, v *Value) []byte {
+	switch v.K {
+	case KindInt:
+		return binary.BigEndian.AppendUint64(append(b, 'i'), uint64(v.I))
+	case KindFloat:
+		if f := v.F; f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+			return binary.BigEndian.AppendUint64(append(b, 'i'), uint64(int64(f)))
+		}
+		var a [32]byte
+		s := strconv.AppendFloat(a[:0], v.F, 'g', -1, 64)
+		return append(append(b, 'f', byte(len(s))), s...)
+	}
+	s := v.Text()
+	return append(binary.AppendUvarint(append(b, byte(v.K)), uint64(len(s))), s...)
 }
 
 // Arith applies a binary arithmetic operator: + - * / %. A NULL operand
