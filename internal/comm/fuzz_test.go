@@ -219,8 +219,8 @@ func assertRowsEqual(t *testing.T, got, want []schema.Row) {
 		}
 		for c, w := range want[i] {
 			g := got[i][c]
-			if g.K != w.K || g.I != w.I || g.S != w.S || g.B != w.B ||
-				math.Float64bits(g.F) != math.Float64bits(w.F) {
+			if g.K != w.K || g.RawInt() != w.RawInt() || g.S != w.S || g.RawBool() != w.RawBool() ||
+				math.Float64bits(g.RawFloat()) != math.Float64bits(w.RawFloat()) {
 				t.Fatalf("row %d col %d: %#v, want %#v", i, c, g, w)
 			}
 		}

@@ -105,7 +105,7 @@ func TestFanInPassesBatches(t *testing.T) {
 		t.Fatalf("batch sizes %v, want [256 256 88 10 5]", sizes)
 	}
 	for i, r := range rows {
-		if r[0].I != int64(i) {
+		if r[0].RawInt() != int64(i) {
 			t.Fatalf("row %d is %v: not in source order", i, r)
 		}
 	}

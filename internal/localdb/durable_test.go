@@ -31,7 +31,7 @@ func mustQueryInts(t *testing.T, db *DB, sql string) []int64 {
 	}
 	var out []int64
 	for _, r := range rs.Rows {
-		out = append(out, r[0].I)
+		out = append(out, r[0].RawInt())
 	}
 	return out
 }
@@ -99,7 +99,7 @@ func TestRecoveredSlotsExact(t *testing.T) {
 		defer d.latch.RUnlock()
 		var pairs [][2]int64
 		d.tables["k"].Scan(func(id storage.RowID, r schema.Row) bool {
-			pairs = append(pairs, [2]int64{int64(id), r[0].I})
+			pairs = append(pairs, [2]int64{int64(id), r[0].RawInt()})
 			return true
 		})
 		return pairs

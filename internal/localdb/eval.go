@@ -268,8 +268,8 @@ func compileScalarFunc(x *sqlparser.FuncExpr, r resolver) (evalFn, error) {
 			case v.IsNull():
 				return value.Null(), nil
 			case v.K == value.KindInt:
-				if v.I < 0 {
-					return value.NewInt(-v.I), nil
+				if i := v.RawInt(); i < 0 {
+					return value.NewInt(-i), nil
 				}
 				return v, nil
 			default:

@@ -1069,7 +1069,7 @@ func foldValue(st *aggState, spec *aggSpec, v value.Value) error {
 	switch spec.fn.Name {
 	case "SUM", "AVG":
 		if v.K == value.KindInt && st.sumIsInt {
-			st.sumI += v.I
+			st.sumI += v.RawInt()
 		} else {
 			if st.sumIsInt {
 				st.sumF = float64(st.sumI)

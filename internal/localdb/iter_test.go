@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"myriad/internal/schema"
 	"myriad/internal/value"
@@ -495,21 +496,22 @@ func TestIteratorEquivalenceWithFullSort(t *testing.T) {
 // Records never share capacity, so appending to one cannot overwrite
 // the next.
 func TestRecordSlabBoundedByBudget(t *testing.T) {
+	vsize := int(unsafe.Sizeof(value.Value{}))
 	for _, tc := range []struct {
 		limit   int64
 		w, want int
 	}{
 		{0, 5, slabRecords},
 		{1 << 20, 5, slabRecords},
-		{4096, 5, 2},   // 4096/8 bytes hold two 5-value records
-		{4096, 100, 1}, // one record is over the eighth; carve it alone
+		{4096, 5, 4096 / slabShare / (5 * vsize)}, // as many 5-value records as 4096/8 bytes hold
+		{4096, 100, 1},                            // one record is over the eighth; carve it alone
 	} {
 		s := recordSlab{limit: tc.limit}
 		r := s.next(tc.w)
 		if got := 1 + len(s.free)/tc.w; got != tc.want {
 			t.Errorf("limit %d, width %d: slab of %d records, want %d", tc.limit, tc.w, got, tc.want)
 		}
-		if tc.limit > 0 && tc.want > 1 && int64(tc.want*tc.w*48) > tc.limit/slabShare {
+		if tc.limit > 0 && tc.want > 1 && int64(tc.want*tc.w*vsize) > tc.limit/slabShare {
 			t.Errorf("limit %d, width %d: slab over 1/%d of the budget", tc.limit, tc.w, slabShare)
 		}
 		if len(r) != tc.w || cap(r) != tc.w {

@@ -413,11 +413,12 @@ func newInList(list []sqlparser.Expr, r resolver) (*inList, bool) {
 			continue
 		case value.KindInt:
 			text = false
-			s.wideInt = s.wideInt || k.v.I > 1<<53 || k.v.I < -(1<<53)
+			i := k.v.RawInt()
+			s.wideInt = s.wideInt || i > 1<<53 || i < -(1<<53)
 		case value.KindFloat:
 			text = false
 			s.hasFloat = true
-			numeric = numeric && !math.IsNaN(k.v.F) // NaN compares equal to every number
+			numeric = numeric && !math.IsNaN(k.v.RawFloat()) // NaN compares equal to every number
 		case value.KindText:
 			numeric = false
 		default:
@@ -469,9 +470,10 @@ func (s *inList) hashes(v *value.Value) bool {
 	case value.KindText:
 		return s.text
 	case value.KindInt:
-		return !s.text && (!s.hasFloat || (v.I <= 1<<53 && v.I >= -(1<<53)))
+		i := v.RawInt()
+		return !s.text && (!s.hasFloat || (i <= 1<<53 && i >= -(1<<53)))
 	case value.KindFloat:
-		return !s.text && !s.wideInt && !math.IsNaN(v.F)
+		return !s.text && !s.wideInt && !math.IsNaN(v.RawFloat())
 	}
 	return false
 }
@@ -491,14 +493,16 @@ func (k *constant) compare(v *value.Value) (int, bool) {
 	case value.KindInt:
 		switch k.v.K {
 		case value.KindInt:
-			return cmp3(v.I < k.v.I, v.I > k.v.I), true
+			a, b := v.RawInt(), k.v.RawInt()
+			return cmp3(a < b, a > b), true
 		case value.KindFloat:
-			f := float64(v.I)
+			f := float64(v.RawInt())
 			return cmp3(f < k.f, f > k.f), true
 		}
 	case value.KindFloat:
 		if k.v.K == value.KindInt || k.v.K == value.KindFloat {
-			return cmp3(v.F < k.f, v.F > k.f), true
+			f := v.RawFloat()
+			return cmp3(f < k.f, f > k.f), true
 		}
 	case value.KindText:
 		if k.v.K == value.KindText {

@@ -11,11 +11,13 @@ import (
 
 	"myriad/internal/schema"
 	"myriad/internal/storage"
+	"myriad/internal/value"
 )
 
-// snapshot is the gob-encoded on-disk form of a database. Only committed
-// state is captured; the snapshot is taken under the database latch so
-// it is transactionally consistent with respect to applied statements.
+// snapshot is the gob-encoded on-disk form of a database; since version
+// 3 its rows inside are in the row codec. Only committed state is
+// captured; the snapshot is taken under the database latch so it is
+// transactionally consistent with respect to applied statements.
 type snapshot struct {
 	Version int
 	Name    string
@@ -28,8 +30,13 @@ type snapshot struct {
 
 type tableSnapshot struct {
 	Schema *schema.Schema
-	Rows   []schema.Row
-	// Slots carries each row's heap slot (parallel to Rows). Restore
+	// RowData holds the rows (version 3) as consecutive value.AppendRow
+	// encodings, the format of the WAL and the wire.
+	RowData []byte
+	// Rows holds the rows of version 1 and 2 snapshots, which gob
+	// encoded them value by value; version 3 leaves it empty.
+	Rows [][]legacyValue
+	// Slots carries each row's heap slot (parallel to the rows). Restore
 	// places rows at their original RowIDs so WAL records logged after
 	// the snapshot still resolve, and so the recovered heap order —
 	// including RowID tie-breaks in ordered-index walks — is identical
@@ -44,9 +51,42 @@ type tableSnapshot struct {
 	OrderedMulti [][]string
 }
 
-// snapshotVersion 2 adds LSN and Slots; version 1 snapshots (without
-// either) still load.
-const snapshotVersion = 2
+// snapshotVersion 2 adds LSN and Slots, and version 3 moves the rows
+// to RowData; version 1 and 2 snapshots still load.
+const snapshotVersion = 3
+
+// legacyValue mirrors, field for field, the value.Value that version 1
+// and 2 snapshots gob-encoded by field name. gob matches fields by name,
+// so decoding those rows straight into today's value.Value would keep
+// K and S and silently zero every INTEGER, FLOAT and BOOLEAN.
+type legacyValue struct {
+	K value.Kind
+	I int64
+	F float64
+	S string
+	B bool
+}
+
+// decodeLegacyRow converts one version 1 or 2 row into dst.
+func decodeLegacyRow(dst schema.Row, r []legacyValue) (schema.Row, error) {
+	for _, v := range r {
+		switch v.K {
+		case value.KindNull:
+			dst = append(dst, value.Null())
+		case value.KindInt:
+			dst = append(dst, value.NewInt(v.I))
+		case value.KindFloat:
+			dst = append(dst, value.NewFloat(v.F))
+		case value.KindText:
+			dst = append(dst, value.NewText(v.S))
+		case value.KindBool:
+			dst = append(dst, value.NewBool(v.B))
+		default:
+			return dst, fmt.Errorf("unknown value kind %d", v.K)
+		}
+	}
+	return dst, nil
+}
 
 // SaveSnapshot writes the database's committed state to w. Concurrent
 // readers are blocked for the duration (the 1994 prototype had no online
@@ -75,7 +115,7 @@ func (db *DB) encodeSnapshotLocked(w io.Writer, lsn uint64) error {
 		t := db.tables[n]
 		ts := tableSnapshot{Schema: t.Schema.Clone()}
 		t.Scan(func(id storage.RowID, r schema.Row) bool {
-			ts.Rows = append(ts.Rows, r.Clone())
+			ts.RowData = value.AppendRow(ts.RowData, r)
 			ts.Slots = append(ts.Slots, int64(id))
 			return true
 		})
@@ -181,18 +221,8 @@ func (db *DB) loadSnapshot(r io.Reader) (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("localdb: snapshot table %s: %w", ts.Schema.Table, err)
 		}
-		if len(ts.Slots) > 0 && len(ts.Slots) != len(ts.Rows) {
-			return 0, fmt.Errorf("localdb: snapshot table %s: %d slots for %d rows", ts.Schema.Table, len(ts.Slots), len(ts.Rows))
-		}
-		for i, row := range ts.Rows {
-			if ts.Slots != nil {
-				err = t.ApplyInsert(storage.RowID(ts.Slots[i]), row)
-			} else {
-				_, err = t.Insert(row)
-			}
-			if err != nil {
-				return 0, fmt.Errorf("localdb: snapshot row in %s: %w", ts.Schema.Table, err)
-			}
+		if err := restoreRows(t, &ts); err != nil {
+			return 0, fmt.Errorf("localdb: snapshot table %s: %w", ts.Schema.Table, err)
 		}
 		for _, col := range ts.Indexes {
 			if err := t.CreateIndex(col); err != nil {
@@ -216,4 +246,52 @@ func (db *DB) loadSnapshot(r io.Reader) (uint64, error) {
 	db.tables = tables
 	db.latch.Unlock()
 	return snap.LSN, nil
+}
+
+// restoreRows inserts a table snapshot's rows into t, each at its slot
+// when the snapshot has slots. Rows decode into one reused buffer: the
+// heap insert copies each row as it coerces it.
+func restoreRows(t *storage.Table, ts *tableSnapshot) error {
+	n := 0
+	put := func(row schema.Row) error {
+		var err error
+		switch {
+		case ts.Slots == nil:
+			_, err = t.Insert(row)
+		case n < len(ts.Slots):
+			err = t.ApplyInsert(storage.RowID(ts.Slots[n]), row)
+		default:
+			err = fmt.Errorf("more rows than its %d slots", len(ts.Slots))
+		}
+		if err != nil {
+			return fmt.Errorf("row %d: %w", n, err)
+		}
+		n++
+		return nil
+	}
+	var row schema.Row
+	for off := 0; off < len(ts.RowData); {
+		var used int
+		var err error
+		if row, used, err = value.DecodeRow(row[:0], ts.RowData[off:]); err != nil {
+			return fmt.Errorf("row %d: %w", n, err)
+		}
+		off += used
+		if err := put(row); err != nil {
+			return err
+		}
+	}
+	for _, lr := range ts.Rows {
+		var err error
+		if row, err = decodeLegacyRow(row[:0], lr); err != nil {
+			return fmt.Errorf("row %d: %w", n, err)
+		}
+		if err := put(row); err != nil {
+			return err
+		}
+	}
+	if ts.Slots != nil && n != len(ts.Slots) {
+		return fmt.Errorf("%d slots for %d rows", len(ts.Slots), n)
+	}
+	return nil
 }

@@ -70,9 +70,9 @@ func compareSort(a, b *value.Value) int {
 	if a.K == b.K {
 		switch a.K {
 		case value.KindInt:
-			return cmp.Compare(a.I, b.I)
+			return cmp.Compare(a.RawInt(), b.RawInt())
 		case value.KindFloat:
-			return value.CompareFloat(a.F, b.F)
+			return value.CompareFloat(a.RawFloat(), b.RawFloat())
 		case value.KindText:
 			return strings.Compare(a.S, b.S)
 		}

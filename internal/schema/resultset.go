@@ -3,6 +3,9 @@ package schema
 import (
 	"fmt"
 	"strings"
+	"unsafe"
+
+	"myriad/internal/value"
 )
 
 // ResultSet is a materialized query result: column names plus rows. It
@@ -14,12 +17,12 @@ type ResultSet struct {
 }
 
 // rowSliceBytes and valueStructBytes approximate the Go heap footprint
-// of a row: the slice header plus one value.Value struct per column
-// (kind tag, int64, float64, string header, bool, padding), with text
-// payloads added per value.
+// of a row: the slice header plus one value.Value struct per column,
+// with text payloads added per value. Both are taken from the types, so
+// the estimate follows any change to Value's layout.
 const (
-	rowSliceBytes    = 24
-	valueStructBytes = 48
+	rowSliceBytes    = int64(unsafe.Sizeof(Row(nil)))
+	valueStructBytes = int64(unsafe.Sizeof(value.Value{}))
 )
 
 // RowBytes estimates the in-memory footprint of a row in bytes. It is
@@ -27,7 +30,7 @@ const (
 // the byte-based stream windows all share, so "bytes" means the same
 // thing at every layer that counts them.
 func RowBytes(r Row) int64 {
-	n := int64(rowSliceBytes + valueStructBytes*len(r))
+	n := rowSliceBytes + valueStructBytes*int64(len(r))
 	for _, v := range r {
 		n += int64(len(v.S))
 	}

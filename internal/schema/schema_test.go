@@ -107,13 +107,13 @@ func TestCoerceRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row[0].K != value.KindInt || row[0].I != 7 {
+	if row[0].K != value.KindInt || row[0].RawInt() != 7 {
 		t.Errorf("id coercion: %v", row[0])
 	}
-	if row[2].K != value.KindFloat || row[2].F != 3 {
+	if row[2].K != value.KindFloat || row[2].RawFloat() != 3 {
 		t.Errorf("gpa coercion: %v", row[2])
 	}
-	if row[3].K != value.KindBool || !row[3].B {
+	if row[3].K != value.KindBool || !row[3].RawBool() {
 		t.Errorf("bool coercion: %v", row[3])
 	}
 
@@ -134,13 +134,13 @@ func TestCoerceRow(t *testing.T) {
 func TestCoerceBoolForms(t *testing.T) {
 	for _, s := range []string{"true", "T", "YES", "1"} {
 		v, err := Coerce(value.NewText(s), TBool)
-		if err != nil || !v.B {
+		if err != nil || !v.RawBool() {
 			t.Errorf("Coerce(%q) = %v, %v", s, v, err)
 		}
 	}
 	for _, s := range []string{"false", "F", "no", "0"} {
 		v, err := Coerce(value.NewText(s), TBool)
-		if err != nil || v.B {
+		if err != nil || v.RawBool() {
 			t.Errorf("Coerce(%q) = %v, %v", s, v, err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestRowClone(t *testing.T) {
 	r := Row{value.NewInt(1)}
 	c := r.Clone()
 	c[0] = value.NewInt(2)
-	if r[0].I != 1 {
+	if r[0].RawInt() != 1 {
 		t.Error("Row.Clone aliases storage")
 	}
 }

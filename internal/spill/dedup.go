@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"cmp"
 	"context"
 	"strings"
 
@@ -52,26 +53,12 @@ func dedupCmp(a, b schema.Row) int {
 	if c := strings.Compare(a[0].S, b[0].S); c != 0 {
 		return c
 	}
-	switch {
-	case a[1].I < b[1].I:
-		return -1
-	case a[1].I > b[1].I:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(a[1].RawInt(), b[1].RawInt())
 }
 
 // seqCmp orders surviving records back into arrival order.
 func seqCmp(a, b schema.Row) int {
-	switch {
-	case a[1].I < b[1].I:
-		return -1
-	case a[1].I > b[1].I:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(a[1].RawInt(), b[1].RawInt())
 }
 
 // NewDeduper creates a deduper accounted against budget; what names the
@@ -160,7 +147,7 @@ func (d *Deduper) Tail(ctx context.Context) (*Iterator, error) {
 			continue // later duplicate within the group
 		}
 		curKey, haveCur = rec[0].S, true
-		if rec[1].I < 0 {
+		if rec[1].RawInt() < 0 {
 			continue // already emitted by the in-memory phase
 		}
 		if err := resort.Add(rec); err != nil {

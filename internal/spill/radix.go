@@ -31,10 +31,10 @@ func radixKeys(rows []schema.Row, keys []schema.SortKey) []uint64 {
 			return nil
 		}
 		if kind == value.KindInt {
-			u[i] = uint64(v.I) ^ 1<<63
+			u[i] = v.N ^ 1<<63
 			continue
 		}
-		f := v.F
+		f := v.RawFloat()
 		if math.IsNaN(f) {
 			return nil
 		}

@@ -85,7 +85,7 @@ func drainSorter(t testing.TB, s *Sorter, rows []schema.Row) []int64 {
 		if r == nil {
 			return out
 		}
-		out = append(out, r[3].I)
+		out = append(out, r[3].RawInt())
 	}
 }
 
@@ -129,7 +129,7 @@ func checkKernel(t *testing.T, rows []schema.Row, keys []schema.SortKey) {
 		sorted := slices.Clone(rows)
 		slices.SortStableFunc(sorted, generic)
 		for _, r := range sorted {
-			stable = append(stable, r[3].I)
+			stable = append(stable, r[3].RawInt())
 		}
 	}
 	for _, limit := range []int64{0, 2048} {
@@ -157,7 +157,7 @@ func totalOrder(rows []schema.Row, keys []schema.SortKey) bool {
 			v := r[k.Col]
 			switch {
 			case v.IsNull():
-			case v.K == value.KindFloat && math.IsNaN(v.F):
+			case v.K == value.KindFloat && math.IsNaN(v.RawFloat()):
 				return false
 			case kind == value.KindNull:
 				kind = v.K

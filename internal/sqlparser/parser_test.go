@@ -136,7 +136,7 @@ func TestParsePrecedenceSemantics(t *testing.T) {
 	if _, ok := top.L.(*BinaryExpr); !ok {
 		t.Error("subtraction not left-associative")
 	}
-	if lit, ok := top.R.(*Literal); !ok || lit.Val.I != 3 {
+	if lit, ok := top.R.(*Literal); !ok || lit.Val.RawInt() != 3 {
 		t.Error("right operand should be literal 3")
 	}
 }

@@ -481,7 +481,7 @@ func writeLiteral(b *strings.Builder, v value.Value, st *Style) {
 	switch v.K {
 	case value.KindBool:
 		if st.BoolAsInt {
-			if v.B {
+			if v.RawBool() {
 				b.WriteString("1")
 			} else {
 				b.WriteString("0")

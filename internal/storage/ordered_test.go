@@ -311,7 +311,7 @@ func TestCompositeIndexChurn(t *testing.T) {
 		}
 		var inRange []oentry
 		for _, e := range ref {
-			if !e.vs[0].IsNull() && e.vs[0].I >= lo && e.vs[0].I <= hi {
+			if !e.vs[0].IsNull() && e.vs[0].RawInt() >= lo && e.vs[0].RawInt() <= hi {
 				inRange = append(inRange, e)
 			}
 		}

@@ -96,7 +96,7 @@ func TestUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old[2].I != 1 || tbl.Get(id)[2].I != 42 {
+	if old[2].RawInt() != 1 || tbl.Get(id)[2].RawInt() != 42 {
 		t.Error("update old/new images wrong")
 	}
 
@@ -125,10 +125,10 @@ func TestCoercionOnInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := tbl.Get(id)
-	if r[0].K != value.KindInt || r[0].I != 3 {
+	if r[0].K != value.KindInt || r[0].RawInt() != 3 {
 		t.Errorf("id not coerced: %v", r[0])
 	}
-	if r[2].K != value.KindInt || r[2].I != 9 {
+	if r[2].K != value.KindInt || r[2].RawInt() != 9 {
 		t.Errorf("bal not coerced: %v", r[2])
 	}
 	// NULL key rejected.

@@ -108,8 +108,8 @@ func runCrashMatrix(t *testing.T, checkpointBytes int64) {
 	}
 	// Heap scan order is insertion order: ids 1..k in sequence.
 	for i, r := range rs.Rows {
-		if r[0].I != int64(i+1) {
-			t.Fatalf("scan position %d holds id %d; recovered heap order differs from insertion order", i, r[0].I)
+		if r[0].RawInt() != int64(i+1) {
+			t.Fatalf("scan position %d holds id %d; recovered heap order differs from insertion order", i, r[0].RawInt())
 		}
 	}
 
@@ -144,7 +144,7 @@ func runCrashMatrix(t *testing.T, checkpointBytes int64) {
 	for i := range gotRS.Rows {
 		if gotRS.Rows[i][0] != wantRS.Rows[i][0] {
 			t.Fatalf("ORDER BY position %d: recovered id %d, reference id %d (tie-break order diverged)",
-				i, gotRS.Rows[i][0].I, wantRS.Rows[i][0].I)
+				i, gotRS.Rows[i][0].RawInt(), wantRS.Rows[i][0].RawInt())
 		}
 	}
 

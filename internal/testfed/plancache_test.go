@@ -135,9 +135,9 @@ func perturb(t *testing.T, sql string, k int) string {
 	for i, a := range args {
 		switch a.K {
 		case value.KindInt:
-			args[i] = value.NewInt(a.I + shifts[k%len(shifts)])
+			args[i] = value.NewInt(a.RawInt() + shifts[k%len(shifts)])
 		case value.KindFloat:
-			args[i] = value.NewFloat(a.F * float64(k+2) / 2)
+			args[i] = value.NewFloat(a.RawFloat() * float64(k+2) / 2)
 		case value.KindText:
 			for _, domain := range [][]string{genDepts, genNotes, {"gold", "std"}} {
 				if j := slices.Index(domain, a.S); j >= 0 {

@@ -231,7 +231,7 @@ func TestRelayGarbledBatch(t *testing.T) {
 
 	first := make([]schema.Row, comm.DefaultBatchRows)
 	for i, r := range relayRows(len(first)) {
-		first[i] = schema.Row{value.NewInt(r[0].I + 100000), value.NewInt(1), r[2]}
+		first[i] = schema.Row{value.NewInt(r[0].RawInt() + 100000), value.NewInt(1), r[2]}
 	}
 	proxy.GarbleAfter(firstTagOffset([]string{"id", "w", "s"}, first))
 	_, err := cl.Query(ctx, sql)

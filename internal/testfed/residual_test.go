@@ -30,7 +30,7 @@ import (
 func TestResidualMemoryBounded(t *testing.T) {
 	const (
 		budget  = 256 << 10
-		perSite = 60_000
+		perSite = 82_000
 		// Peak live-heap growth allowed while draining: the sorts' and
 		// the dedup's budgeted buffers, one 128-row batch per merged
 		// spill run (at most 64 at a time, per merge), the fan-in

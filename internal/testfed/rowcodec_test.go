@@ -42,7 +42,7 @@ func sameRow(got, want schema.Row) bool {
 		if c, ok := value.Compare(g, w); ok != !w.IsNull() || c != 0 {
 			return false
 		}
-		if w.K == value.KindFloat && math.Float64bits(g.F) != math.Float64bits(w.F) {
+		if w.K == value.KindFloat && math.Float64bits(g.RawFloat()) != math.Float64bits(w.RawFloat()) {
 			return false
 		}
 	}

@@ -47,19 +47,16 @@ func appendValue(b []byte, v Value) []byte {
 	switch v.K {
 	case KindInt:
 		b = append(b, tagInt)
-		return binary.AppendVarint(b, v.I)
+		return binary.AppendVarint(b, v.RawInt())
 	case KindFloat:
 		b = append(b, tagFloat)
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+		return binary.LittleEndian.AppendUint64(b, v.N)
 	case KindText:
 		b = append(b, tagText)
 		b = binary.AppendUvarint(b, uint64(len(v.S)))
 		return append(b, v.S...)
 	case KindBool:
-		if v.B {
-			return append(b, tagBool, 1)
-		}
-		return append(b, tagBool, 0)
+		return append(b, tagBool, byte(v.N))
 	default:
 		return append(b, tagNull)
 	}

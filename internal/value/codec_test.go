@@ -8,12 +8,10 @@ import (
 	"testing"
 )
 
-// sameBits reports bit-for-bit identity: kinds and payloads equal,
-// floats by their IEEE bits so NaN and -0.0 count.
-func sameBits(a, b Value) bool {
-	return a.K == b.K && a.I == b.I && a.S == b.S && a.B == b.B &&
-		math.Float64bits(a.F) == math.Float64bits(b.F)
-}
+// sameBits reports bit-for-bit identity: kinds and payloads equal, so
+// a NaN matches itself and -0.0 does not match 0.0. That is struct
+// equality, since a FLOAT's payload is its IEEE bits.
+func sameBits(a, b Value) bool { return a == b }
 
 func edgeRow() []Value {
 	return []Value{

@@ -2,8 +2,12 @@
 // every layer of MYRIAD: the local DBMS storage and executor, the gateway
 // wire format, and the federation's integration and query operators.
 //
-// A Value is a small struct (no heap indirection for numerics) carrying a
-// Kind tag. SQL three-valued logic is represented by KindNull flowing
+// A Value is a 32-byte struct carrying a Kind tag, a string for TEXT
+// and one 64-bit payload N that every other kind shares: an INTEGER's
+// two's-complement bits, a FLOAT's IEEE 754 bits, a BOOLEAN's 0 or 1.
+// Values are copied wherever a row is materialised (heap tables,
+// decoded batches, sort buffers, spools), so their size is paid on
+// every path. SQL three-valued logic is represented by KindNull flowing
 // through comparisons and arithmetic.
 package value
 
@@ -47,28 +51,57 @@ func (k Kind) String() string {
 }
 
 // Value is a single SQL value. The zero Value is NULL.
+//
+// S holds a TEXT value's bytes. N holds every other kind's payload:
+// int64 bits for INTEGER, math.Float64bits for FLOAT, 0 or 1 for
+// BOOLEAN, and 0 for NULL and TEXT. Build a non-TEXT value only with
+// the New* constructors, and read its payload back with RawInt,
+// RawFloat or RawBool once the kind is known. The fold is plain bit
+// conversion, which compiles to register moves; it needs no unsafe. A
+// string header, one word and the tag make 32 bytes. Less would mean
+// hiding numbers in the string header's pointer word, which takes
+// unsafe and shows the garbage collector pointers that are not.
+//
+// Struct equality (==, reflect.DeepEqual) compares payload bits, so it
+// tells -0.0 from 0.0 and finds a NaN equal to itself; SQL equality is
+// Equal and Identical.
 type Value struct {
-	K Kind
-	I int64
-	F float64
 	S string
-	B bool
+	N uint64
+	K Kind
 }
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{} }
 
 // NewInt returns an INTEGER value.
-func NewInt(i int64) Value { return Value{K: KindInt, I: i} }
+func NewInt(i int64) Value { return Value{K: KindInt, N: uint64(i)} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{K: KindFloat, F: f} }
+func NewFloat(f float64) Value { return Value{K: KindFloat, N: math.Float64bits(f)} }
 
 // NewText returns a TEXT value.
 func NewText(s string) Value { return Value{K: KindText, S: s} }
 
 // NewBool returns a BOOLEAN value.
-func NewBool(b bool) Value { return Value{K: KindBool, B: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{K: KindBool, N: 1}
+	}
+	return Value{K: KindBool}
+}
+
+// RawInt returns an INTEGER's payload. It does not convert: the result
+// is meaningful only when v.K is KindInt (Int converts).
+func (v Value) RawInt() int64 { return int64(v.N) }
+
+// RawFloat returns a FLOAT's payload. It does not convert: the result
+// is meaningful only when v.K is KindFloat (Float converts).
+func (v Value) RawFloat() float64 { return math.Float64frombits(v.N) }
+
+// RawBool returns a BOOLEAN's payload. It does not convert: the result
+// is meaningful only when v.K is KindBool (Bool converts).
+func (v Value) RawBool() bool { return v.N != 0 }
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
@@ -78,11 +111,11 @@ func (v Value) IsNull() bool { return v.K == KindNull }
 func (v Value) Int() (int64, bool) {
 	switch v.K {
 	case KindInt:
-		return v.I, true
+		return v.RawInt(), true
 	case KindFloat:
-		return int64(v.F), true
+		return int64(v.RawFloat()), true
 	case KindBool:
-		if v.B {
+		if v.RawBool() {
 			return 1, true
 		}
 		return 0, true
@@ -99,11 +132,11 @@ func (v Value) Int() (int64, bool) {
 func (v Value) Float() (float64, bool) {
 	switch v.K {
 	case KindInt:
-		return float64(v.I), true
+		return float64(v.RawInt()), true
 	case KindFloat:
-		return v.F, true
+		return v.RawFloat(), true
 	case KindBool:
-		if v.B {
+		if v.RawBool() {
 			return 1, true
 		}
 		return 0, true
@@ -121,13 +154,13 @@ func (v Value) Text() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.RawInt(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.RawFloat(), 'g', -1, 64)
 	case KindText:
 		return v.S
 	case KindBool:
-		if v.B {
+		if v.RawBool() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -150,11 +183,11 @@ func (v Value) String() string {
 func (v Value) Bool() (bool, bool) {
 	switch v.K {
 	case KindBool:
-		return v.B, true
+		return v.RawBool(), true
 	case KindInt:
-		return v.I != 0, true
+		return v.RawInt() != 0, true
 	case KindFloat:
-		return v.F != 0, true
+		return v.RawFloat() != 0, true
 	default:
 		return false, false
 	}
@@ -173,7 +206,7 @@ func Compare(a, b Value) (cmp int, ok bool) {
 	}
 	switch {
 	case a.K == KindInt && b.K == KindInt:
-		return cmpOrdered(a.I, b.I), true
+		return cmpOrdered(a.RawInt(), b.RawInt()), true
 	case a.isNumeric() && b.isNumeric():
 		af, _ := a.Float()
 		bf, _ := b.Float()
@@ -181,7 +214,7 @@ func Compare(a, b Value) (cmp int, ok bool) {
 	case a.K == KindText && b.K == KindText:
 		return strings.Compare(a.S, b.S), true
 	case a.K == KindBool && b.K == KindBool:
-		return cmpBool(a.B, b.B), true
+		return cmpBool(a.RawBool(), b.RawBool()), true
 	case a.K == KindText && b.isNumeric():
 		if af, ok := a.Float(); ok {
 			bf, _ := b.Float()
@@ -272,7 +305,7 @@ func (v Value) Hash() uint64 {
 		h.Write([]byte{2})
 		h.Write([]byte(v.S))
 	case KindBool:
-		if v.B {
+		if v.RawBool() {
 			h.Write([]byte{3, 1})
 		} else {
 			h.Write([]byte{3, 0})
@@ -292,13 +325,13 @@ func (v Value) Hash() uint64 {
 func AppendKey(b []byte, v *Value) []byte {
 	switch v.K {
 	case KindInt:
-		return binary.BigEndian.AppendUint64(append(b, 'i'), uint64(v.I))
+		return binary.BigEndian.AppendUint64(append(b, 'i'), v.N)
 	case KindFloat:
-		if f := v.F; f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+		if f := v.RawFloat(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
 			return binary.BigEndian.AppendUint64(append(b, 'i'), uint64(int64(f)))
 		}
 		var a [32]byte
-		s := strconv.AppendFloat(a[:0], v.F, 'g', -1, 64)
+		s := strconv.AppendFloat(a[:0], v.RawFloat(), 'g', -1, 64)
 		return append(append(b, 'f', byte(len(s))), s...)
 	}
 	s := v.Text()
@@ -317,16 +350,16 @@ func Arith(op string, a, b Value) (Value, error) {
 	if a.K == KindInt && b.K == KindInt && op != "/" {
 		switch op {
 		case "+":
-			return NewInt(a.I + b.I), nil
+			return NewInt(a.RawInt() + b.RawInt()), nil
 		case "-":
-			return NewInt(a.I - b.I), nil
+			return NewInt(a.RawInt() - b.RawInt()), nil
 		case "*":
-			return NewInt(a.I * b.I), nil
+			return NewInt(a.RawInt() * b.RawInt()), nil
 		case "%":
-			if b.I == 0 {
+			if b.RawInt() == 0 {
 				return Value{}, fmt.Errorf("value: division by zero")
 			}
-			return NewInt(a.I % b.I), nil
+			return NewInt(a.RawInt() % b.RawInt()), nil
 		}
 	}
 	af, aok := a.Float()
@@ -348,7 +381,7 @@ func Arith(op string, a, b Value) (Value, error) {
 		// Integer division stays integral, matching the local DBMS
 		// dialects the federation fronts.
 		if a.K == KindInt && b.K == KindInt {
-			return NewInt(a.I / b.I), nil
+			return NewInt(a.RawInt() / b.RawInt()), nil
 		}
 		return NewFloat(af / bf), nil
 	case "%":
@@ -367,12 +400,12 @@ func Neg(v Value) (Value, error) {
 	case KindNull:
 		return Null(), nil
 	case KindInt:
-		return NewInt(-v.I), nil
+		return NewInt(-v.RawInt()), nil
 	case KindFloat:
-		if v.F == 0 {
+		if v.RawFloat() == 0 {
 			return NewFloat(0), nil
 		}
-		return NewFloat(-v.F), nil
+		return NewFloat(-v.RawFloat()), nil
 	default:
 		return Value{}, fmt.Errorf("value: cannot negate %s", v.K)
 	}

@@ -22,16 +22,16 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if !Null().IsNull() {
 		t.Error("Null() not null")
 	}
-	if v := NewInt(42); v.K != KindInt || v.I != 42 {
+	if v := NewInt(42); v.K != KindInt || v.RawInt() != 42 {
 		t.Errorf("NewInt: %+v", v)
 	}
-	if v := NewFloat(2.5); v.K != KindFloat || v.F != 2.5 {
+	if v := NewFloat(2.5); v.K != KindFloat || v.RawFloat() != 2.5 {
 		t.Errorf("NewFloat: %+v", v)
 	}
 	if v := NewText("x"); v.K != KindText || v.S != "x" {
 		t.Errorf("NewText: %+v", v)
 	}
-	if v := NewBool(true); v.K != KindBool || !v.B {
+	if v := NewBool(true); v.K != KindBool || !v.RawBool() {
 		t.Errorf("NewBool: %+v", v)
 	}
 
@@ -226,10 +226,10 @@ func TestArithCommutativityProperty(t *testing.T) {
 }
 
 func TestNeg(t *testing.T) {
-	if v, err := Neg(NewInt(5)); err != nil || v.I != -5 {
+	if v, err := Neg(NewInt(5)); err != nil || v.RawInt() != -5 {
 		t.Errorf("Neg int: %v %v", v, err)
 	}
-	if v, err := Neg(NewFloat(2.5)); err != nil || v.F != -2.5 {
+	if v, err := Neg(NewFloat(2.5)); err != nil || v.RawFloat() != -2.5 {
 		t.Errorf("Neg float: %v %v", v, err)
 	}
 	if v, err := Neg(Null()); err != nil || !v.IsNull() {
@@ -334,7 +334,7 @@ func TestNegativeZeroNormalized(t *testing.T) {
 	if neg.Text() != "0" {
 		t.Fatalf("Neg(0.0) renders %q", neg.Text())
 	}
-	minusZero := Value{K: KindFloat, F: math.Copysign(0, -1)}
+	minusZero := NewFloat(math.Copysign(0, -1))
 	if !Identical(minusZero, NewFloat(0)) {
 		t.Fatal("-0.0 not Identical to 0.0")
 	}

@@ -68,32 +68,11 @@ func TestGoldenRecordsUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(bitExact(got), bitExact(want[i])) {
+		if !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("record %d decoded as\n%+v\nwant\n%+v", i, got, want[i])
 		}
 		if re := encodeRecord(got); !bytes.Equal(re, payload) {
 			t.Errorf("record %d re-encodes as\n%x\nwant\n%x", i, re, payload)
 		}
 	}
-}
-
-// bitExact replaces float values with their bit patterns so NaN and
-// -0.0 compare exactly under reflect.DeepEqual.
-func bitExact(r *Record) *Record {
-	cp := *r
-	cp.Ops = make([]Op, len(r.Ops))
-	for i, op := range r.Ops {
-		if op.Vals != nil {
-			vals := make([]value.Value, len(op.Vals))
-			for j, v := range op.Vals {
-				if v.K == value.KindFloat {
-					v.I, v.F = int64(math.Float64bits(v.F)), 0
-				}
-				vals[j] = v
-			}
-			op.Vals = vals
-		}
-		cp.Ops[i] = op
-	}
-	return &cp
 }

@@ -12,7 +12,11 @@
 # prints one table: for every end-to-end metric each side's q1 / median
 # / q3 (linear interpolation), the change/parent ratio of the medians,
 # the pairs the change won, and whether the gap between the medians
-# exceeds the parent's interquartile range. Run from the repository root.
+# exceeds the parent's interquartile range. Each pair's ops_per_s is
+# printed as the pair finishes, and each side's per-run JSON lines are
+# kept under .bench_build/pairs/<workload>-seed<S>-<parent>-<time>/ (the
+# table names the directory), so a table can be read back run by run.
+# Run from the repository root.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -46,20 +50,26 @@ done
 run() {
 	(cd "$1" && .bench_build/fedbench -workload "$workload" -seed "$seed" -seconds 8 -trace 0 | tail -n 1) >>"$2"
 }
+# ops FILE prints the ops_per_s of FILE's last run.
+ops() {
+	tail -n 1 "$1" | grep -o '"ops_per_s":{"value":[-+0-9.eE]*' | sed 's/.*://' || echo "?"
+}
+parent_short=$(git -C "$change" rev-parse --short "$parent_rev")
 for workload in $workloads; do
-	rm -f "$work/parent.jsonl" "$work/change.jsonl"
+	out=$change/.bench_build/pairs/$workload-seed$seed-$parent_short-$(date +%Y%m%dT%H%M%S)
+	mkdir -p "$out"
 	for ((i = 0; i < pairs; i++)); do
 		if ((i % 2 == 0)); then
-			run "$parent" "$work/parent.jsonl"
-			run "$change" "$work/change.jsonl"
+			run "$parent" "$out/parent.jsonl"
+			run "$change" "$out/change.jsonl"
 		else
-			run "$change" "$work/change.jsonl"
-			run "$parent" "$work/parent.jsonl"
+			run "$change" "$out/change.jsonl"
+			run "$parent" "$out/parent.jsonl"
 		fi
-		echo "$workload: pair $((i + 1))/$pairs done" >&2
+		echo "$workload: pair $((i + 1))/$pairs ops_per_s parent $(ops "$out/parent.jsonl") change $(ops "$out/change.jsonl")" >&2
 	done
 
-	echo "workload $workload, seed $seed, $pairs pairs, parent $(git -C "$change" rev-parse --short "$parent_rev")"
+	echo "workload $workload, seed $seed, $pairs pairs, parent $parent_short, runs in ${out#"$change"/}"
 	awk '
 	function metric(line, name,    m) {
 		if (match(line, "\"" name "\":\\{\"value\":[-+0-9.eE]+")) {
@@ -122,6 +132,6 @@ for workload in $workloads; do
 		}
 		printf "failed ops: parent %d, change %d\n", fails[1], fails[2]
 	}
-	' "$work/parent.jsonl" "$work/change.jsonl"
+	' "$out/parent.jsonl" "$out/change.jsonl"
 	echo
 done
