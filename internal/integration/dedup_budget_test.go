@@ -42,8 +42,8 @@ func drainAllRows(s schema.RowStream) (int, error) {
 // TestUnionDistinctDedupBudget: every fan-in mode's dedup completes
 // under a 16-byte budget instead of failing fast. The combined and
 // interleave modes spill their first-occurrence dedup state to runs;
-// the ordered merge scopes dedup to one merge-key run at a time and
-// never needs to spill at all.
+// the ordered merge scopes dedup to one merge-key group at a time, and
+// groups of one distinct row never spill.
 func TestUnionDistinctDedupBudget(t *testing.T) {
 	modes := []FanInMode{FanInSourceOrder, FanInInterleave, FanInMergeOrdered}
 	for _, mode := range modes {
@@ -68,8 +68,8 @@ func TestUnionDistinctDedupBudget(t *testing.T) {
 			}
 			_, runs := budget.Stats()
 			if mode == FanInMergeOrdered {
-				// Per-key-group dedup is bounded by one run of equal merge
-				// keys; a 16-byte budget still never forces a spill.
+				// Per-key-group dedup holds one merge-key group, here one
+				// distinct row, and a one-key set never spills.
 				if runs != 0 {
 					t.Fatalf("ordered merge dedup spilled %d runs", runs)
 				}
@@ -103,5 +103,57 @@ func TestUnionDistinctDedupWithinBudget(t *testing.T) {
 	}
 	if _, runs := budget.Stats(); runs != 0 {
 		t.Fatalf("in-budget dedup spilled %d runs", runs)
+	}
+}
+
+// TestMergeDedupGroupSpills: the ordered merge's UNION filter spills a
+// merge-key group larger than the budget, and drains the group's
+// deferred rows before the next group starts, so the output under a
+// 4 KB budget is row for row the unbudgeted one: sorted on the merge
+// key, first occurrences in arrival order within each group.
+func TestMergeDedupGroupSpills(t *testing.T) {
+	spec := &Spec{Kind: UnionDistinct, Columns: []string{"k", "v"}}
+	// Five merge-key groups of 1,000 rows per source; the sources share
+	// every other row of each group.
+	mk := func(off int64) []schema.Row {
+		rows := make([]schema.Row, 5000)
+		for i := range rows {
+			rows[i] = row2(int64(i/1000), int64(i%1000)*2+off*int64(i%2))
+		}
+		return rows
+	}
+	run := func(budget *spill.Budget) []schema.Row {
+		sources := []schema.RowStream{
+			&gatedStream{cols: spec.Columns, rows: mk(0)},
+			&gatedStream{cols: spec.Columns, rows: mk(1)},
+		}
+		c := CombineStreamsOpts(context.Background(), spec, sources,
+			StreamOptions{Mode: FanInMergeOrdered, MergeKeys: []schema.SortKey{{Col: 0}}, Budget: budget})
+		defer c.Close()
+		rows, err := schema.DrainStream(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows.Rows
+	}
+	want := run(nil)
+	if len(want) != 7500 {
+		t.Fatalf("unbudgeted: %d rows, want 7,500", len(want))
+	}
+	budget := spill.NewBudget(4096, t.TempDir())
+	got := run(budget)
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if schema.CompareRowsBy(got[i], want[i], []schema.SortKey{{Col: 0}, {Col: 1}}) != 0 {
+			t.Fatalf("row %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+	if _, runs := budget.Stats(); runs == 0 {
+		t.Fatal("1,500-row groups under 4 KB did not spill")
+	}
+	if used := budget.Used(); used != 0 {
+		t.Fatalf("budget not released: %d", used)
 	}
 }

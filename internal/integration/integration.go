@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 
-	"myriad/internal/schema"
 	"myriad/internal/value"
 )
 
@@ -272,20 +271,4 @@ type Spec struct {
 	// resolves conflicts for MergeOuter; columns without an entry use
 	// "coalesce" (first non-NULL in source order).
 	Resolvers map[int]Func
-}
-
-// encodeRow renders a row kind-exactly (1 and '1' differ) as the
-// UNION dedup key.
-func encodeRow(r schema.Row) string {
-	var b strings.Builder
-	for _, v := range r {
-		if v.IsNull() {
-			b.WriteByte(0)
-		} else {
-			b.WriteByte(byte(v.K) + 1)
-			b.WriteString(v.Text())
-		}
-		b.WriteByte(0x1f)
-	}
-	return b.String()
 }

@@ -337,31 +337,33 @@ func (b *fanInBase) closeBase() error {
 	return first
 }
 
-// dedupState is the UNION-distinct first-occurrence-wins filter shared
-// by the source-order and interleave fan-ins: a spill.Deduper keyed on
-// the encoded row. While the key set fits the query's memory budget
-// rows stream through immediately; past it the deduper spills to
-// sort-based dedup and the deferred first occurrences drain — still in
-// arrival order — from tailNext once every source is exhausted, so the
-// fan-in never fails on dedup volume and never holds more than the
-// budget plus one key group.
+// dedupState is the UNION-distinct first-occurrence-wins filter every
+// fan-in uses: a spill.Deduper keyed on value.AppendRowKey. While the
+// key set fits the query's memory budget rows stream through
+// immediately; past it the deduper spills to sort-based dedup and the
+// deferred first occurrences drain — still in arrival order — from
+// tailNext once its scope's input is exhausted (every source, or one
+// merge-key group of the ordered merge), so the fan-in never fails on
+// dedup volume and never holds more than the budget plus one key group.
 type dedupState struct {
 	d    *spill.Deduper
 	tail *spill.Iterator
+	key  []byte // the row key, rebuilt per row
 }
 
 func newDedupState(budget *spill.Budget) *dedupState {
-	return &dedupState{d: spill.NewDeduper(budget, "UNION dedup")}
+	return &dedupState{d: spill.NewDeduper(budget)}
 }
 
 // admit reports whether the row is a first occurrence to emit now;
 // false also covers rows deferred to the tail after a spill.
 func (d *dedupState) admit(r schema.Row) (bool, error) {
-	return d.d.Admit(encodeRow(r), r)
+	d.key = value.AppendRowKey(d.key[:0], r)
+	return d.d.Admit(string(d.key), r)
 }
 
-// tailNext streams the deferred first occurrences after the inputs are
-// exhausted; nil means nothing (more) was deferred.
+// tailNext streams the deferred first occurrences after the scope's
+// input is exhausted; nil means nothing (more) was deferred.
 func (d *dedupState) tailNext(ctx context.Context) (schema.Row, error) {
 	if d.tail == nil {
 		if !d.d.Spilled() {
@@ -1120,17 +1122,18 @@ type mergeStream struct {
 	bpos    []int
 	inited  bool
 
-	// UNION-distinct over a merged-ordered stream must stay streaming —
-	// the executor substitutes this merge for a downstream ORDER BY, so
-	// rows cannot be deferred to a tail. Instead dedup is scoped to one
-	// merge-key run at a time: equal full rows necessarily carry equal
-	// merge keys, so duplicates are confined to a run, and the set resets
-	// whenever the key advances — memory is one key group, not the
-	// stream.
-	dedup     bool
-	budget    *spill.Budget
-	groupSeen *spill.DedupSet
-	groupKey  schema.Row
+	// UNION-distinct over a merged-ordered stream is scoped to one
+	// merge-key group at a time: equal full rows necessarily carry equal
+	// merge keys, so duplicates are confined to a group, and a fresh
+	// filter starts whenever the key advances. A group larger than the
+	// budget spills like any other dedup; its deferred rows drain before
+	// the next group's first row (pending), so the output stays sorted
+	// and in arrival order within the group.
+	dedup    bool
+	budget   *spill.Budget
+	group    *dedupState
+	groupKey schema.Row
+	pending  schema.Row
 }
 
 // ErrUnsortedSource reports a source of an ordered merge that broke its
@@ -1205,42 +1208,76 @@ func (c *mergeStream) Next(ctx context.Context) (schema.Row, error) {
 		}
 		c.inited = true
 	}
+	if !c.dedup {
+		return c.pop(ctx)
+	}
 	for {
-		// Site counts are small; a linear min scan beats heap upkeep.
-		// Strict < keeps the earliest source on ties (stability).
-		best := -1
-		for i, h := range c.heads {
-			if h == nil {
-				continue
-			}
-			if best < 0 || schema.CompareRowsBy(h, c.heads[best], c.keys) < 0 {
-				best = i
+		r := c.pending
+		c.pending = nil
+		if r == nil {
+			var err error
+			if r, err = c.pop(ctx); err != nil {
+				return nil, err
 			}
 		}
-		if best < 0 {
-			return nil, nil
-		}
-		r := c.heads[best]
-		if err := c.advance(ctx, best); err != nil {
-			c.fail(err)
-			return nil, c.err
-		}
-		if c.dedup {
-			if c.groupKey == nil || schema.CompareRowsBy(r, c.groupKey, c.keys) != 0 {
-				c.groupSeen = spill.NewDedupSet(c.budget, "UNION dedup (one merge-key group)")
-				c.groupKey = r
-			}
-			first, err := c.groupSeen.Admit(encodeRow(r))
+		if c.group != nil && (r == nil || schema.CompareRowsBy(r, c.groupKey, c.keys) != 0) {
+			// The group is complete: the rows its filter deferred come
+			// before r, which waits in pending until they are drained.
+			t, err := c.group.tailNext(ctx)
 			if err != nil {
 				c.fail(err)
 				return nil, c.err
 			}
-			if !first {
-				continue
+			if t != nil {
+				c.pending = r
+				return t, nil
 			}
+			c.group.close()
+			c.group = nil
 		}
-		return r, nil
+		if r == nil {
+			return nil, nil
+		}
+		if c.group == nil {
+			c.group, c.groupKey = newDedupState(c.budget), r
+		}
+		emit, err := c.group.admit(r)
+		if err != nil {
+			c.fail(err)
+			return nil, c.err
+		}
+		if emit {
+			return r, nil
+		}
 	}
 }
 
-func (c *mergeStream) Close() error { return c.closeBase() }
+// pop takes the least head across the sources, or nil once every
+// source is exhausted. Site counts are small; a linear min scan beats
+// heap upkeep. Strict < keeps the earliest source on ties (stability).
+func (c *mergeStream) pop(ctx context.Context) (schema.Row, error) {
+	best := -1
+	for i, h := range c.heads {
+		if h == nil {
+			continue
+		}
+		if best < 0 || schema.CompareRowsBy(h, c.heads[best], c.keys) < 0 {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil, nil
+	}
+	r := c.heads[best]
+	if err := c.advance(ctx, best); err != nil {
+		c.fail(err)
+		return nil, c.err
+	}
+	return r, nil
+}
+
+func (c *mergeStream) Close() error {
+	err := c.closeBase()
+	c.group.close()
+	return err
+}

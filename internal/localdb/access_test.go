@@ -115,7 +115,9 @@ func TestOrderedAccessEquivalence(t *testing.T) {
 // comparison.
 func sortedByKey(rows []schema.Row) []schema.Row {
 	out := append([]schema.Row(nil), rows...)
-	sort.Slice(out, func(a, b int) bool { return rowKey(out[a]) < rowKey(out[b]) })
+	sort.Slice(out, func(a, b int) bool {
+		return string(value.AppendRowKey(nil, out[a])) < string(value.AppendRowKey(nil, out[b]))
+	})
 	return out
 }
 

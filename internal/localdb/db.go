@@ -69,8 +69,7 @@ type DB struct {
 	lockWait atomic.Int64
 
 	// budget bounds the memory of this database's blocking operators:
-	// the full-sort path spills sorted runs past it, and GROUP BY
-	// accumulation errors past its grouped allowance. nil = unlimited.
+	// sorts, dedup and GROUP BY spill to disk past it. nil = unlimited.
 	budget *spill.Budget
 
 	// Durability state; nil wal = pure in-memory database. See

@@ -65,8 +65,8 @@ func TestDistinctDedupBudget(t *testing.T) {
 
 // TestDistinctAggregateBudget: a DISTINCT aggregate's dedup state is
 // budget-true — when a single group's distinct-argument set outgrows
-// the budget it spills through spill.Deduper instead of erroring past
-// the grouped allowance, and the result matches the unlimited run.
+// the budget it spills through spill.Deduper instead of erroring, and
+// the result matches the unlimited run.
 func TestDistinctAggregateBudget(t *testing.T) {
 	ctx := context.Background()
 	check := func(t *testing.T, q string, vOf func(i int) *int64) {

@@ -1,7 +1,6 @@
 package localdb
 
 import (
-	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -296,24 +295,5 @@ func TestLoadIsDurable(t *testing.T) {
 	defer db2.Close()
 	if ids := mustQueryInts(t, db2, `SELECT id FROM k ORDER BY id ASC`); len(ids) != 2 {
 		t.Fatalf("bulk-loaded rows lost: %v", ids)
-	}
-}
-
-// TestSnapshotV1Compat: a pre-durability snapshot (no LSN, no slots)
-// still loads; rows restore compactly.
-func TestSnapshotV1Compat(t *testing.T) {
-	src := New("src")
-	src.MustExec(`CREATE TABLE k (id INTEGER PRIMARY KEY, v TEXT)`)
-	src.MustExec(`INSERT INTO k (id, v) VALUES (1, 'a'), (2, 'b')`)
-	var buf bytes.Buffer
-	if err := src.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := New("dst")
-	if err := dst.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if ids := mustQueryInts(t, dst, `SELECT id FROM k ORDER BY id ASC`); len(ids) != 2 {
-		t.Fatalf("snapshot round trip: %v", ids)
 	}
 }

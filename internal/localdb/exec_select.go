@@ -251,21 +251,6 @@ func applyLimit(rs *schema.ResultSet, limit *sqlparser.LimitClause) {
 	}
 }
 
-// rowKey builds a collision-safe grouping key for a row.
-func rowKey(r []value.Value) string {
-	var b strings.Builder
-	for _, v := range r {
-		if v.IsNull() {
-			b.WriteByte(0)
-		} else {
-			b.WriteByte(byte(v.K) + 1)
-			b.WriteString(v.Text())
-		}
-		b.WriteByte(0x1f)
-	}
-	return b.String()
-}
-
 // disableTopKFusion forces the full-sort path even when ORDER BY +
 // LIMIT could use the bounded top-K heap. Tests and benchmarks use it
 // to compare the fused operator against the materialize-and-sort
@@ -953,9 +938,9 @@ type aggState struct {
 	count    int64
 	sumF     float64
 	sumI     int64
-	sumIsInt bool
 	min, max value.Value
 	distinct *distinctAcc // DISTINCT tracking (nil otherwise)
+	sumIsInt bool
 	inited   bool
 }
 
@@ -968,43 +953,34 @@ func (st *aggState) close() {
 }
 
 // distinctAcc tracks which argument values a DISTINCT aggregate has
-// already folded. Without a memory budget it is a plain map. Under a
-// budget it is a spill.Deduper: the dedup set is budget-accounted, and
-// once it outgrows the budget the remaining values spill to sort-based
-// dedup — first occurrences past the spill point are deferred and
-// folded at finalize time, so a single group's DISTINCT state never
-// errors past the budget, it spills like every other operator.
+// already folded, in a spill.Deduper: the dedup set is budget-accounted
+// (without a limit it reserves nothing), and once it outgrows the
+// budget the remaining values spill to sort-based dedup — first
+// occurrences past the spill point are deferred and folded at finalize
+// time, so a single group's DISTINCT state never errors past the
+// budget, it spills like every other operator.
 type distinctAcc struct {
-	seen map[string]bool
-	ded  *spill.Deduper
+	ded *spill.Deduper
+	key []byte // the value's row key, rebuilt per value
 }
 
-func newDistinctAcc(budget *spill.Budget, what string) *distinctAcc {
-	if budget.Limit() > 0 {
-		return &distinctAcc{ded: spill.NewDeduper(budget, what)}
-	}
-	return &distinctAcc{seen: make(map[string]bool)}
+func newDistinctAcc(budget *spill.Budget) *distinctAcc {
+	return &distinctAcc{ded: spill.NewDeduper(budget)}
 }
 
-// admit reports whether v is a first occurrence to fold now. Under a
-// budget, a first occurrence arriving after the dedup set spilled is
-// deferred (admit reports false) and surfaces from drain instead.
+// admit reports whether v is a first occurrence to fold now. A first
+// occurrence arriving after the dedup set spilled is deferred (admit
+// reports false) and surfaces from drain instead.
 func (a *distinctAcc) admit(v value.Value) (bool, error) {
-	k := rowKey([]value.Value{v})
-	if a.ded != nil {
-		return a.ded.Admit(k, schema.Row{v})
-	}
-	if a.seen[k] {
-		return false, nil
-	}
-	a.seen[k] = true
-	return true, nil
+	row := schema.Row{v}
+	a.key = value.AppendRowKey(a.key[:0], row)
+	return a.ded.Admit(string(a.key), row)
 }
 
 // drain feeds the deferred first occurrences (if any spilled) through
 // fold; call exactly once, after the group's input is exhausted.
 func (a *distinctAcc) drain(ctx context.Context, fold func(value.Value) error) error {
-	if a.ded == nil || !a.ded.Spilled() {
+	if !a.ded.Spilled() {
 		return nil
 	}
 	it, err := a.ded.Tail(ctx)
@@ -1027,13 +1003,7 @@ func (a *distinctAcc) drain(ctx context.Context, fold func(value.Value) error) e
 }
 
 // close releases the dedup state (budget reservations and spill runs).
-func (a *distinctAcc) close() {
-	a.seen = nil
-	if a.ded != nil {
-		a.ded.Close()
-		a.ded = nil
-	}
-}
+func (a *distinctAcc) close() { a.ded.Close() }
 
 // accumulate folds one input row into an aggregate state. A DISTINCT
 // aggregate folds each first occurrence exactly once; occurrences the

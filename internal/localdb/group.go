@@ -3,8 +3,9 @@ package localdb
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"unsafe"
 
 	"myriad/internal/schema"
 	"myriad/internal/spill"
@@ -14,24 +15,26 @@ import (
 
 // Grouped execution runs as a pull pipeline like everything else:
 //
-//	input -> (stream | sort | hash) group fold -> HAVING -> sort/proj
-//	      -> DISTINCT -> LIMIT
+//	input -> group fold -> HAVING -> sort/proj -> DISTINCT -> LIMIT
 //
-// Three interchangeable fold strategies produce identical group rows
-// [group keys..., aggregate results...]:
+// Two fold operators produce the group rows [group keys...,
+// aggregate results...], and the access path, not a setting, picks
+// between them:
 //
 //   - streamGroupIter when the base access path already delivers rows
 //     with equal group keys adjacent (an ordered-index walk on the
 //     grouping columns): one group's state is all that is ever held,
-//     and a LIMIT above stops the index walk early.
-//   - sortGroupIter under a memory budget: sort rows by group key
-//     through spill.Sorter (spilling runs past the budget), then fold
-//     adjacent equal-key runs — memory is the budget plus one group.
-//   - hashGroupIter with no budget: classic hash aggregation.
+//     and a LIMIT above stops the index walk early. Groups come out in
+//     the walk's order.
+//   - groupIter otherwise: a hash-first fold whose groups stay resident
+//     while the memory budget lets them, and whose overflow sorts
+//     through spill.Sorter. The budget decides when it spills, never
+//     which algorithm runs.
 //
-// All three emit groups in ascending group-key order (NULLs first,
-// schema.CompareSort), so the choice of strategy never changes the
-// observable result of a query.
+// groupIter emits groups in ascending group-key order (NULLs first,
+// schema.CompareSort, then the kind-exact row key), and so does
+// streamGroupIter for a single group key. When the ORDER BY is an ASC
+// prefix of the group keys in that order, the pipeline sorts nothing.
 
 // groupPlan is the compiled form of a grouped SELECT: aggregate specs,
 // group-key evaluators over input rows, and the post-grouping item /
@@ -47,6 +50,10 @@ type groupPlan struct {
 	having   Predicate // nil when no HAVING
 	sortFns  []evalFn  // ORDER BY keys, group-row scope
 	descs    []bool
+	// keyOrdered: the ORDER BY keys are, in order and all ASC, a prefix
+	// of the group keys, so ascending group-key order satisfies it.
+	keyOrdered  bool
+	hasDistinct bool // some aggregate is DISTINCT
 }
 
 func (p *groupPlan) nKeys() int { return len(p.keyStrs) }
@@ -163,33 +170,35 @@ func compileGroupPlan(sel *sqlparser.Select, b *rowBinder) (*groupPlan, error) {
 	}
 	sortFns := make([]evalFn, len(sel.OrderBy))
 	descs := make([]bool, len(sel.OrderBy))
+	keyOrdered := len(sel.OrderBy) > 0 && len(sel.OrderBy) <= len(keyStrs)
 	for i, o := range sel.OrderBy {
 		descs[i] = o.Desc
 		// Allow aliases and ordinals as in the plain path.
+		src, fn := o.Expr, evalFn(nil)
 		if lit, ok := o.Expr.(*sqlparser.Literal); ok {
 			if n, isInt := lit.Val.Int(); isInt && n >= 1 && int(n) <= len(items) {
-				sortFns[i] = itemFns[n-1]
-				continue
+				src, fn = items[n-1].Expr, itemFns[n-1]
 			}
 		}
-		if cr, ok := o.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			found := false
+		if cr, ok := o.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" && fn == nil {
 			for j, it := range items {
 				if strings.EqualFold(it.Name, cr.Column) {
-					sortFns[i] = itemFns[j]
-					found = true
+					src, fn = it.Expr, itemFns[j]
 					break
 				}
 			}
-			if found {
-				continue
+		}
+		if fn == nil {
+			if fn, err = gb.compile(o.Expr); err != nil {
+				return nil, err
 			}
 		}
-		fn, err := gb.compile(o.Expr)
-		if err != nil {
-			return nil, err
-		}
 		sortFns[i] = fn
+		keyOrdered = keyOrdered && !o.Desc && sqlparser.FormatExpr(src, nil) == keyStrs[i]
+	}
+	hasDistinct := false
+	for _, a := range aggs {
+		hasDistinct = hasDistinct || a.distinct
 	}
 
 	return &groupPlan{
@@ -197,7 +206,27 @@ func compileGroupPlan(sel *sqlparser.Select, b *rowBinder) (*groupPlan, error) {
 		keyFns: keyFns, keyStrs: keyStrs, keyIdxs: keyIdxs, identity: identity,
 		itemFns: itemFns, having: having,
 		sortFns: sortFns, descs: descs,
+		keyOrdered: keyOrdered, hasDistinct: hasDistinct,
 	}, nil
+}
+
+// keysInto evaluates row r's group key into dst, which must have room
+// for every key column.
+func (p *groupPlan) keysInto(r schema.Row, dst []value.Value) error {
+	if p.keyIdxs != nil {
+		for i, idx := range p.keyIdxs {
+			dst[i] = r[idx]
+		}
+		return nil
+	}
+	for i, fn := range p.keyFns {
+		v, err := fn(r)
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
 }
 
 // groupPipeline assembles the grouped tail of a SELECT over the already
@@ -210,22 +239,19 @@ func (tx *Txn) groupPipeline(sel *sqlparser.Select, b *rowBinder, it rowIter, st
 		return nil, nil, err
 	}
 	var out rowIter
-	switch {
-	case streamed && plan.nKeys() > 0:
+	if streamed && plan.nKeys() > 0 {
 		out = newStreamGroupIter(tx, plan, it)
-	case tx.db.budget.Limit() > 0 && plan.nKeys() > 0:
-		out = newSortGroupIter(tx, plan, it)
-	default:
-		// Unlimited memory — or a global aggregate, where the single
-		// group's fold state is the whole footprint and sorting the
-		// input through the spill layer would buy nothing.
-		out = newHashGroupIter(tx, plan, it)
+	} else {
+		out = newGroupIter(tx, plan, it)
 	}
 	if plan.having != nil {
 		out = newFilterIter(out, plan.having, 0)
 	}
+	// The stream walk orders groups by the index columns, which is the
+	// group-key order only when there is one key.
+	ordered := plan.keyOrdered && (!streamed || plan.nKeys() == 1)
 	switch {
-	case len(plan.sortFns) > 0:
+	case len(plan.sortFns) > 0 && !ordered:
 		out = newSortIter(out, plan.itemFns, plan.sortFns, plan.descs, tx.db.budget)
 	case plan.identity:
 		// Group rows are already the output rows; skip the projection.
@@ -242,38 +268,36 @@ func (tx *Txn) groupPipeline(sel *sqlparser.Select, b *rowBinder, it rowIter, st
 }
 
 // groupFolder folds input rows into one live group's aggregate states.
-// The stream and sort strategies hold exactly one folder's worth of
-// state at a time; only DISTINCT aggregates grow with the group's row
-// count, and their dedup state is a budget-true spill.Deduper — past
-// the budget it spills to sort-based dedup instead of erroring, so a
-// single huge group completes like any other budgeted operator.
+// The stream operator and groupIter's overflow fold reuse one folder
+// for group after group; each of groupIter's resident groups is one.
+// Only DISTINCT aggregates grow with the group's row count, and their
+// dedup state is a budget-true spill.Deduper — past the budget it
+// spills to sort-based dedup instead of erroring, so a single huge
+// group completes like any other budgeted operator.
 type groupFolder struct {
-	tx     *Txn
 	plan   *groupPlan
 	keys   []value.Value
-	states []*aggState
+	states []aggState
 }
 
-func (f *groupFolder) open(keys []value.Value) {
+func (f *groupFolder) open(keys []value.Value, budget *spill.Budget) {
 	f.keys = keys
 	if f.states == nil {
-		f.states = make([]*aggState, len(f.plan.aggs))
-		for i := range f.states {
-			f.states[i] = new(aggState)
-		}
+		f.states = make([]aggState, len(f.plan.aggs))
 	}
-	for i, st := range f.states {
+	for i := range f.states {
+		st := &f.states[i]
 		st.close()
 		*st = aggState{sumIsInt: true}
 		if f.plan.aggs[i].distinct {
-			st.distinct = newDistinctAcc(f.tx.db.budget, "DISTINCT aggregate "+f.plan.aggs[i].key)
+			st.distinct = newDistinctAcc(budget)
 		}
 	}
 }
 
 func (f *groupFolder) fold(r schema.Row) error {
 	for i, spec := range f.plan.aggs {
-		if err := accumulate(f.states[i], spec, r); err != nil {
+		if err := accumulate(&f.states[i], spec, r); err != nil {
 			return err
 		}
 	}
@@ -281,13 +305,13 @@ func (f *groupFolder) fold(r schema.Row) error {
 }
 
 // emit finalizes the live group into its group row and drops the
-// group's references; the aggState structs themselves are kept for the
-// next open, so steady-state grouping allocates only the output row.
+// group's references; the states are kept for the next open, so
+// steady-state grouping allocates only the output row.
 func (f *groupFolder) emit(ctx context.Context) (schema.Row, error) {
 	grow := make(schema.Row, len(f.plan.keyStrs)+len(f.plan.aggs))
 	copy(grow, f.keys)
 	for i, spec := range f.plan.aggs {
-		v, err := finalize(ctx, f.states[i], spec)
+		v, err := finalize(ctx, &f.states[i], spec)
 		if err != nil {
 			return nil, err
 		}
@@ -300,8 +324,8 @@ func (f *groupFolder) emit(ctx context.Context) (schema.Row, error) {
 // close releases any live group's dedup state (an iterator torn down
 // mid-group, e.g. by a LIMIT upstream).
 func (f *groupFolder) close() {
-	for _, st := range f.states {
-		st.close()
+	for i := range f.states {
+		f.states[i].close()
 	}
 }
 
@@ -318,8 +342,9 @@ func (f *groupFolder) close() {
 // schema.CompareSort but are not identical (+0.0 vs -0.0 floats) tie in
 // the index and may interleave; the planner only selects this path for
 // plain column keys, where a storage column holds one kind and such
-// ties cannot split a rowKey-identity group (see access.go).
+// ties cannot split a row-key identity group (see access.go).
 type streamGroupIter struct {
+	budget      *spill.Budget
 	plan        *groupPlan
 	child       rowIter
 	folder      groupFolder
@@ -338,29 +363,10 @@ type streamGroupIter struct {
 }
 
 func newStreamGroupIter(tx *Txn, plan *groupPlan, child rowIter) *streamGroupIter {
-	return &streamGroupIter{plan: plan, child: child,
-		folder:  groupFolder{tx: tx, plan: plan},
+	return &streamGroupIter{budget: tx.db.budget, plan: plan, child: child,
+		folder:  groupFolder{plan: plan},
 		scratch: make([]value.Value, len(plan.keyFns)),
 		spare:   make([]value.Value, len(plan.keyFns))}
-}
-
-// keysInto evaluates the group key into dst, which must have room for
-// every key column.
-func (g *streamGroupIter) keysInto(r schema.Row, dst []value.Value) error {
-	if g.plan.keyIdxs != nil {
-		for i, idx := range g.plan.keyIdxs {
-			dst[i] = r[idx]
-		}
-		return nil
-	}
-	for i, fn := range g.plan.keyFns {
-		v, err := fn(r)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
 }
 
 // sameKeys reports whether row r's group key matches keys, without
@@ -374,7 +380,7 @@ func (g *streamGroupIter) sameKeys(r schema.Row, keys []value.Value) (bool, erro
 		}
 		return true, nil
 	}
-	if err := g.keysInto(r, g.scratch); err != nil {
+	if err := g.plan.keysInto(r, g.scratch); err != nil {
 		return false, err
 	}
 	for i := range keys {
@@ -405,12 +411,12 @@ func (g *streamGroupIter) Next(ctx context.Context) ([]value.Value, error) {
 		}
 		keys = g.spare
 		g.spare = nil
-		if err := g.keysInto(r, keys); err != nil {
+		if err := g.plan.keysInto(r, keys); err != nil {
 			return nil, err
 		}
 		first = r
 	}
-	g.folder.open(keys)
+	g.folder.open(keys, g.budget)
 	if err := g.folder.fold(first); err != nil {
 		return nil, err
 	}
@@ -430,7 +436,7 @@ func (g *streamGroupIter) Next(ctx context.Context) ([]value.Value, error) {
 		if !same {
 			// Once per group: materialize the next group's key and hand
 			// the scratch buffer over to it.
-			if err := g.keysInto(r, g.scratch); err != nil {
+			if err := g.plan.keysInto(r, g.scratch); err != nil {
 				return nil, err
 			}
 			g.pending = r
@@ -462,80 +468,181 @@ func (g *streamGroupIter) Close() {
 	}
 }
 
-// sortGroupIter is budget-true GROUP BY as sort-then-fold. Every input
-// row becomes one record [gk, keys..., row...] in a spill.Sorter
-// ordered by the group keys under schema.CompareSort with gk — the
-// collision-safe rowKey of the keys — as tie-break, so records whose
-// keys tie under CompareSort but denote distinct groups (+0.0 vs -0.0)
-// still land in separate adjacent runs. The sorter is stable, so an
-// equal-gk run preserves arrival order and float SUM folds in the same
-// order the hash strategy sees. Emission folds one adjacent run at a
-// time: resident memory is the sorter's budget plus one group's state.
-type sortGroupIter struct {
-	tx      *Txn
-	plan    *groupPlan
-	child   rowIter
-	folder  groupFolder
-	src     *spill.Iterator
-	pending schema.Row // first record of the next group
-	filled  bool
-	emitted bool // at least one group emitted
-	eof     bool
-	closed  bool
+// groupIter is GROUP BY as a hash-first fold. Each new group reserves
+// its bytes from the budget and stays resident, folding its rows as
+// they arrive. The first refused reservation freezes the table: a row
+// whose group is resident still folds into it, and every other row goes
+// to a spill.Sorter as the record [gk, keys..., row...]. Records order
+// by the keys under schema.CompareSort, then by gk, the kind-exact row
+// key of the keys, so keys that tie under CompareSort but are distinct
+// groups (+0.0 and -0.0) stay apart. At the end the resident groups,
+// sorted the same way, and the sorter's groups, folded one adjacent run
+// at a time, merge into one ascending stream; no group is in both.
+//
+// A group is resident or overflowed for its whole life, and the sorter
+// is stable, so every group folds its rows in arrival order: a float
+// SUM or a DISTINCT aggregate comes out bit for bit as with no budget,
+// and no aggregate state ever needs merging. Without a limit nothing
+// freezes and nothing is reserved.
+type groupIter struct {
+	budget *spill.Budget
+	plan   *groupPlan
+	child  rowIter
+	table  map[string]*residentGroup
+	groups []*residentGroup // in arrival order, then sorted for emission
+	held   int64            // bytes the resident groups reserved
+	frozen bool
+	sorter *spill.Sorter   // the overflow, from the freeze on
+	src    *spill.Iterator // the sorted overflow
+	head   schema.Row      // the next overflow group's first record
+	folder groupFolder     // folds one overflow group at a time
+	filled bool
+	closed bool
 }
 
-func newSortGroupIter(tx *Txn, plan *groupPlan, child rowIter) *sortGroupIter {
-	return &sortGroupIter{tx: tx, plan: plan, child: child, folder: groupFolder{tx: tx, plan: plan}}
+// residentGroup is one group held in groupIter's table.
+type residentGroup struct {
+	gk string
+	groupFolder
 }
 
-func (g *sortGroupIter) fill(ctx context.Context) error {
-	nk := len(g.plan.keyFns)
-	cmp := func(a, b schema.Row) int {
-		for i := 0; i < nk; i++ {
-			if c := compareForSort(a[1+i], b[1+i]); c != 0 {
-				return c
-			}
-		}
-		return strings.Compare(a[0].S, b[0].S)
+// residentGroupBytes is a resident group's fixed cost beyond its key
+// and states: the struct and its table slot.
+const residentGroupBytes = int64(unsafe.Sizeof(residentGroup{})) + 32
+
+func newGroupIter(tx *Txn, plan *groupPlan, child rowIter) *groupIter {
+	budget := tx.db.budget
+	return &groupIter{budget: budget, plan: plan, child: child,
+		table:  make(map[string]*residentGroup),
+		folder: groupFolder{plan: plan},
+		// A DISTINCT aggregate's state grows with its group's rows, so
+		// it cannot be charged when the group opens: under a limit such
+		// a plan keeps no table and folds every group from the sorter,
+		// one at a time. A global aggregate's one group is always held.
+		frozen: budget.Limit() > 0 && plan.hasDistinct && plan.nKeys() > 0,
 	}
-	sorter := spill.NewSorterFunc(g.tx.db.budget, cmp)
-	slab := recordSlab{limit: g.tx.db.budget.Limit()}
+}
+
+// groupBytes is what a resident group charges the budget.
+func (g *groupIter) groupBytes(gk string, keys []value.Value) int64 {
+	return residentGroupBytes + int64(len(gk)) + schema.RowBytes(keys) +
+		int64(len(g.plan.aggs))*int64(unsafe.Sizeof(aggState{}))
+}
+
+// release returns a resident group's reservation once it is emitted.
+func (g *groupIter) release(rg *residentGroup) {
+	if g.budget.Limit() > 0 {
+		n := g.groupBytes(rg.gk, rg.keys)
+		g.held -= n
+		g.budget.Release(n)
+	}
+}
+
+// compareGroups orders groups by their keys under schema.CompareSort,
+// then by their row keys.
+func compareGroups(ka, kb []value.Value, gka, gkb string) int {
+	for i := range ka {
+		if c := schema.CompareSort(ka[i], kb[i]); c != 0 {
+			return c
+		}
+	}
+	return strings.Compare(gka, gkb)
+}
+
+// hold makes a new resident group and reports it, or nil once the table
+// is frozen. Under a limit each group reserves groupBytes. The first
+// group is held even past the limit: one group's state is the least any
+// fold holds, the overflow fold's included. The table takes at most
+// three quarters of the limit, so the sorter that takes the overflow
+// keeps at least a quarter for its runs.
+func (g *groupIter) hold(gk []byte, keys []value.Value) *residentGroup {
+	if g.frozen {
+		return nil
+	}
+	key := string(gk)
+	if limit := g.budget.Limit(); limit > 0 {
+		n := g.groupBytes(key, keys)
+		switch {
+		case len(g.groups) == 0:
+			g.budget.Force(n)
+		case 4*(g.held+n) > 3*limit || !g.budget.Reserve(n):
+			g.frozen = true
+			return nil
+		}
+		g.held += n
+	}
+	rg := &residentGroup{gk: key, groupFolder: groupFolder{plan: g.plan}}
+	rg.open(slices.Clone(keys), g.budget)
+	g.table[key] = rg
+	g.groups = append(g.groups, rg)
+	return rg
+}
+
+func (g *groupIter) fill(ctx context.Context) error {
+	nk := g.plan.nKeys()
+	keys := make([]value.Value, nk)
+	var gk []byte
+	slab := recordSlab{limit: g.budget.Limit()}
 	for {
 		r, err := g.child.Next(ctx)
 		if err != nil {
-			sorter.Close()
 			return err
 		}
 		if r == nil {
 			break
 		}
-		rec := slab.next(1 + nk + len(r))
-		for i, fn := range g.plan.keyFns {
-			if rec[1+i], err = fn(r); err != nil {
-				sorter.Close()
+		if err := g.plan.keysInto(r, keys); err != nil {
+			return err
+		}
+		gk = value.AppendRowKey(gk[:0], keys)
+		rg := g.table[string(gk)]
+		if rg == nil {
+			rg = g.hold(gk, keys)
+		}
+		if rg != nil {
+			if err := rg.fold(r); err != nil {
 				return err
 			}
+			continue
 		}
-		rec[0] = value.NewText(rowKey(rec[1 : 1+nk]))
+		if g.sorter == nil {
+			g.sorter = spill.NewSorterFunc(g.budget, func(a, b schema.Row) int {
+				return compareGroups(a[1:1+nk], b[1:1+nk], a[0].S, b[0].S)
+			})
+		}
+		rec := slab.next(1 + nk + len(r))
+		rec[0] = value.NewText(string(gk))
+		copy(rec[1:], keys)
 		copy(rec[1+nk:], r)
-		if err := sorter.Add(rec); err != nil {
-			sorter.Close()
+		if err := g.sorter.Add(rec); err != nil {
 			return err
 		}
 	}
 	g.child.Close()
-	it, err := sorter.Finish()
+	// A global aggregate over an empty input still yields one group.
+	if nk == 0 && len(g.groups) == 0 {
+		g.hold(nil, keys)
+	}
+	g.table = nil
+	slices.SortFunc(g.groups, func(a, b *residentGroup) int {
+		return compareGroups(a.keys, b.keys, a.gk, b.gk)
+	})
+	g.filled = true
+	if g.sorter == nil {
+		return nil
+	}
+	src, err := g.sorter.Finish()
+	g.sorter = nil
 	if err != nil {
-		sorter.Close()
 		return err
 	}
-	g.src = it
-	g.filled = true
-	return nil
+	g.src = src
+	g.head, err = src.Next(ctx)
+	return err
 }
 
-func (g *sortGroupIter) Next(ctx context.Context) ([]value.Value, error) {
-	if g.closed || g.eof {
+func (g *groupIter) Next(ctx context.Context) ([]value.Value, error) {
+	if g.closed {
 		return nil, nil
 	}
 	if !g.filled {
@@ -543,29 +650,28 @@ func (g *sortGroupIter) Next(ctx context.Context) ([]value.Value, error) {
 			return nil, err
 		}
 	}
-	nk := len(g.plan.keyFns)
-	var first schema.Row
-	if g.pending != nil {
-		first, g.pending = g.pending, nil
-	} else {
-		rec, err := g.src.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if rec == nil {
-			g.eof = true
-			// A global aggregate over an empty input still yields one group.
-			if nk == 0 && !g.emitted {
-				g.emitted = true
-				g.folder.open(nil)
-				return g.folder.emit(ctx)
-			}
-			return nil, nil
-		}
-		first = rec
+	nk := g.plan.nKeys()
+	if h := g.head; h != nil && (len(g.groups) == 0 ||
+		compareGroups(h[1:1+nk], g.groups[0].keys, h[0].S, g.groups[0].gk) < 0) {
+		return g.foldOverflow(ctx)
 	}
-	gk := first[0].S
-	g.folder.open(first[1 : 1+nk])
+	if len(g.groups) == 0 {
+		return nil, nil
+	}
+	rg := g.groups[0]
+	g.groups[0] = nil
+	g.groups = g.groups[1:]
+	g.release(rg)
+	return rg.emit(ctx)
+}
+
+// foldOverflow folds the sorter's next group, the adjacent records that
+// share head's gk.
+func (g *groupIter) foldOverflow(ctx context.Context) ([]value.Value, error) {
+	nk := g.plan.nKeys()
+	first := g.head
+	g.head = nil
+	g.folder.open(first[1:1+nk], g.budget)
 	if err := g.folder.fold(first[1+nk:]); err != nil {
 		return nil, err
 	}
@@ -575,157 +681,36 @@ func (g *sortGroupIter) Next(ctx context.Context) ([]value.Value, error) {
 			return nil, err
 		}
 		if rec == nil {
-			g.eof = true
 			break
 		}
-		if rec[0].S != gk {
-			g.pending = rec
+		if rec[0].S != first[0].S {
+			g.head = rec
 			break
 		}
 		if err := g.folder.fold(rec[1+nk:]); err != nil {
 			return nil, err
 		}
 	}
-	g.emitted = true
 	return g.folder.emit(ctx)
 }
 
-func (g *sortGroupIter) Close() {
-	if !g.closed {
-		g.closed = true
-		g.child.Close()
-		g.folder.close()
-		if g.src != nil {
-			g.src.Close()
-			g.src = nil
-		}
-	}
-}
-
-// hashGroupIter is classic hash aggregation for databases running
-// without a memory budget: accumulation is O(input) with state
-// proportional to the group count. Groups are emitted sorted by group
-// key (CompareSort, then rowKey as the distinct-group tie-break) so the
-// hash, sort, and stream strategies present groups in one order.
-type hashGroupIter struct {
-	tx     *Txn
-	plan   *groupPlan
-	child  rowIter
-	groups []*hashGroup
-	pos    int
-	filled bool
-	closed bool
-}
-
-type hashGroup struct {
-	gk     string
-	keys   []value.Value
-	states []*aggState
-}
-
-func newHashGroupIter(tx *Txn, plan *groupPlan, child rowIter) *hashGroupIter {
-	return &hashGroupIter{tx: tx, plan: plan, child: child}
-}
-
-func (g *hashGroupIter) fill(ctx context.Context) error {
-	byKey := make(map[string]*hashGroup)
-	for {
-		r, err := g.child.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if r == nil {
-			break
-		}
-		keys := make([]value.Value, len(g.plan.keyFns))
-		for i, fn := range g.plan.keyFns {
-			if keys[i], err = fn(r); err != nil {
-				return err
-			}
-		}
-		gk := rowKey(keys)
-		hg, ok := byKey[gk]
-		if !ok {
-			hg = &hashGroup{gk: gk, keys: keys, states: make([]*aggState, len(g.plan.aggs))}
-			for i := range hg.states {
-				hg.states[i] = &aggState{sumIsInt: true}
-				if g.plan.aggs[i].distinct {
-					hg.states[i].distinct = newDistinctAcc(g.tx.db.budget, "DISTINCT aggregate "+g.plan.aggs[i].key)
-				}
-			}
-			byKey[gk] = hg
-			g.groups = append(g.groups, hg)
-		}
-		for i, spec := range g.plan.aggs {
-			if err := accumulate(hg.states[i], spec, r); err != nil {
-				return err
-			}
-		}
-	}
-	g.child.Close()
-	// A global aggregate over an empty input still yields one group.
-	if len(g.plan.keyFns) == 0 && len(g.groups) == 0 {
-		hg := &hashGroup{states: make([]*aggState, len(g.plan.aggs))}
-		for i := range hg.states {
-			hg.states[i] = &aggState{sumIsInt: true}
-			if g.plan.aggs[i].distinct {
-				hg.states[i].distinct = newDistinctAcc(g.tx.db.budget, "DISTINCT aggregate "+g.plan.aggs[i].key)
-			}
-		}
-		g.groups = append(g.groups, hg)
-	}
-	sort.Slice(g.groups, func(a, b int) bool {
-		ga, gb := g.groups[a], g.groups[b]
-		for i := range ga.keys {
-			if c := compareForSort(ga.keys[i], gb.keys[i]); c != 0 {
-				return c < 0
-			}
-		}
-		return ga.gk < gb.gk
-	})
-	g.filled = true
-	return nil
-}
-
-func (g *hashGroupIter) Next(ctx context.Context) ([]value.Value, error) {
+func (g *groupIter) Close() {
 	if g.closed {
-		return nil, nil
+		return
 	}
-	if !g.filled {
-		if err := g.fill(ctx); err != nil {
-			return nil, err
-		}
+	g.closed = true
+	g.child.Close()
+	for _, rg := range g.groups {
+		rg.close()
 	}
-	if g.pos >= len(g.groups) {
-		return nil, nil
+	g.groups, g.table = nil, nil
+	g.budget.Release(g.held)
+	g.held = 0
+	g.folder.close()
+	if g.sorter != nil {
+		g.sorter.Close()
 	}
-	hg := g.groups[g.pos]
-	g.pos++
-	grow := make(schema.Row, len(g.plan.keyStrs)+len(g.plan.aggs))
-	copy(grow, hg.keys)
-	for i, spec := range g.plan.aggs {
-		v, err := finalize(ctx, hg.states[i], spec)
-		if err != nil {
-			return nil, err
-		}
-		grow[len(g.plan.keyStrs)+i] = v
-	}
-	g.groups[g.pos-1] = nil // release the folded state as we go
-	return grow, nil
-}
-
-func (g *hashGroupIter) Close() {
-	if !g.closed {
-		g.closed = true
-		g.child.Close()
-		for _, hg := range g.groups {
-			if hg == nil {
-				continue
-			}
-			for _, st := range hg.states {
-				st.close()
-			}
-		}
-		g.groups = nil
+	if g.src != nil {
+		g.src.Close()
 	}
 }

@@ -3,6 +3,7 @@ package localdb
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,13 +12,15 @@ import (
 	"myriad/internal/value"
 )
 
-// seedABV bulk-loads n rows into t(id, a, b, v): a is NULL every 7th
-// row and a small integer domain otherwise, b a three-value text key,
-// v duplicate-heavy — the grouped corpus shape (NULL groups,
-// multi-column keys, heavy duplicates).
+// seedABV bulk-loads n rows into t(id, a, b, v, f): a is NULL every
+// 7th row and a small integer domain otherwise, b a three-value text
+// key, v duplicate-heavy, f cycles through 1e16, 1 and -1e16 so a float
+// SUM depends on the order a group's rows fold in — the grouped corpus
+// shape (NULL groups, multi-column keys, heavy duplicates).
 func seedABV(t testing.TB, db *DB, n int) {
 	t.Helper()
-	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b TEXT, v INTEGER)`)
+	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b TEXT, v INTEGER, f FLOAT)`)
+	fs := []float64{1e16, 1, -1e16}
 	rows := make([]schema.Row, n)
 	for i := range rows {
 		a := value.Null()
@@ -29,6 +32,7 @@ func seedABV(t testing.TB, db *DB, n int) {
 			a,
 			value.NewText(fmt.Sprintf("k%d", i%3)),
 			value.NewInt(int64(i % 11)),
+			value.NewFloat(fs[(i/69)%3]),
 		}
 	}
 	if err := db.Load("t", rows); err != nil {
@@ -37,40 +41,166 @@ func seedABV(t testing.TB, db *DB, n int) {
 }
 
 // TestGroupedStrategyEquivalence runs a grouped/DISTINCT corpus through
-// all three grouping strategies — hash (unlimited), sort-based (4KB
-// budget, no index), and streamed (4KB budget over an ordered index on
-// the group keys) — asserting row-for-row identical results. All three
-// emit groups in ascending group-key order, so the comparison needs no
-// ORDER BY normalization.
+// the hash-first fold with no budget (every group resident), a 4 KB
+// budget (some groups resident, the rest through the sorter) and a 16 B
+// budget (one group resident, every other row spilled), and through the
+// streamed fold over an ordered index on the group keys, asserting
+// row-for-row identical results. Float sums compare by their shortest
+// text form, which is bit for bit. Every budget is back to zero after
+// each query, a LIMIT that closes the fold mid-stream included.
 func TestGroupedStrategyEquivalence(t *testing.T) {
 	const n = 5000
 	hash := New("hash")
 	seedABV(t, hash, n)
-	sorted := NewWithBudget("sorted", spill.NewBudget(4096, t.TempDir()))
-	seedABV(t, sorted, n)
+	type variant struct {
+		name   string
+		db     *DB
+		budget *spill.Budget
+	}
+	var variants []variant
+	for _, limit := range []int64{4096, 16} {
+		b := spill.NewBudget(limit, t.TempDir())
+		db := NewWithBudget(fmt.Sprintf("budget-%d", limit), b)
+		seedABV(t, db, n)
+		variants = append(variants, variant{fmt.Sprintf("%d B", limit), db, b})
+	}
 	streamBudget := spill.NewBudget(4096, t.TempDir())
 	streamed := NewWithBudget("streamed", streamBudget)
 	seedABV(t, streamed, n)
 	streamed.MustExec(`CREATE ORDERED INDEX tab ON t (a, b)`)
+	variants = append(variants, variant{"streamed", streamed, streamBudget})
 
 	corpus := []string{
 		`SELECT a, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY a`,
 		`SELECT a, b, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY a, b`,
+		`SELECT a, b, SUM(f) AS sf, COUNT(*) AS n FROM t GROUP BY a, b`,
 		`SELECT a, COUNT(DISTINCT v) AS dv FROM t GROUP BY a`,
 		`SELECT a, AVG(v) AS m, MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY a ORDER BY a`,
 		`SELECT a, COUNT(*) AS n FROM t GROUP BY a HAVING COUNT(*) > 100 ORDER BY a DESC`,
 		`SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b ORDER BY n DESC, a, b LIMIT 5`,
-		`SELECT COUNT(*) AS n, SUM(v) AS s FROM t`,
+		`SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b LIMIT 3`,
+		`SELECT COUNT(*) AS n, SUM(v) AS s, SUM(f) AS sf FROM t`,
 		`SELECT DISTINCT a, b FROM t`,
 		`SELECT DISTINCT b FROM t`,
 	}
 	for _, sql := range corpus {
 		want := queryRows(t, hash, sql)
-		sameRows(t, "sorted: "+sql, want, queryRows(t, sorted, sql))
-		sameRows(t, "streamed: "+sql, want, queryRows(t, streamed, sql))
+		for _, v := range variants {
+			sameRows(t, v.name+": "+sql, want, queryRows(t, v.db, sql))
+			if used := v.budget.Used(); used != 0 {
+				t.Fatalf("%s: %s: budget not released: %d", v.name, sql, used)
+			}
+		}
 	}
-	if used := streamBudget.Used(); used != 0 {
-		t.Fatalf("streamed budget not released: %d", used)
+	// The float sums fold in arrival order in every group, resident or
+	// spilled, and 10 of the 24 groups' sums change under another order;
+	// the 16 B run proves the spilled side was exercised. The streamed
+	// walk over (a, b) folds a group of a in b order, so it sits out.
+	const sumF = `SELECT a, SUM(f) AS sf FROM t GROUP BY a`
+	want := queryRows(t, hash, sumF)
+	for _, v := range variants[:2] {
+		sameRows(t, v.name+": "+sumF, want, queryRows(t, v.db, sumF))
+	}
+	if _, runs := variants[1].budget.Stats(); runs == 0 {
+		t.Fatal("the 16 B budget wrote no spill run: the overflow fold went untested")
+	}
+}
+
+// TestGroupByFewGroupsStaysResident: 5,000 rows in 8 groups fit a 4 KB
+// budget as resident groups, so GROUP BY a ORDER BY a neither spills
+// nor sorts, and it answers as the unbudgeted fold does.
+func TestGroupByFewGroupsStaysResident(t *testing.T) {
+	load := func(db *DB) {
+		db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, v INTEGER)`)
+		rows := make([]schema.Row, 5000)
+		for i := range rows {
+			rows[i] = schema.Row{value.NewInt(int64(i)), value.NewInt(int64(7 - i%8)), value.NewInt(int64(i % 13))}
+		}
+		if err := db.Load("t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget := spill.NewBudget(4096, t.TempDir())
+	db := NewWithBudget("few", budget)
+	load(db)
+	ref := New("few-ref")
+	load(ref)
+	const sql = `SELECT a, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY a ORDER BY a`
+	got := queryRows(t, db, sql)
+	sameRows(t, sql, queryRows(t, ref, sql), got)
+	if len(got) != 8 {
+		t.Fatalf("%d groups, want 8", len(got))
+	}
+	if _, runs := budget.Stats(); runs != 0 {
+		t.Fatalf("8 groups under 4 KB wrote %d spill runs", runs)
+	}
+	if used := budget.Used(); used != 0 {
+		t.Fatalf("budget not released: %d", used)
+	}
+}
+
+// TestGroupByOrderElision: an ORDER BY that is an ASC prefix of the
+// group keys runs no sort, and every grouped ORDER BY, elided or not,
+// returns exactly the unordered GROUP BY's rows stably sorted. Over an
+// ordered index (the stream fold) 20,000 groups under 4 KB write no
+// spill run, which a sort of them would.
+func TestGroupByOrderElision(t *testing.T) {
+	db := New("elide")
+	seedABV(t, db, 5000)
+	const base = `SELECT a, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY a`
+	for _, tc := range []struct {
+		order string
+		col   int
+		desc  bool
+	}{
+		{"a", 0, false},
+		{"1", 0, false},
+		{"a DESC", 0, true},
+		{"n", 1, false},
+	} {
+		sql := base + " ORDER BY " + tc.order
+		want := queryRows(t, db, base)
+		sort.SliceStable(want, func(i, j int) bool {
+			c := schema.CompareSort(want[i][tc.col], want[j][tc.col])
+			if tc.desc {
+				c = -c
+			}
+			return c < 0
+		})
+		sameRows(t, sql, want, queryRows(t, db, sql))
+	}
+
+	budget := spill.NewBudget(4096, t.TempDir())
+	idx := NewWithBudget("elide-index", budget)
+	idx.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER)`)
+	rows := make([]schema.Row, 50_000)
+	for i := range rows {
+		a := value.NewInt(int64(i * 7919 % 20_000))
+		if i%20_000 == 0 {
+			a = value.Null()
+		}
+		rows[i] = schema.Row{value.NewInt(int64(i)), a}
+	}
+	if err := idx.Load("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	idx.MustExec(`CREATE ORDERED INDEX ta ON t (a)`)
+	const sql = `SELECT a, COUNT(*) AS n FROM t GROUP BY a ORDER BY a`
+	got := queryRows(t, idx, sql)
+	if len(got) != 20_000 { // 1..19,999 and NULL
+		t.Fatalf("%d groups", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if schema.CompareSort(got[i-1][0], got[i][0]) >= 0 {
+			t.Fatalf("group %d out of order: %s after %s", i, got[i][0], got[i-1][0])
+		}
+	}
+	if _, runs := budget.Stats(); runs != 0 {
+		t.Fatalf("streamed GROUP BY ... ORDER BY a spilled %d runs: the sort was not elided", runs)
+	}
+	_ = queryRows(t, idx, `SELECT a, COUNT(*) AS n FROM t GROUP BY a ORDER BY a DESC`)
+	if _, runs := budget.Stats(); runs == 0 {
+		t.Fatal("ORDER BY a DESC over 20,000 groups did not spill; the budget proves nothing")
 	}
 }
 
@@ -107,7 +237,7 @@ func TestStreamingGroupByExplain(t *testing.T) {
 // TestStreamingGroupByZeroState: grouping over the index walk holds no
 // accumulation state — a 4KB budget sees zero spill runs no matter how
 // many groups flow past, while the same query without the index must
-// sort-spill under that budget.
+// spill its overflow groups under that budget.
 func TestStreamingGroupByZeroState(t *testing.T) {
 	const n = 50_000
 	budget := spill.NewBudget(4096, t.TempDir())
@@ -131,13 +261,13 @@ func TestStreamingGroupByZeroState(t *testing.T) {
 		t.Fatalf("streamed GROUP BY spilled %d runs", runs)
 	}
 
-	// The sort-grouping baseline under the same budget must spill —
+	// The hash-first baseline under the same budget must spill —
 	// proving the budget would have caught any accumulation.
 	disableOrderedAccess = true
 	defer func() { disableOrderedAccess = false }()
 	_ = queryRows(t, db, sql)
 	if _, runs := budget.Stats(); runs == 0 {
-		t.Fatal("baseline sort-grouping did not spill; the budget proves nothing")
+		t.Fatal("baseline grouping did not spill; the budget proves nothing")
 	}
 }
 

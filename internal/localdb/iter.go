@@ -662,11 +662,12 @@ type distinctIter struct {
 	child  rowIter
 	seen   *spill.Deduper
 	tail   *spill.Iterator
+	key    []byte // the row key, rebuilt per row
 	closed bool
 }
 
 func newDistinctIter(child rowIter, budget *spill.Budget) *distinctIter {
-	return &distinctIter{child: child, seen: spill.NewDeduper(budget, "DISTINCT dedup")}
+	return &distinctIter{child: child, seen: spill.NewDeduper(budget)}
 }
 
 func (d *distinctIter) Next(ctx context.Context) ([]value.Value, error) {
@@ -687,7 +688,8 @@ func (d *distinctIter) Next(ctx context.Context) ([]value.Value, error) {
 			}
 			break
 		}
-		emit, err := d.seen.Admit(rowKey(r), r)
+		d.key = value.AppendRowKey(d.key[:0], r)
+		emit, err := d.seen.Admit(string(d.key), r)
 		if err != nil {
 			return nil, err
 		}

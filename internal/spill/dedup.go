@@ -31,7 +31,6 @@ import (
 // makes the operator safe both after a sort (sorted input stays sorted)
 // and in first-occurrence positions (DISTINCT, UNION dedup).
 type Deduper struct {
-	what   string // operator name, for error context
 	budget *Budget
 
 	// In-memory phase.
@@ -46,7 +45,11 @@ type Deduper struct {
 	closed  bool
 }
 
-// dedupeCmp orders dedup records by key then arrival sequence, so equal
+// dedupKeyBytes approximates the map-entry overhead per distinct key
+// (hash bucket slot, string header) on top of the key bytes.
+const dedupKeyBytes = 48
+
+// dedupCmp orders dedup records by key then arrival sequence, so equal
 // keys are contiguous and the group's first record carries its earliest
 // arrival (or the already-emitted marker, which uses sequence -1).
 func dedupCmp(a, b schema.Row) int {
@@ -61,10 +64,9 @@ func seqCmp(a, b schema.Row) int {
 	return cmp.Compare(a[1].RawInt(), b[1].RawInt())
 }
 
-// NewDeduper creates a deduper accounted against budget; what names the
-// operator in errors and metrics context (e.g. "DISTINCT dedup").
-func NewDeduper(budget *Budget, what string) *Deduper {
-	return &Deduper{what: what, budget: budget, seen: make(map[string]struct{})}
+// NewDeduper creates a deduper accounted against budget.
+func NewDeduper(budget *Budget) *Deduper {
+	return &Deduper{budget: budget, seen: make(map[string]struct{})}
 }
 
 // Admit offers one row under its dedup key. emit=true means the row is
@@ -76,10 +78,8 @@ func (d *Deduper) Admit(key string, row schema.Row) (emit bool, err error) {
 		if _, dup := d.seen[key]; dup {
 			return false, nil
 		}
-		need := int64(len(key)) + dedupKeyBytes
-		if d.budget.Limit() <= 0 || d.budget.Reserve(need) {
+		if d.hold(int64(len(key)) + dedupKeyBytes) {
 			d.seen[key] = struct{}{}
-			d.reserved += need
 			return true, nil
 		}
 		if err := d.spill(); err != nil {
@@ -92,6 +92,24 @@ func (d *Deduper) Admit(key string, row schema.Row) (emit bool, err error) {
 	copy(rec[2:], row)
 	d.seq++
 	return false, d.sorter.Add(rec)
+}
+
+// hold accounts one more key of n bytes, reporting false when the
+// budget refuses it. Without a limit nothing is reserved. An empty set
+// has nothing to spill, so its first key is held even past the limit,
+// as a Sorter holds a row larger than the budget: a dedup scope with
+// one distinct key never goes to disk.
+func (d *Deduper) hold(n int64) bool {
+	switch {
+	case d.budget.Limit() <= 0:
+		return true
+	case len(d.seen) == 0:
+		d.budget.Force(n)
+	case !d.budget.Reserve(n):
+		return false
+	}
+	d.reserved += n
+	return true
 }
 
 // spill transitions to the sorted phase: every key the in-memory set

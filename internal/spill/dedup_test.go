@@ -29,7 +29,7 @@ func dedupRef(keys []string) []string {
 func runDeduper(t *testing.T, budget *Budget, keys []string) []string {
 	t.Helper()
 	ctx := context.Background()
-	d := NewDeduper(budget, "test dedup")
+	d := NewDeduper(budget)
 	defer d.Close()
 	var got []string
 	for i, k := range keys {
@@ -117,7 +117,7 @@ func TestDeduperMatchesReference(t *testing.T) {
 // already-seen set into the sorted fold.
 func TestDeduperCrossPhaseDuplicates(t *testing.T) {
 	budget := NewBudget(64, t.TempDir()) // room for a couple of keys, then spill
-	d := NewDeduper(budget, "test dedup")
+	d := NewDeduper(budget)
 	defer d.Close()
 	ctx := context.Background()
 
@@ -166,7 +166,7 @@ func TestDeduperCrossPhaseDuplicates(t *testing.T) {
 func TestDeduperCloseWithoutTail(t *testing.T) {
 	dir := t.TempDir()
 	budget := NewBudget(16, dir)
-	d := NewDeduper(budget, "test dedup")
+	d := NewDeduper(budget)
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("k%03d", i)
 		if _, err := d.Admit(k, schema.Row{value.NewText(k)}); err != nil {

@@ -45,12 +45,6 @@ const (
 	// file descriptors and merge heads stay bounded however tiny the
 	// budget is relative to the input.
 	maxMergeFanIn = 64
-	// GroupedOvershoot is the factor by which blocking accumulations
-	// that cannot spill yet (GROUP BY state) may exceed the spill
-	// budget before erroring: the budget marks where spillable
-	// operators go to disk, not a hard process limit, so bounded
-	// overshoot beats failing queries a laptop finishes trivially.
-	GroupedOvershoot = 256
 )
 
 // EnvBudgetVar, when set to a byte count, gives every component
@@ -160,16 +154,6 @@ func (b *Budget) Used() int64 {
 	return b.used
 }
 
-// ExceedsGrouped reports whether n accumulated bytes are beyond the
-// grouped-accumulation allowance (GroupedOvershoot x limit). Operators
-// without a spill implementation use it as their fail-fast guardrail.
-func (b *Budget) ExceedsGrouped(n int64) bool {
-	if b == nil || b.limit <= 0 {
-		return false
-	}
-	return n > b.limit*GroupedOvershoot
-}
-
 // noteRun records one spilled run of the given size.
 func (b *Budget) noteRun(bytes int64) {
 	if b == nil {
@@ -191,51 +175,6 @@ func (b *Budget) Stats() (spilledBytes, spillRuns int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.spilledBytes, b.spillRuns
-}
-
-// ---------------------------------------------------------------------
-// Budget-accounted dedup set
-
-// dedupKeyBytes approximates the map-entry overhead per distinct key
-// (hash bucket slot, string header, bool) on top of the key bytes.
-const dedupKeyBytes = 48
-
-// DedupSet is a first-occurrence-wins key set whose memory is
-// accounted against a Budget under the grouped allowance: dedup maps
-// cannot spill yet, so past the allowance admission fails fast with a
-// clear error instead of ballooning the process — the same treatment
-// GROUP BY accumulation gets. It backs the component engine's
-// DISTINCT/UNION dedup and the integration fan-ins' UNION-distinct
-// filter, so the accounting cannot drift between layers. A nil budget
-// (or a zero limit) admits without accounting.
-type DedupSet struct {
-	what   string // operator name for the error message
-	budget *Budget
-	seen   map[string]bool
-	bytes  int64
-}
-
-// NewDedupSet creates an accounted dedup set; what names the operator
-// in the over-budget error (e.g. "DISTINCT dedup", "UNION dedup").
-func NewDedupSet(budget *Budget, what string) *DedupSet {
-	return &DedupSet{what: what, budget: budget, seen: make(map[string]bool)}
-}
-
-// Admit reports whether key is the first occurrence, recording it. An
-// error means the set outgrew the budget's grouped allowance.
-func (d *DedupSet) Admit(key string) (bool, error) {
-	if d.seen[key] {
-		return false, nil
-	}
-	if d.budget.Limit() > 0 {
-		d.bytes += int64(len(key)) + dedupKeyBytes
-		if d.budget.ExceedsGrouped(d.bytes) {
-			return false, fmt.Errorf("spill: %s (%d keys, ~%d bytes) exceeds the memory budget (%d bytes)",
-				d.what, len(d.seen)+1, d.bytes, d.budget.Limit())
-		}
-	}
-	d.seen[key] = true
-	return true, nil
 }
 
 // ---------------------------------------------------------------------

@@ -273,8 +273,8 @@ func TestIteratorHonorsContext(t *testing.T) {
 	}
 }
 
-// TestBudgetAccounting: Reserve/Release bookkeeping and the grouped
-// allowance boundary.
+// TestBudgetAccounting: Reserve/Release/Force bookkeeping, and the nil
+// budget as the unlimited one.
 func TestBudgetAccounting(t *testing.T) {
 	b := NewBudget(100, "")
 	if !b.Reserve(60) || !b.Reserve(40) {
@@ -291,15 +291,9 @@ func TestBudgetAccounting(t *testing.T) {
 	if got := b.Used(); got != 1100 {
 		t.Fatalf("used = %d", got)
 	}
-	if b.ExceedsGrouped(100 * GroupedOvershoot) {
-		t.Fatal("allowance boundary should not exceed")
-	}
-	if !b.ExceedsGrouped(100*GroupedOvershoot + 1) {
-		t.Fatal("past allowance should exceed")
-	}
 	// nil budget: everything is a no-op that allows.
 	var nb *Budget
-	if !nb.Reserve(1<<40) || nb.ExceedsGrouped(1<<40) {
+	if !nb.Reserve(1 << 40) {
 		t.Fatal("nil budget should be unlimited")
 	}
 	nb.Release(1)

@@ -7,6 +7,7 @@ import (
 
 	"myriad/internal/catalog"
 	"myriad/internal/core"
+	"myriad/internal/executor"
 	"myriad/internal/gateway"
 	"myriad/internal/integration"
 	"myriad/internal/schema"
@@ -117,6 +118,59 @@ func TestGroupedSpillCorpus(t *testing.T) {
 	fx.Fed.FanIn = core.FanInAuto
 	if spills == 0 {
 		t.Fatal("grouped corpus ran without a single spill under a 4KB budget")
+	}
+	assertNoSpillFiles(t, dir)
+}
+
+// TestOrderedMergeUnionGroupOverBudget: the ordered merge's UNION
+// filter spills a merge-key group larger than the budget instead of
+// failing. Every row of R has v = 0, so the whole relation is one
+// merge-key group: 20,000 distinct rows, about 1.2 MB of dedup keys,
+// under a 4 KB budget. The answer matches the oracle row for row, the
+// group spilled, and no spill file is left. The planner ships an
+// ORDER BY only for UNION ALL top-K, so the test declares the scan
+// set's ordering itself; rows that all tie on v satisfy it in any
+// arrival order.
+func TestOrderedMergeUnionGroupOverBudget(t *testing.T) {
+	specs := []SiteSpec{
+		{Name: "a", Setup: []string{createT}, Exports: []gateway.Export{{Name: "T", LocalTable: "t"}}},
+		{Name: "b", Setup: []string{createT}, Exports: []gateway.Export{{Name: "T", LocalTable: "t"}}},
+	}
+	fx := New(t, specs, []*catalog.IntegratedDef{unionDef(integration.UnionDistinct, "a", "b")})
+	rows := func(base, n int) []schema.Row {
+		out := make([]schema.Row, n)
+		for i := range out {
+			out[i] = schema.Row{value.NewInt(int64(base + i)), value.NewInt(0)}
+		}
+		return out
+	}
+	fx.LoadRows(t, "a", "t", rows(0, 12_000))
+	fx.LoadRows(t, "b", "t", rows(8_000, 12_000)) // ids 8,000..11,999 at both sites
+	oracle := fx.Oracle(t)
+	ctx := context.Background()
+	const sql = `SELECT id, v FROM R ORDER BY v`
+	plan, err := fx.Plan(ctx, sql, core.StrategyCostBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := plan.ScanSets[0]
+	ss.ScanOrdering = []schema.SortKey{{Col: ss.Schema.ColIndex("v")}}
+	dir := t.TempDir()
+	got, m, err := execute(ctx, plan, fx.Runner(), executor.Options{MemBudget: 4096, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.ScratchBypassed {
+		t.Fatal("the query did not run as an ordered merge")
+	}
+	if len(got.Rows) != 20_000 {
+		t.Fatalf("%d rows, want 20,000", len(got.Rows))
+	}
+	if err := oracle.Check(ctx, sql, got); err != nil {
+		t.Fatal(err)
+	}
+	if m.SpillRuns == 0 {
+		t.Fatal("a 20,000-row merge-key group under 4 KB did not spill")
 	}
 	assertNoSpillFiles(t, dir)
 }

@@ -338,6 +338,29 @@ func AppendKey(b []byte, v *Value) []byte {
 	return append(binary.AppendUvarint(append(b, byte(v.K)), uint64(len(s))), s...)
 }
 
+// AppendRowKey appends row r's kind-exact identity key to b: each value
+// is its kind tag plus one, then its Text form (nothing for NULL), then
+// a 0x1f separator. Unlike AppendKey, 1, 1.0 and '1' all differ, and so
+// do -0.0 and 0.0. It is the one key for DISTINCT, UNION dedup and
+// grouping, in the engine and in the federation's fan-ins.
+func AppendRowKey(b []byte, r []Value) []byte {
+	for i := range r {
+		v := &r[i]
+		switch v.K {
+		case KindNull:
+			b = append(b, 0)
+		case KindInt:
+			b = strconv.AppendInt(append(b, byte(v.K)+1), v.RawInt(), 10)
+		case KindFloat:
+			b = strconv.AppendFloat(append(b, byte(v.K)+1), v.RawFloat(), 'g', -1, 64)
+		default:
+			b = append(append(b, byte(v.K)+1), v.Text()...)
+		}
+		b = append(b, 0x1f)
+	}
+	return b
+}
+
 // Arith applies a binary arithmetic operator: + - * / %. A NULL operand
 // yields NULL. "||" concatenates text renderings.
 func Arith(op string, a, b Value) (Value, error) {

@@ -342,3 +342,28 @@ func TestNegativeZeroNormalized(t *testing.T) {
 		t.Fatal("-0.0 hashes differently from 0.0")
 	}
 }
+
+// TestAppendRowKey pins the kind-exact row key's bytes: DISTINCT and
+// UNION answers depend on 1, 1.0 and '1' staying apart, and on -0.0
+// staying apart from 0.0.
+func TestAppendRowKey(t *testing.T) {
+	for _, tc := range []struct {
+		row  []Value
+		want string
+	}{
+		{[]Value{Null()}, "\x00\x1f"},
+		{[]Value{NewInt(1)}, "\x021\x1f"},
+		{[]Value{NewFloat(1)}, "\x031\x1f"},
+		{[]Value{NewText("1")}, "\x041\x1f"},
+		{[]Value{NewFloat(math.Copysign(0, -1))}, "\x03-0\x1f"},
+		{[]Value{NewFloat(0)}, "\x030\x1f"},
+		{[]Value{NewFloat(math.NaN())}, "\x03NaN\x1f"},
+		{[]Value{NewText("")}, "\x04\x1f"},
+		{[]Value{NewBool(true), NewInt(-7)}, "\x05TRUE\x1f\x02-7\x1f"},
+		{nil, ""},
+	} {
+		if got := string(AppendRowKey(nil, tc.row)); got != tc.want {
+			t.Errorf("AppendRowKey(%v) = %q, want %q", tc.row, got, tc.want)
+		}
+	}
+}
