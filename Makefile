@@ -30,6 +30,7 @@ FUZZ_TARGETS := \
 	FuzzBatchFraming:./internal/comm \
 	FuzzDecodeMessage:./internal/comm \
 	FuzzDecodeRow:./internal/value \
+	FuzzScanBatch:./internal/localdb \
 	FuzzScanRows:./internal/value \
 	FuzzSortKernel:./internal/spill \
 	FuzzWALReplay:./internal/wal

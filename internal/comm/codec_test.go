@@ -373,3 +373,69 @@ func TestSocketWritesPerExchange(t *testing.T) {
 		}
 	}
 }
+
+// TestFillFramesLikeRow: rows a handler encodes into the pending frame
+// with Fill, in chunks of any size, go out as the very bytes Row would
+// send, in as many socket writes — with a clean end and with an error
+// trailer, whether the error comes after the last chunk or with it.
+func TestFillFramesLikeRow(t *testing.T) {
+	row := func(i int) schema.Row {
+		return schema.Row{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("row-%d", i))}
+	}
+	type out struct {
+		bytes  string
+		writes int64
+	}
+	serve := func(handle func(w *frameWriter) error) out {
+		var buf bytes.Buffer
+		var writes atomic.Int64
+		w := newFrameWriter(newWire(countingConn{Conn: bufConn{buf: &buf}, writes: &writes}), DefaultBatchRows)
+		if err := w.Header([]string{"i", "label"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.finish(handle(w)); err != nil {
+			t.Fatal(err)
+		}
+		return out{buf.String(), writes.Load()}
+	}
+	boom := errors.New("boom")
+	for _, n := range []int{0, 1, 255, 256, 257, 513} {
+		for _, herr := range []error{nil, boom} {
+			want := serve(func(w *frameWriter) error {
+				for i := 0; i < n; i++ {
+					if err := w.Row(row(i)); err != nil {
+						return err
+					}
+				}
+				return herr
+			})
+			for _, chunk := range []int{1, 7, DefaultBatchRows} {
+				for _, errWithRows := range []bool{false, true} {
+					got := serve(func(w *frameWriter) error {
+						next := 0
+						for {
+							k, err := w.Fill(func(p []byte, room int) ([]byte, int, error) {
+								k := min(room, chunk, n-next)
+								for j := next; j < next+k; j++ {
+									p = value.AppendRow(p, row(j))
+								}
+								next += k
+								if next == n && (k == 0 || errWithRows) {
+									return p, k, herr
+								}
+								return p, k, nil
+							})
+							if err != nil || k == 0 {
+								return err
+							}
+						}
+					})
+					if got != want {
+						t.Fatalf("%d rows, error %v, chunks of %d (error with rows %v): %d bytes in %d writes, Row sent %d in %d",
+							n, herr, chunk, errWithRows, len(got.bytes), got.writes, len(want.bytes), want.writes)
+					}
+				}
+			}
+		}
+	}
+}

@@ -81,14 +81,22 @@ func kindOf(err error) ErrKind {
 }
 
 // RowSink receives a streaming response as it is produced. Header must
-// be called exactly once before any Row or Batch. Batch takes n rows
-// already in the row codec (value.AppendRow encodings back to back) and
-// sends them as one batch frame; Row packs rows into frames itself. All
-// return an error when the client is gone; the handler should stop
+// be called exactly once before any Row, Fill or Batch. Row packs rows
+// into frames itself. Fill lets the handler encode rows in the row
+// codec (value.AppendRow encodings back to back) straight into the
+// pending frame: fill gets the frame's payload and its room — the rows
+// it may still take — and returns the payload with at most room rows
+// appended and how many; Fill reports that count, and a count of zero
+// tells the handler nothing more was encoded. Row and Fill pack
+// frames alike, so the bytes on the wire do not depend on which one
+// the handler used. Batch takes n rows already encoded elsewhere and
+// sends them as one batch frame. All return an error when the client
+// is gone (Fill also returns fill's error); the handler should stop
 // producing.
 type RowSink interface {
 	Header(columns []string) error
 	Row(row schema.Row) error
+	Fill(fill func(payload []byte, room int) ([]byte, int, error)) (int, error)
 	Batch(n int, payload []byte) error
 }
 
@@ -181,6 +189,37 @@ func (w *frameWriter) Row(row schema.Row) error {
 		return w.appendBatch()
 	}
 	return nil
+}
+
+// Fill appends the rows fill encodes to the pending batch, under Row's
+// flush rule: a full batch goes out once fill has added a further row.
+func (w *frameWriter) Fill(fill func(payload []byte, room int) ([]byte, int, error)) (int, error) {
+	if w.writeErr != nil {
+		return 0, w.writeErr
+	}
+	if !w.headerSent {
+		return 0, errors.New("comm: stream rows before header")
+	}
+	room := w.batchRows - w.pending
+	payload, n, err := fill(w.payload, room)
+	w.payload = payload
+	if n > room {
+		return 0, fmt.Errorf("comm: %d rows filled into a batch with room for %d", n, room)
+	}
+	if n > 0 && w.batchDone {
+		w.batchDone = false
+		if err := w.flush(); err != nil {
+			return 0, err
+		}
+	}
+	w.pending += n
+	if w.pending == w.batchRows {
+		w.batchDone = true
+		if aerr := w.appendBatch(); err == nil {
+			err = aerr
+		}
+	}
+	return n, err
 }
 
 // Batch sends n encoded rows as one batch frame of their own, after any

@@ -160,6 +160,13 @@ func (s *collectSink) Batch(n int, payload []byte) error {
 	s.rows = rows
 	return err
 }
+func (s *collectSink) Fill(fill func([]byte, int) ([]byte, int, error)) (int, error) {
+	payload, n, err := fill(nil, comm.DefaultBatchRows)
+	if derr := s.Batch(n, payload); err == nil {
+		err = derr
+	}
+	return n, err
+}
 
 // TestStreamMetricsLogged: a streamed query reports per-source metrics
 // through Logf once the stream has completed.

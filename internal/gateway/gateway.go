@@ -402,6 +402,20 @@ func (s *gatewayStream) Next(ctx context.Context) (schema.Row, error) {
 	return r, nil
 }
 
+// appendRows encodes up to max rows straight into dst (see
+// localdb.Rows.AppendRows), polling the per-call ctx once per call
+// rather than once per row.
+func (s *gatewayStream) appendRows(ctx context.Context, dst []byte, max int) ([]byte, int, error) {
+	if err := schema.Canceled(ctx); err != nil {
+		return dst, 0, err
+	}
+	dst, n, err := s.rows.AppendRows(s.ctx, dst, max)
+	if err != nil {
+		err = mapErr(err)
+	}
+	return dst, n, err
+}
+
 func (s *gatewayStream) Close() error {
 	err := s.rows.Close()
 	s.cancel()
@@ -920,9 +934,11 @@ func rewriteUnqualified(e sqlparser.Expr, b *exportBinding) (sqlparser.Expr, err
 
 // HandleStream implements comm.StreamHandler and is the only way OpQuery
 // is served: results are framed straight off QueryStream — header, row
-// batches, trailer. Sink errors mean the client is gone; the deferred
-// Close tears the scan down and releases its locks. Every other op is a
-// Handle request.
+// batches, trailer. Each batch frame is filled in one call: a plain
+// scan encodes its rows from the heap into the frame, anything else
+// (and a transactional read's materialized result) row by row. Sink
+// errors mean the client is gone; the deferred Close tears the scan
+// down and releases its locks. Every other op is a Handle request.
 func (g *Gateway) HandleStream(ctx context.Context, req *comm.Request, sink comm.RowSink) error {
 	if req.Op != comm.OpQuery {
 		return fmt.Errorf("gateway %s: op %q does not stream", g.site, req.Op)
@@ -935,15 +951,22 @@ func (g *Gateway) HandleStream(ctx context.Context, req *comm.Request, sink comm
 	if err := sink.Header(rows.Columns()); err != nil {
 		return err
 	}
-	for {
-		r, err := rows.Next(ctx)
+	appendRows := func(ctx context.Context, dst []byte, room int) ([]byte, int, error) {
+		return schema.AppendRows(ctx, rows.Next, dst, room)
+	}
+	if gs, ok := rows.(*gatewayStream); ok {
+		appendRows = gs.appendRows
+	}
+	fill := func(dst []byte, room int) ([]byte, int, error) {
+		dst, n, err := appendRows(ctx, dst, room)
 		if err != nil {
-			return streamErr(err)
+			err = streamErr(err)
 		}
-		if r == nil {
-			return nil
-		}
-		if err := sink.Row(r); err != nil {
+		return dst, n, err
+	}
+	for {
+		n, err := sink.Fill(fill)
+		if err != nil || n == 0 {
 			return err
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"myriad/internal/schema"
 )
 
 // Micro-benchmarks for the component DBMS itself (the substrate the
@@ -182,24 +184,27 @@ func BenchmarkUpdateCommitVsRollback(b *testing.B) {
 }
 
 // BenchmarkTopKOrderLimit pins the fused ORDER BY + LIMIT operator
-// against the materialize-and-sort baseline on 100k rows: the top-K
-// heap retains 10 rows instead of sorting 100k, so allocs/op should be
-// at least 5x lower than the fullsort sub-benchmark.
+// against a full sort of the same 100k rows (the query without its
+// LIMIT): the top-K heap retains 10 rows instead of sorting 100k, so
+// allocs/op should be at least 5x lower than the fullsort
+// sub-benchmark.
 func BenchmarkTopKOrderLimit(b *testing.B) {
 	db := benchDB(b, 100000)
 	ctx := context.Background()
-	const q = `SELECT id, name FROM t ORDER BY val, id LIMIT 10`
+	const q = `SELECT id, name FROM t ORDER BY val, id`
 	for _, mode := range []string{"topk", "fullsort"} {
 		b.Run(mode, func(b *testing.B) {
-			disableTopKFusion = mode == "fullsort"
-			defer func() { disableTopKFusion = false }()
+			sql, want := q+" LIMIT 10", 10
+			if mode == "fullsort" {
+				sql, want = q, 100000
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rs, err := db.Query(ctx, q)
+				rs, err := db.Query(ctx, sql)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(rs.Rows) != 10 {
+				if len(rs.Rows) != want {
 					b.Fatalf("%d rows", len(rs.Rows))
 				}
 			}
@@ -235,5 +240,40 @@ func BenchmarkParseOnly(b *testing.B) {
 		if _, err := db.Query(ctx, q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPlainScanEncode times a site's plain scan into wire bytes:
+// 20k rows, a WHERE keeping one in ten, four bare columns, encoded 256
+// rows at a time. "rows" pulls each row with Next and encodes it with
+// value.AppendRow (the row path every other shape takes); "batch"
+// encodes straight from the heap with AppendRows.
+func BenchmarkPlainScanEncode(b *testing.B) {
+	db := benchDB(b, 20000)
+	ctx := context.Background()
+	const q = `SELECT id, grp, val, name FROM t WHERE val >= 100 AND val < 200`
+	for _, mode := range []string{"rows", "batch"} {
+		b.Run(mode, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := db.QueryStream(ctx, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for n := -1; n != 0; {
+					buf = buf[:0]
+					if mode == "batch" {
+						buf, n, err = rows.AppendRows(ctx, buf, 256)
+					} else {
+						buf, n, err = schema.AppendRows(ctx, rows.Next, buf, 256)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				rows.Close()
+			}
+		})
 	}
 }

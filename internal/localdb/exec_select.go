@@ -251,12 +251,6 @@ func applyLimit(rs *schema.ResultSet, limit *sqlparser.LimitClause) {
 	}
 }
 
-// disableTopKFusion forces the full-sort path even when ORDER BY +
-// LIMIT could use the bounded top-K heap. Tests and benchmarks use it
-// to compare the fused operator against the materialize-and-sort
-// baseline; production code never sets it.
-var disableTopKFusion bool
-
 // execSimpleSelect evaluates one SELECT core (no compound) by draining
 // the pull-based iterator pipeline selectIter assembles.
 func (tx *Txn) execSimpleSelect(ctx context.Context, sel *sqlparser.Select) (*schema.ResultSet, error) {
@@ -382,9 +376,9 @@ func (tx *Txn) selectIter(ctx context.Context, sel *sqlparser.Select) (rowIter, 
 		// arrive already in ORDER BY order (ties in arrival order, same
 		// as the stable sort), so no sort, top-K heap, or spill runs at
 		// all — and a LIMIT below terminates the index walk early.
-		it = newProjIter(it, itemFns)
+		it = newProjIter(it, itemFns, nil)
 	case len(sortFns) > 0 && sel.Limit != nil && sel.Limit.Count >= 0 && !sel.Distinct &&
-		!disableTopKFusion && sel.Limit.Count <= math.MaxInt32-sel.Limit.Offset:
+		sel.Limit.Count <= math.MaxInt32-sel.Limit.Offset:
 		// ORDER BY + LIMIT without DISTINCT fuses into a bounded top-K
 		// heap: only offset+count rows are ever retained, and
 		// projection runs on the survivors alone. DISTINCT dedupes
@@ -397,7 +391,13 @@ func (tx *Txn) selectIter(ctx context.Context, sel *sqlparser.Select) (rowIter, 
 	case len(sortFns) > 0:
 		it = newSortIter(it, itemFns, sortFns, descs, tx.db.budget)
 	default:
-		it = newProjIter(it, itemFns)
+		// Bare columns over a heap scan and its WHERE make this the
+		// plain-scan path, which filters and encodes a batch at a time.
+		var slots []int
+		if batchSourceOf(it) != nil {
+			slots = bareSlots(items, b)
+		}
+		it = newProjIter(it, itemFns, slots)
 	}
 	if sel.Distinct {
 		it = newDistinctIter(it, tx.db.budget)
@@ -479,6 +479,24 @@ func (tx *Txn) execFromlessSelect(sel *sqlparser.Select) (*schema.ResultSet, err
 	rs := &schema.ResultSet{Columns: itemNames(items), Rows: []schema.Row{row}}
 	applyLimit(rs, sel.Limit)
 	return rs, nil
+}
+
+// bareSlots returns each item's input slot when every item is a bare
+// column reference, else nil.
+func bareSlots(items []namedItem, b *rowBinder) []int {
+	slots := make([]int, len(items))
+	for i, it := range items {
+		cr, ok := it.Expr.(*sqlparser.ColumnRef)
+		if !ok {
+			return nil
+		}
+		slot, err := b.resolve(cr.Table, cr.Column)
+		if err != nil {
+			return nil
+		}
+		slots[i] = slot
+	}
+	return slots
 }
 
 // namedItem is a resolved select item (stars expanded).

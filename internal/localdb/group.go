@@ -256,7 +256,7 @@ func (tx *Txn) groupPipeline(sel *sqlparser.Select, b *rowBinder, it rowIter, st
 	case plan.identity:
 		// Group rows are already the output rows; skip the projection.
 	default:
-		out = newProjIter(out, plan.itemFns)
+		out = newProjIter(out, plan.itemFns, nil)
 	}
 	if sel.Distinct {
 		out = newDistinctIter(out, tx.db.budget)

@@ -414,3 +414,32 @@ func BenchmarkGroupBySpill(b *testing.B) {
 	load(unlimited)
 	b.Run("unlimited", func(b *testing.B) { run(b, unlimited) })
 }
+
+// TestRowKeyKeepsTextHoldingSeparator: ('a\x1f\x04b', 'c') and
+// ('a', 'b\x1f\x04c') are different rows, though their texts joined by
+// the row key's separator and TEXT tag would read alike; DISTINCT and
+// GROUP BY over both keep two rows, resident and under a forced spill.
+func TestRowKeyKeepsTextHoldingSeparator(t *testing.T) {
+	for _, budget := range []int64{0, 1} {
+		db := NewWithBudget("rowkey", spill.NewBudget(budget, t.TempDir()))
+		db.MustExec(`CREATE TABLE t (a TEXT, b TEXT)`)
+		if err := db.Load("t", []schema.Row{
+			{value.NewText("a\x1f\x04b"), value.NewText("c")},
+			{value.NewText("a"), value.NewText("b\x1f\x04c")},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{
+			`SELECT DISTINCT a, b FROM t`,
+			`SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b`,
+		} {
+			rs, err := db.Query(context.Background(), sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if len(rs.Rows) != 2 {
+				t.Fatalf("budget %d, %s: %d rows, want 2: %v", budget, sql, len(rs.Rows), rs.Rows)
+			}
+		}
+	}
+}

@@ -66,13 +66,15 @@ func (s *sliceIter) Next(ctx context.Context) ([]value.Value, error) {
 
 func (s *sliceIter) Close() { s.closed = true }
 
-// heapScanIter walks a heap table in slot order, copying row references
-// out in batches under the database latch. The caller must already hold
+// heapScanIter walks a heap table in slot order, a segment of
+// scanBatchSize slots at a time: it takes the database latch only to
+// look the segment up, and reads the segment — which aliases the
+// table's slot array — after releasing it. The caller must already hold
 // a table S lock, which freezes the table's slots for the statement's
 // lifetime: any writer — including a rollback's delete-undo, which can
 // re-fill tombstoned slots — needs a conflicting IX/X table lock. That
-// lock, not slot immutability, is what makes resuming ScanFrom across
-// latch releases observe the same snapshot the old
+// lock, not the latch, is what makes reading a segment and resuming at
+// the next one observe the same snapshot the old
 // materialize-everything scan did. Row slices are shared, not copied:
 // the storage engine never mutates a row slice in place (updates swap
 // in a freshly coerced slice), so sharing is safe for readers.
@@ -80,7 +82,7 @@ type heapScanIter struct {
 	db     *DB
 	t      *storage.Table
 	pos    storage.RowID
-	batch  [][]value.Value
+	batch  []schema.Row // the current segment; a tombstone is nil
 	bpos   int
 	done   bool
 	closed bool
@@ -90,47 +92,101 @@ func newHeapScanIter(db *DB, t *storage.Table) *heapScanIter {
 	return &heapScanIter{db: db, t: t}
 }
 
-// Next polls ctx once per refill, not per row: a cancelled scan stops
-// within one batch.
-func (s *heapScanIter) Next(ctx context.Context) ([]value.Value, error) {
+// more makes sure a slot is in hand, moving to the next segment once
+// the current one is spent; false at the end of the scan. It polls ctx
+// once per segment, not per row: a cancelled scan stops within one
+// batch.
+func (s *heapScanIter) more(ctx context.Context) (bool, error) {
 	if s.closed {
-		return nil, nil
+		return false, nil
 	}
-	if s.bpos >= len(s.batch) {
-		if err := schema.Canceled(ctx); err != nil {
+	if s.bpos < len(s.batch) {
+		return true, nil
+	}
+	if err := schema.Canceled(ctx); err != nil {
+		return false, err
+	}
+	if s.done {
+		return false, nil
+	}
+	s.refill()
+	return len(s.batch) > 0, nil
+}
+
+func (s *heapScanIter) Next(ctx context.Context) ([]value.Value, error) {
+	for {
+		if ok, err := s.more(ctx); !ok {
 			return nil, err
 		}
-		if s.done {
-			return nil, nil
-		}
-		s.refill()
-		if len(s.batch) == 0 {
-			s.done = true
-			return nil, nil
+		r := s.batch[s.bpos]
+		s.bpos++
+		if r != nil {
+			return r, nil
 		}
 	}
-	r := s.batch[s.bpos]
-	s.bpos++
-	return r, nil
+}
+
+// nextBatch hands out the rest of the segment in hand, or the next one:
+// every live row qualifies.
+func (s *heapScanIter) nextBatch(ctx context.Context, sel []int32) ([]schema.Row, []int32, error) {
+	sel = sel[:0]
+	if ok, err := s.more(ctx); !ok {
+		return nil, sel, err
+	}
+	for i := s.bpos; i < len(s.batch); i++ {
+		if s.batch[i] != nil {
+			sel = append(sel, int32(i))
+		}
+	}
+	s.bpos = len(s.batch)
+	return s.batch, sel, nil
 }
 
 func (s *heapScanIter) refill() {
-	s.batch = s.batch[:0]
-	s.bpos = 0
 	s.db.latch.RLock()
-	s.t.ScanFrom(s.pos, func(id storage.RowID, r schema.Row) bool {
-		s.batch = append(s.batch, r)
-		s.pos = id + 1
-		return len(s.batch) < scanBatchSize
-	})
+	s.batch, s.pos = s.t.Segment(s.pos, scanBatchSize)
 	s.db.latch.RUnlock()
-	s.db.scanRows.Add(int64(len(s.batch)))
-	if len(s.batch) < scanBatchSize {
-		s.done = true
+	s.bpos = 0
+	live := 0
+	for _, r := range s.batch {
+		if r != nil {
+			live++
+		}
 	}
+	s.db.scanRows.Add(int64(live))
+	s.done = len(s.batch) < scanBatchSize
 }
 
 func (s *heapScanIter) Close() { s.closed = true; s.batch = nil }
+
+// batchSource is the input of the plain-scan path: a heap scan,
+// optionally under filters that evaluate its rows in place. nextBatch
+// returns the next scan batch and, appended to sel[:0], the positions
+// of its rows that qualify; an empty batch ends the scan, while a
+// batch with no qualifying rows does not. On a per-row error it
+// returns the positions that qualified before the failing row with the
+// error, so a consumer emits those first, as the row-at-a-time pipeline
+// does. The batch is valid until the next call. A source is read by
+// Next or by nextBatch, never both.
+type batchSource interface {
+	rowIter
+	nextBatch(ctx context.Context, sel []int32) ([]schema.Row, []int32, error)
+}
+
+// batchSourceOf returns it as a batchSource when it is a heap scan, or
+// filters over one whose predicates read the scan's rows at binding
+// offset 0; otherwise nil.
+func batchSourceOf(it rowIter) batchSource {
+	switch x := it.(type) {
+	case *heapScanIter:
+		return x
+	case *filterIter:
+		if x.off == 0 && batchSourceOf(x.child) != nil {
+			return x
+		}
+	}
+	return nil
+}
 
 // ---------------------------------------------------------------------
 // Filter
@@ -177,6 +233,28 @@ func (f *filterIter) Next(ctx context.Context) ([]value.Value, error) {
 			return r, nil
 		}
 	}
+}
+
+// nextBatch applies pred to the qualifying rows of the child's next
+// batch, keeping the positions of those it holds True for. Only a
+// filter batchSourceOf accepts is asked: its rows are evaluated as they
+// lie in the heap batch.
+func (f *filterIter) nextBatch(ctx context.Context, sel []int32) ([]schema.Row, []int32, error) {
+	if f.closed {
+		return nil, sel[:0], nil
+	}
+	rows, sel, err := f.child.(batchSource).nextBatch(ctx, sel)
+	kept := sel[:0]
+	for _, i := range sel {
+		t, perr := f.pred(rows[i])
+		if perr != nil {
+			return rows, kept, perr
+		}
+		if t == True {
+			kept = append(kept, i)
+		}
+	}
+	return rows, kept, err
 }
 
 func (f *filterIter) Close() {
@@ -322,20 +400,48 @@ func (j *hashJoinIter) Close() {
 // ---------------------------------------------------------------------
 // Projection, ordering, distinct, limit
 
-// projIter applies the select-item projection per row.
+// projIter applies the select-item projection per row. When every item
+// is a bare column over a batchSource — a heap scan and its WHERE — it
+// is the plain-scan path instead: it filters a scan batch at a time,
+// Next copies each qualifying row's chosen slots out, and appendRows
+// encodes them straight into the caller's buffer, building no row.
 type projIter struct {
 	child   rowIter
 	itemFns []evalFn
 	closed  bool
+
+	// The plain-scan path: slots holds each item's input slot, src is
+	// the child as a batchSource (nil: the row path), and rows/sel/spos
+	// is the scan batch in hand with its qualifying positions. err is a
+	// per-row error held back until the positions before it are out.
+	slots []int
+	src   batchSource
+	rows  []schema.Row
+	sel   []int32
+	spos  int
+	err   error
+	done  bool
 }
 
-func newProjIter(child rowIter, itemFns []evalFn) *projIter {
-	return &projIter{child: child, itemFns: itemFns}
+// newProjIter projects child's rows through itemFns. slots, when
+// non-nil, gives each item's input slot because every item is a bare
+// column; over a batchSource that makes it the plain-scan path.
+func newProjIter(child rowIter, itemFns []evalFn, slots []int) *projIter {
+	p := &projIter{child: child, itemFns: itemFns}
+	if slots != nil {
+		if p.src = batchSourceOf(child); p.src != nil {
+			p.slots = slots
+		}
+	}
+	return p
 }
 
 func (p *projIter) Next(ctx context.Context) ([]value.Value, error) {
 	if p.closed {
 		return nil, nil
+	}
+	if p.src != nil {
+		return p.nextSelected(ctx)
 	}
 	r, err := p.child.Next(ctx)
 	if err != nil || r == nil {
@@ -350,10 +456,63 @@ func (p *projIter) Next(ctx context.Context) ([]value.Value, error) {
 	return out, nil
 }
 
+// nextSelected is Next on the plain-scan path: the next qualifying scan
+// row's chosen slots, copied into a new row.
+func (p *projIter) nextSelected(ctx context.Context) ([]value.Value, error) {
+	if !p.more(ctx) {
+		return nil, p.err
+	}
+	r := p.rows[p.sel[p.spos]]
+	p.spos++
+	out := make([]value.Value, len(p.slots))
+	for i, s := range p.slots {
+		out[i] = r[s]
+	}
+	return out, nil
+}
+
+// more makes sure a qualifying position is in hand, pulling scan
+// batches until one qualifies; false at the end of the stream or once
+// the positions before a held error are spent.
+func (p *projIter) more(ctx context.Context) bool {
+	for p.spos == len(p.sel) {
+		if p.err != nil || p.done || p.closed {
+			return false
+		}
+		p.rows, p.sel, p.err = p.src.nextBatch(ctx, p.sel)
+		p.spos = 0
+		p.done = len(p.rows) == 0
+	}
+	return true
+}
+
+// appendRows appends up to max result rows to dst in the row codec and
+// reports how many it appended; zero rows and a nil error end the
+// stream. It stops mid-batch once max rows are out and resumes there.
+// A per-row error is returned once the rows that qualified before it
+// are out, by a call that appends fewer than max rows. Only valid when
+// src is set.
+func (p *projIter) appendRows(ctx context.Context, dst []byte, max int) ([]byte, int, error) {
+	n := 0
+	for n < max {
+		if !p.more(ctx) {
+			return dst, n, p.err
+		}
+		end := min(len(p.sel), p.spos+max-n)
+		for _, i := range p.sel[p.spos:end] {
+			dst = value.AppendRowCols(dst, p.rows[i], p.slots)
+		}
+		n += end - p.spos
+		p.spos = end
+	}
+	return dst, n, nil
+}
+
 func (p *projIter) Close() {
 	if !p.closed {
 		p.closed = true
 		p.child.Close()
+		p.rows = nil
 	}
 }
 

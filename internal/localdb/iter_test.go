@@ -126,6 +126,30 @@ func TestHeapScanIterCancelWithinBatch(t *testing.T) {
 	if after != scanBatchSize-10 {
 		t.Fatalf("%d rows after cancellation, want the batch's remaining %d", after, scanBatchSize-10)
 	}
+
+	// The plain-scan path polls ctx as rarely: a cancelled stream hands
+	// out the rest of the scan batch it holds, then fails.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	stream, err := db.QueryStream(ctx, `SELECT id FROM t WHERE id >= 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	if p, ok := stream.it.(*projIter); !ok || p.src == nil {
+		t.Fatal("not on the plain-scan path")
+	}
+	if _, n, err := stream.AppendRows(ctx, nil, scanBatchSize+10); n != scanBatchSize+10 || err != nil {
+		t.Fatalf("into the second batch: %d rows, %v", n, err)
+	}
+	cancel()
+	_, after, err = appendAll(t, ctx, stream, 1)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("plain-scan path: err = %v, want context.Canceled", err)
+	}
+	if after != scanBatchSize-10 {
+		t.Fatalf("plain-scan path: %d rows after cancellation, want the batch's remaining %d", after, scanBatchSize-10)
+	}
 }
 
 func TestHeapScanIterEarlyClose(t *testing.T) {
@@ -437,9 +461,9 @@ func TestPipelineCancellationBetweenNextCalls(t *testing.T) {
 }
 
 // TestIteratorEquivalenceWithFullSort runs randomized ORDER BY + LIMIT
-// workloads (the differential_test generator's shape) through both the
-// fused top-K path and the full-sort path the old materializing
-// executor used, asserting identical results.
+// workloads (the differential_test generator's shape) through the
+// fused top-K path and checks each against the same query with no
+// LIMIT/OFFSET — a stable full sort — sliced to the limit in the test.
 func TestIteratorEquivalenceWithFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
 	db := New("equiv")
@@ -458,7 +482,13 @@ func TestIteratorEquivalenceWithFullSort(t *testing.T) {
 	db.MustExec("INSERT INTO t VALUES " + stmt)
 	ctx := context.Background()
 
-	queries := []string{}
+	// Each case is the fused query's ORDER BY with no LIMIT/OFFSET (a
+	// stable full sort) and the [offset, offset+limit) slice of it.
+	type tcase struct {
+		fused, full   string
+		offset, limit int
+	}
+	var cases []tcase
 	for trial := 0; trial < 50; trial++ {
 		limit := 1 + rng.Intn(30)
 		offset := rng.Intn(10)
@@ -467,24 +497,25 @@ func TestIteratorEquivalenceWithFullSort(t *testing.T) {
 			dir = " DESC"
 		}
 		cut := rng.Intn(400)
-		queries = append(queries,
-			fmt.Sprintf(`SELECT a, c FROM t WHERE a >= %d ORDER BY c%s, b LIMIT %d OFFSET %d`, cut, dir, limit, offset),
-			fmt.Sprintf(`SELECT b, a + 1 AS x FROM t WHERE b < %d ORDER BY b%s LIMIT %d`, 1+rng.Intn(10), dir, limit),
+		q1 := fmt.Sprintf(`SELECT a, c FROM t WHERE a >= %d ORDER BY c%s, b`, cut, dir)
+		q2 := fmt.Sprintf(`SELECT b, a + 1 AS x FROM t WHERE b < %d ORDER BY b%s`, 1+rng.Intn(10), dir)
+		cases = append(cases,
+			tcase{fmt.Sprintf(`%s LIMIT %d OFFSET %d`, q1, limit, offset), q1, offset, limit},
+			tcase{fmt.Sprintf(`%s LIMIT %d`, q2, limit), q2, 0, limit},
 		)
 	}
-	for _, q := range queries {
-		fused, err := db.Query(ctx, q)
+	for _, tc := range cases {
+		fused, err := db.Query(ctx, tc.fused)
 		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+			t.Fatalf("%s: %v", tc.fused, err)
 		}
-		disableTopKFusion = true
-		baseline, err := db.Query(ctx, q)
-		disableTopKFusion = false
+		full, err := db.Query(ctx, tc.full)
 		if err != nil {
-			t.Fatalf("%s (baseline): %v", q, err)
+			t.Fatalf("%s: %v", tc.full, err)
 		}
-		if !reflect.DeepEqual(fused.Rows, baseline.Rows) {
-			t.Fatalf("%s:\n fused    %v\n baseline %v", q, fused.Rows, baseline.Rows)
+		want := full.Rows[min(tc.offset, len(full.Rows)):min(tc.offset+tc.limit, len(full.Rows))]
+		if len(fused.Rows) != len(want) || (len(want) > 0 && !reflect.DeepEqual(fused.Rows, want)) {
+			t.Fatalf("%s:\n fused    %v\n baseline %v", tc.fused, fused.Rows, want)
 		}
 	}
 }

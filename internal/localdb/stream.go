@@ -174,6 +174,32 @@ func (r *Rows) Next(ctx context.Context) (schema.Row, error) {
 	return row, nil
 }
 
+// AppendRows appends up to max result rows to dst in the row codec —
+// the bytes value.AppendRow gives each row — and reports how many; zero
+// rows and a nil error end the stream. A plain scan (a heap scan, an
+// optional WHERE, bare columns) encodes its qualifying rows straight
+// from the heap a batch at a time and builds no row; any other
+// statement encodes the rows Next would return. It stops once max rows
+// are out and resumes there, so a caller can fill fixed-size frames.
+// After an error every subsequent call returns the same error.
+func (r *Rows) AppendRows(ctx context.Context, dst []byte, max int) ([]byte, int, error) {
+	if r.err != nil {
+		return dst, 0, r.err
+	}
+	if r.closed {
+		return dst, 0, nil
+	}
+	var n int
+	var err error
+	if p, ok := r.it.(*projIter); ok && p.src != nil {
+		dst, n, err = p.appendRows(ctx, dst, max)
+	} else {
+		dst, n, err = schema.AppendRows(ctx, r.it.Next, dst, max)
+	}
+	r.err = err
+	return dst, n, err
+}
+
 // Close tears down the pipeline — terminating any in-progress scan —
 // and finishes the owning transaction, releasing its locks.
 func (r *Rows) Close() error {

@@ -1,6 +1,10 @@
 package schema
 
-import "context"
+import (
+	"context"
+
+	"myriad/internal/value"
+)
 
 // RowStream is a pull-based stream of rows: the unit of the federation's
 // pipelined transport. Next returns the next row, or (nil, nil) when the
@@ -39,6 +43,20 @@ func Batches(s RowStream) BatchStream {
 		return bs
 	}
 	return nil
+}
+
+// AppendRows appends up to max rows pulled from next to dst in the row
+// codec (value.AppendRow encodings back to back) and reports how many;
+// it stops early at the end of the stream or on an error.
+func AppendRows[R ~[]value.Value](ctx context.Context, next func(context.Context) (R, error), dst []byte, max int) ([]byte, int, error) {
+	for n := 0; n < max; n++ {
+		r, err := next(ctx)
+		if err != nil || r == nil {
+			return dst, n, err
+		}
+		dst = value.AppendRow(dst, r)
+	}
+	return dst, max, nil
 }
 
 // Canceled returns ctx's error once ctx is done, and nil until then.

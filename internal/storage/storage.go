@@ -339,6 +339,22 @@ func (t *Table) ScanFrom(start RowID, visit func(RowID, schema.Row) bool) {
 	}
 }
 
+// Segment returns up to n slots from start (inclusive) as the table
+// holds them — a tombstone is a nil row — and the slot after the last.
+// The slice aliases the table's slot array, so it reads true only while
+// the table is not mutated; as with ScanFrom, that is the caller's
+// responsibility (the DBMS layer holds a table S lock for the scan's
+// lifetime). Its capacity ends at its length: appending to it cannot
+// write into the table.
+func (t *Table) Segment(start RowID, n int) ([]schema.Row, RowID) {
+	start = max(start, 0)
+	end := min(int(start)+n, len(t.rows))
+	if int(start) >= end {
+		return nil, start
+	}
+	return t.rows[start:end:end], RowID(end)
+}
+
 // Len returns the number of live rows.
 func (t *Table) Len() int { return t.live }
 

@@ -194,6 +194,45 @@ func TestScanFromResumes(t *testing.T) {
 	}
 }
 
+// TestSegmentResumes: segments taken one after another cover every slot
+// once, tombstones as nil, and appending to one cannot reach the table.
+func TestSegmentResumes(t *testing.T) {
+	tbl := newTestTable(t)
+	for i := 0; i < 10; i++ {
+		tbl.Insert(row(int64(i), "x", 0)) //nolint:errcheck
+	}
+	tbl.Delete(4) //nolint:errcheck
+	var ids []int64
+	slots := 0
+	for next := RowID(-5); ; {
+		seg, after := tbl.Segment(next, 3)
+		if len(seg) == 0 {
+			if after != next {
+				t.Fatalf("empty segment moved the position from %d to %d", next, after)
+			}
+			break
+		}
+		if cap(seg) != len(seg) {
+			t.Fatalf("segment len %d cap %d", len(seg), cap(seg))
+		}
+		_ = append(seg, nil)
+		for _, r := range seg {
+			if r != nil {
+				v, _ := r[0].Int()
+				ids = append(ids, v)
+			}
+		}
+		slots += len(seg)
+		next = after
+	}
+	if want := []int64{0, 1, 2, 3, 5, 6, 7, 8, 9}; fmt.Sprint(ids) != fmt.Sprint(want) || slots != 10 {
+		t.Fatalf("segments saw %v over %d slots, want %v over 10", ids, slots, want)
+	}
+	if tbl.Get(9) == nil || tbl.Len() != 9 {
+		t.Fatal("appending to a segment changed the table")
+	}
+}
+
 func TestSecondaryIndex(t *testing.T) {
 	tbl := newTestTable(t)
 	for i := 0; i < 10; i++ {

@@ -118,6 +118,13 @@ func (s *logSink) Batch(n int, payload []byte) error {
 	s.rows = rows
 	return err
 }
+func (s *logSink) Fill(fill func([]byte, int) ([]byte, int, error)) (int, error) {
+	payload, n, err := fill(nil, comm.DefaultBatchRows)
+	if derr := s.Batch(n, payload); err == nil {
+		err = derr
+	}
+	return n, err
+}
 
 // TestFedserverLogsSpillRuns: the acceptance criterion's observability
 // half — after a spilling query streams to a client, the fedserver

@@ -43,6 +43,16 @@ func AppendRow(b []byte, row []Value) []byte {
 	return b
 }
 
+// AppendRowCols appends the encoding of the row row[cols[0]],
+// row[cols[1]], … — AppendRow of that projection, without building it.
+func AppendRowCols(b []byte, row []Value, cols []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for _, c := range cols {
+		b = appendValue(b, row[c])
+	}
+	return b
+}
+
 func appendValue(b []byte, v Value) []byte {
 	switch v.K {
 	case KindInt:

@@ -367,3 +367,18 @@ func BenchmarkDecodeRowsBatch(b *testing.B) {
 		}
 	}
 }
+
+// TestAppendRowCols: encoding chosen columns of a row — repeated,
+// reordered or none — gives AppendRow's bytes for the projected row.
+func TestAppendRowCols(t *testing.T) {
+	row := []Value{NewInt(-3), NewFloat(math.NaN()), NewText("a\x1fb"), Null(), NewBool(true)}
+	for _, cols := range [][]int{nil, {0, 1, 2, 3, 4}, {4, 2, 2, 0}, {3}} {
+		proj := make([]Value, len(cols))
+		for i, c := range cols {
+			proj[i] = row[c]
+		}
+		if got, want := AppendRowCols([]byte{9}, row, cols), AppendRow([]byte{9}, proj); string(got) != string(want) {
+			t.Errorf("cols %v: %x, want %x", cols, got, want)
+		}
+	}
+}

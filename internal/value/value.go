@@ -340,9 +340,12 @@ func AppendKey(b []byte, v *Value) []byte {
 
 // AppendRowKey appends row r's kind-exact identity key to b: each value
 // is its kind tag plus one, then its Text form (nothing for NULL), then
-// a 0x1f separator. Unlike AppendKey, 1, 1.0 and '1' all differ, and so
-// do -0.0 and 0.0. It is the one key for DISTINCT, UNION dedup and
-// grouping, in the engine and in the federation's fan-ins.
+// a 0x1f separator. Inside TEXT, 0x1e is escaped as 0x1e 0x01 and 0x1f
+// as 0x1e 0x02, so a text never holds the separator and the key is
+// injective; text without those bytes appears verbatim. Unlike
+// AppendKey, 1, 1.0 and '1' all differ, and so do -0.0 and 0.0. It is
+// the one key for DISTINCT, UNION dedup and grouping, in the engine and
+// in the federation's fan-ins.
 func AppendRowKey(b []byte, r []Value) []byte {
 	for i := range r {
 		v := &r[i]
@@ -353,12 +356,26 @@ func AppendRowKey(b []byte, r []Value) []byte {
 			b = strconv.AppendInt(append(b, byte(v.K)+1), v.RawInt(), 10)
 		case KindFloat:
 			b = strconv.AppendFloat(append(b, byte(v.K)+1), v.RawFloat(), 'g', -1, 64)
+		case KindText:
+			b = appendKeyText(append(b, byte(v.K)+1), v.S)
 		default:
 			b = append(append(b, byte(v.K)+1), v.Text()...)
 		}
 		b = append(b, 0x1f)
 	}
 	return b
+}
+
+// appendKeyText appends s with 0x1e and 0x1f escaped (see AppendRowKey).
+func appendKeyText(b []byte, s string) []byte {
+	for {
+		i := strings.IndexAny(s, "\x1e\x1f")
+		if i < 0 {
+			return append(b, s...)
+		}
+		b = append(append(b, s[:i]...), 0x1e, s[i]-0x1d)
+		s = s[i+1:]
+	}
 }
 
 // Arith applies a binary arithmetic operator: + - * / %. A NULL operand

@@ -367,3 +367,27 @@ func TestAppendRowKey(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendRowKeyInjective: a TEXT holding the separator or the escape
+// byte cannot forge a column boundary, so rows that differ keep
+// different keys.
+func TestAppendRowKeyInjective(t *testing.T) {
+	a := AppendRowKey(nil, []Value{NewText("a\x1f\x04b"), NewText("c")})
+	b := AppendRowKey(nil, []Value{NewText("a"), NewText("b\x1f\x04c")})
+	if string(a) == string(b) {
+		t.Fatalf("rows share the key %q", a)
+	}
+	for _, tc := range []struct{ s, want string }{
+		{"\x1e", "\x04\x1e\x01\x1f"},
+		{"\x1f", "\x04\x1e\x02\x1f"},
+		{"x\x1e\x01y\x1fz", "\x04x\x1e\x01\x01y\x1e\x02z\x1f"},
+	} {
+		if got := string(AppendRowKey(nil, []Value{NewText(tc.s)})); got != tc.want {
+			t.Errorf("AppendRowKey(%q) = %q, want %q", tc.s, got, tc.want)
+		}
+	}
+	// A text holding 0x1e 0x01 differs from one holding 0x1e alone.
+	if string(AppendRowKey(nil, []Value{NewText("\x1e")})) == string(AppendRowKey(nil, []Value{NewText("\x1e\x01")})) {
+		t.Fatal("escape is ambiguous")
+	}
+}
