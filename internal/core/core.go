@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -27,6 +28,7 @@ import (
 	"myriad/internal/planner"
 	"myriad/internal/schema"
 	"myriad/internal/sqlparser"
+	"myriad/internal/value"
 	"myriad/internal/wal"
 )
 
@@ -393,9 +395,12 @@ func (f *Federation) QueryTx(ctx context.Context, txn *gtm.Txn, sql string, stra
 // gateway which access path its engine would choose for the shipped
 // subquery (heap / hash probe / ordered range / pk point, with
 // selectivity estimates) — so one \explain shows the whole journey
-// from global plan to per-site index selection. A site that cannot
-// answer (detached, down) degrades to a note instead of failing the
-// explain.
+// from global plan to per-site index selection. A bind join's probe
+// scan runs with the shipped keys ANDed on as an IN-list, which can
+// change the site's path, so the site is also asked about that form,
+// over two placeholder keys of the build column's type, on lines of
+// its own. A site that cannot answer (detached, down) degrades to a
+// note instead of failing the explain.
 func (f *Federation) Explain(ctx context.Context, sql string, strategy Strategy) (string, error) {
 	plan, err := f.Plan(ctx, sql, strategy)
 	if err != nil {
@@ -404,6 +409,7 @@ func (f *Federation) Explain(ctx context.Context, sql string, strategy Strategy)
 	var b strings.Builder
 	b.WriteString(plan.Describe())
 	for _, ss := range plan.ScanSets {
+		keys := probePlaceholders(plan, ss)
 		for _, sc := range ss.Scans {
 			if sc.Pruned != "" {
 				// Source selection: the site is never contacted, so
@@ -416,17 +422,56 @@ func (f *Federation) Explain(ctx context.Context, sql string, strategy Strategy)
 				fmt.Fprintf(&b, "access @%s: (site detached)\n", sc.Site)
 				continue
 			}
-			out, err := conn.Explain(ctx, sc.SQL())
-			if err != nil {
-				fmt.Fprintf(&b, "access @%s: (unavailable: %v)\n", sc.Site, err)
-				continue
-			}
-			for _, line := range strings.Split(out, "\n") {
-				fmt.Fprintf(&b, "access @%s: %s\n", sc.Site, line)
+			explainAt(ctx, &b, conn, "access @"+sc.Site, sc.SQL())
+			if keys != nil && sc.SemiProbe != nil {
+				explainAt(ctx, &b, conn, "access @"+sc.Site+" (bind-join probe)", sc.ProbeSQL(keys))
 			}
 		}
 	}
 	return b.String(), nil
+}
+
+// explainAt writes the site's access-path explain of sql, each line
+// under prefix.
+func explainAt(ctx context.Context, b *strings.Builder, conn gateway.Conn, prefix, sql string) {
+	out, err := conn.Explain(ctx, sql)
+	if err != nil {
+		fmt.Fprintf(b, "%s: (unavailable: %v)\n", prefix, err)
+		return
+	}
+	for _, line := range strings.Split(out, "\n") {
+		fmt.Fprintf(b, "%s: %s\n", prefix, line)
+	}
+}
+
+// probePlaceholders returns two distinct literals of the type of ss's
+// bind-join build column — the shape of the IN-list its probe scans
+// are shipped with — or nil when ss is no bind-join probe.
+func probePlaceholders(plan *planner.Plan, ss *planner.ScanSet) []sqlparser.Expr {
+	if ss.SemiFrom == "" {
+		return nil
+	}
+	i := slices.IndexFunc(plan.ScanSets, func(s *planner.ScanSet) bool { return strings.EqualFold(s.Alias, ss.SemiFrom) })
+	if i < 0 {
+		return nil
+	}
+	build := plan.ScanSets[i].Schema
+	ci := build.ColIndex(ss.SemiBuildCol)
+	if ci < 0 {
+		return nil
+	}
+	var a, c value.Value
+	switch build.Columns[ci].Type {
+	case schema.TFloat:
+		a, c = value.NewFloat(0.5), value.NewFloat(1.5)
+	case schema.TText:
+		a, c = value.NewText("a"), value.NewText("b")
+	case schema.TBool:
+		a, c = value.NewBool(false), value.NewBool(true)
+	default:
+		a, c = value.NewInt(0), value.NewInt(1)
+	}
+	return []sqlparser.Expr{&sqlparser.Literal{Val: a}, &sqlparser.Literal{Val: c}}
 }
 
 // ---------------------------------------------------------------------

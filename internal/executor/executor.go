@@ -418,7 +418,7 @@ func openScanSet(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, in
 			// arrives with its first batch, so QuerySite itself can
 			// take most of the wait for the first row.
 			start := time.Now()
-			st, err := runner.QuerySite(ctx, scan.Site, scanSQL(scan, inList))
+			st, err := runner.QuerySite(ctx, scan.Site, scan.ProbeSQL(inList))
 			if err != nil {
 				errs[i] = fmt.Errorf("executor: scan at %s: %w", scan.Site, err)
 				return
@@ -513,23 +513,6 @@ func openFanIn(ctx context.Context, ss *planner.ScanSet, runner SiteRunner, inLi
 		OnBatch:    batchHook(streams),
 	})
 	return &fanIn{RowStream: combined, cancel: cancel}, nil
-}
-
-// scanSQL renders a source scan's subquery, ANDing the bind-join
-// IN-list onto its WHERE when the scan is a probe.
-func scanSQL(scan *planner.RemoteScan, inList []sqlparser.Expr) string {
-	sel := scan.Select
-	if len(inList) > 0 && scan.SemiProbe != nil {
-		probe := &sqlparser.InExpr{E: scan.SemiProbe, List: inList}
-		reduced := *sel
-		if reduced.Where == nil {
-			reduced.Where = probe
-		} else {
-			reduced.Where = &sqlparser.BinaryExpr{Op: "AND", L: reduced.Where, R: probe}
-		}
-		sel = &reduced
-	}
-	return sqlparser.FormatStatement(sel, nil)
 }
 
 // countedStream meters rows shipped from one site. The counts flush

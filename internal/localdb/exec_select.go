@@ -391,8 +391,9 @@ func (tx *Txn) selectIter(ctx context.Context, sel *sqlparser.Select) (rowIter, 
 	case len(sortFns) > 0:
 		it = newSortIter(it, itemFns, sortFns, descs, tx.db.budget)
 	default:
-		// Bare columns over a heap scan and its WHERE make this the
-		// plain-scan path, which filters and encodes a batch at a time.
+		// Bare columns over a heap scan or a hash-index probe, and its
+		// WHERE, make this the plain-scan path, which filters and
+		// encodes a batch at a time.
 		var slots []int
 		if batchSourceOf(it) != nil {
 			slots = bareSlots(items, b)
@@ -729,16 +730,7 @@ func (tx *Txn) scanBase(ctx context.Context, ref sqlparser.TableRef, conjuncts [
 	switch choice.kind {
 	case accessHashEq:
 		ix, _ := t.Index(choice.col)
-		var rows [][]value.Value
-		tx.db.latch.RLock()
-		for _, id := range ix.Lookup(choice.eq) {
-			if r := t.Get(id); r != nil {
-				rows = append(rows, r)
-			}
-		}
-		tx.db.latch.RUnlock()
-		tx.db.scanRows.Add(int64(len(rows)))
-		it, err := tx.filterLocal(newSliceIter(rows), local, b)
+		it, err := tx.filterLocal(newHashProbeIter(tx.db, t, ix, []value.Value{choice.eq}), local, b)
 		return it, &choice, err
 	case accessOrdered:
 		it, err := tx.filterLocal(newIndexScanIter(tx.db, t, choice.ix, choice.tlo, choice.thi, choice.desc), local, b)
@@ -748,18 +740,7 @@ func (tx *Txn) scanBase(ctx context.Context, ref sqlparser.TableRef, conjuncts [
 		// walks when the choice promises sorted output (or no hash
 		// index exists).
 		if ix, ok := t.Index(choice.col); ok && !choice.order && !choice.group {
-			var rows [][]value.Value
-			tx.db.latch.RLock()
-			for _, v := range choice.eqList {
-				for _, id := range ix.Lookup(v) {
-					if r := t.Get(id); r != nil {
-						rows = append(rows, r)
-					}
-				}
-			}
-			tx.db.latch.RUnlock()
-			tx.db.scanRows.Add(int64(len(rows)))
-			it, err := tx.filterLocal(newSliceIter(rows), local, b)
+			it, err := tx.filterLocal(newHashProbeIter(tx.db, t, ix, choice.eqList), local, b)
 			return it, &choice, err
 		}
 		if ix, ok := t.OrderedIndex(choice.col); ok {
@@ -881,6 +862,7 @@ func (tx *Txn) joinWith(ctx context.Context, left rowIter, b *rowBinder, ref sql
 		left: left, right: right,
 		leftKeys: leftKeys, rightKeys: rightKeys, residual: residualFn,
 		kind: jk, leftWidth: leftWidth, rightWidth: rightWidth,
+		out: recordSlab{limit: tx.db.budget.Limit()},
 	}, nil
 }
 

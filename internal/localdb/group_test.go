@@ -3,6 +3,7 @@ package localdb
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -439,6 +440,47 @@ func TestRowKeyKeepsTextHoldingSeparator(t *testing.T) {
 			}
 			if len(rs.Rows) != 2 {
 				t.Fatalf("budget %d, %s: %d rows, want 2: %v", budget, sql, len(rs.Rows), rs.Rows)
+			}
+		}
+	}
+}
+
+// TestSignedZeroGroupsAlike: -0.0 = 0.0 in SQL, so GROUP BY, DISTINCT
+// and UNION fold 40 rows of both into one zero whatever the access path
+// (an ordered index on f interleaves the two, so a walk over it could
+// not keep them apart) and whether the operator spills. Row 0 holds
+// 0.0, so every path keeps 0.0 as the group's value.
+func TestSignedZeroGroupsAlike(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		for _, budget := range []int64{0, 1} {
+			db := NewWithBudget("zero", spill.NewBudget(budget, t.TempDir()))
+			db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, f FLOAT)`)
+			rows := make([]schema.Row, 40)
+			for i := range rows {
+				f := 0.0
+				if i%3 == 1 {
+					f = math.Copysign(0, -1)
+				}
+				rows[i] = schema.Row{value.NewInt(int64(i)), value.NewFloat(f)}
+			}
+			if err := db.Load("t", rows); err != nil {
+				t.Fatal(err)
+			}
+			if indexed {
+				db.MustExec(`CREATE ORDERED INDEX t_f ON t (f)`)
+			}
+			for _, tc := range []struct{ sql, want string }{
+				{`SELECT f, COUNT(*) FROM t GROUP BY f`, "[[0 40]]"},
+				{`SELECT DISTINCT f FROM t`, "[[0]]"},
+				{`SELECT f FROM t UNION SELECT f FROM t`, "[[0]]"},
+			} {
+				rs, err := db.Query(context.Background(), tc.sql)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.sql, err)
+				}
+				if got := fmt.Sprint(rs.Rows); got != tc.want {
+					t.Errorf("index %v, budget %d, %s: %s, want %s", indexed, budget, tc.sql, got, tc.want)
+				}
 			}
 		}
 	}

@@ -32,8 +32,8 @@ const scanBatchSize = 256
 // ---------------------------------------------------------------------
 // Source operators
 
-// sliceIter streams a materialized row set (point reads, index probes,
-// operator tests).
+// sliceIter streams a materialized row set (point reads, from-less
+// selects, operator tests).
 type sliceIter struct {
 	rows   [][]value.Value
 	pos    int
@@ -66,37 +66,72 @@ func (s *sliceIter) Next(ctx context.Context) ([]value.Value, error) {
 
 func (s *sliceIter) Close() { s.closed = true }
 
-// heapScanIter walks a heap table in slot order, a segment of
-// scanBatchSize slots at a time: it takes the database latch only to
-// look the segment up, and reads the segment — which aliases the
-// table's slot array — after releasing it. The caller must already hold
-// a table S lock, which freezes the table's slots for the statement's
-// lifetime: any writer — including a rollback's delete-undo, which can
-// re-fill tombstoned slots — needs a conflicting IX/X table lock. That
-// lock, not the latch, is what makes reading a segment and resuming at
-// the next one observe the same snapshot the old
-// materialize-everything scan did. Row slices are shared, not copied:
-// the storage engine never mutates a row slice in place (updates swap
-// in a freshly coerced slice), so sharing is safe for readers.
-type heapScanIter struct {
-	db     *DB
-	t      *storage.Table
-	pos    storage.RowID
-	batch  []schema.Row // the current segment; a tombstone is nil
+// segmentIter is a base-table source that hands out rows a segment of
+// at most scanBatchSize at a time: it takes the database latch only to
+// look the next segment up (fill), and reads the segment after
+// releasing it. The caller must already hold a table S lock, which
+// freezes the table's slots and indexes for the statement's lifetime:
+// any writer — including a rollback's delete-undo, which can re-fill
+// tombstoned slots — needs a conflicting IX/X table lock. That lock,
+// not the latch, is what makes reading a segment and resuming at the
+// next observe the same snapshot the old materialize-everything scan
+// did. Row slices are shared, not copied: the storage engine never
+// mutates a row slice in place (updates swap in a freshly coerced
+// slice), so sharing is safe for readers.
+type segmentIter struct {
+	db *DB
+	// fill returns the next segment, read under the latch, and whether
+	// it is the last; a tombstone in it is nil. The segment stays valid
+	// until the next fill.
+	fill   func() ([]schema.Row, bool)
+	batch  []schema.Row
 	bpos   int
 	done   bool
 	closed bool
 }
 
-func newHeapScanIter(db *DB, t *storage.Table) *heapScanIter {
-	return &heapScanIter{db: db, t: t}
+// newHeapScanIter walks a heap table in slot order: each segment
+// aliases the table's slot array.
+func newHeapScanIter(db *DB, t *storage.Table) *segmentIter {
+	var pos storage.RowID
+	return &segmentIter{db: db, fill: func() ([]schema.Row, bool) {
+		seg, next := t.Segment(pos, scanBatchSize)
+		pos = next
+		return seg, len(seg) < scanBatchSize
+	}}
+}
+
+// newHashProbeIter walks a hash index's matches for a list of keys:
+// keys in list order, each key's rows in bucket order. It looks the
+// keys up lazily, filling one reused segment with row references and
+// resuming mid-key at the next.
+func newHashProbeIter(db *DB, t *storage.Table, ix *storage.HashIndex, keys []value.Value) *segmentIter {
+	var seg []schema.Row
+	var ids []storage.RowID // the current key's matches; reused across keys
+	next := 0
+	return &segmentIter{db: db, fill: func() ([]schema.Row, bool) {
+		seg = seg[:0]
+		for len(seg) < scanBatchSize {
+			if next == len(ids) {
+				if len(keys) == 0 {
+					return seg, true
+				}
+				ids, next = ix.AppendIDs(ids[:0], keys[0]), 0
+				keys = keys[1:]
+				continue
+			}
+			seg = append(seg, t.Get(ids[next]))
+			next++
+		}
+		return seg, false
+	}}
 }
 
 // more makes sure a slot is in hand, moving to the next segment once
 // the current one is spent; false at the end of the scan. It polls ctx
 // once per segment, not per row: a cancelled scan stops within one
 // batch.
-func (s *heapScanIter) more(ctx context.Context) (bool, error) {
+func (s *segmentIter) more(ctx context.Context) (bool, error) {
 	if s.closed {
 		return false, nil
 	}
@@ -113,7 +148,7 @@ func (s *heapScanIter) more(ctx context.Context) (bool, error) {
 	return len(s.batch) > 0, nil
 }
 
-func (s *heapScanIter) Next(ctx context.Context) ([]value.Value, error) {
+func (s *segmentIter) Next(ctx context.Context) ([]value.Value, error) {
 	for {
 		if ok, err := s.more(ctx); !ok {
 			return nil, err
@@ -128,7 +163,7 @@ func (s *heapScanIter) Next(ctx context.Context) ([]value.Value, error) {
 
 // nextBatch hands out the rest of the segment in hand, or the next one:
 // every live row qualifies.
-func (s *heapScanIter) nextBatch(ctx context.Context, sel []int32) ([]schema.Row, []int32, error) {
+func (s *segmentIter) nextBatch(ctx context.Context, sel []int32) ([]schema.Row, []int32, error) {
 	sel = sel[:0]
 	if ok, err := s.more(ctx); !ok {
 		return nil, sel, err
@@ -142,9 +177,9 @@ func (s *heapScanIter) nextBatch(ctx context.Context, sel []int32) ([]schema.Row
 	return s.batch, sel, nil
 }
 
-func (s *heapScanIter) refill() {
+func (s *segmentIter) refill() {
 	s.db.latch.RLock()
-	s.batch, s.pos = s.t.Segment(s.pos, scanBatchSize)
+	s.batch, s.done = s.fill()
 	s.db.latch.RUnlock()
 	s.bpos = 0
 	live := 0
@@ -154,31 +189,30 @@ func (s *heapScanIter) refill() {
 		}
 	}
 	s.db.scanRows.Add(int64(live))
-	s.done = len(s.batch) < scanBatchSize
 }
 
-func (s *heapScanIter) Close() { s.closed = true; s.batch = nil }
+func (s *segmentIter) Close() { s.closed = true; s.batch, s.fill = nil, nil }
 
-// batchSource is the input of the plain-scan path: a heap scan,
-// optionally under filters that evaluate its rows in place. nextBatch
-// returns the next scan batch and, appended to sel[:0], the positions
-// of its rows that qualify; an empty batch ends the scan, while a
-// batch with no qualifying rows does not. On a per-row error it
-// returns the positions that qualified before the failing row with the
-// error, so a consumer emits those first, as the row-at-a-time pipeline
-// does. The batch is valid until the next call. A source is read by
-// Next or by nextBatch, never both.
+// batchSource is the input of the plain-scan path: a heap scan or a
+// hash-index probe, optionally under filters that evaluate its rows in
+// place. nextBatch returns the next scan batch and, appended to
+// sel[:0], the positions of its rows that qualify; an empty batch ends
+// the scan, while a batch with no qualifying rows does not. On a
+// per-row error it returns the positions that qualified before the
+// failing row with the error, so a consumer emits those first, as the
+// row-at-a-time pipeline does. The batch is valid until the next call.
+// A source is read by Next or by nextBatch, never both.
 type batchSource interface {
 	rowIter
 	nextBatch(ctx context.Context, sel []int32) ([]schema.Row, []int32, error)
 }
 
-// batchSourceOf returns it as a batchSource when it is a heap scan, or
-// filters over one whose predicates read the scan's rows at binding
-// offset 0; otherwise nil.
+// batchSourceOf returns it as a batchSource when it is a heap scan or a
+// hash-index probe, or filters over one whose predicates read the
+// scan's rows at binding offset 0; otherwise nil.
 func batchSourceOf(it rowIter) batchSource {
 	switch x := it.(type) {
-	case *heapScanIter:
+	case *segmentIter:
 		return x
 	case *filterIter:
 		if x.off == 0 && batchSourceOf(x.child) != nil {
@@ -269,11 +303,17 @@ func (f *filterIter) Close() {
 
 // hashJoinIter streams the left input, probing a hash table built from
 // the right input on first pull. Output order matches the old
-// materialized join exactly: left order outer, right scan order within
-// a key. LEFT JOIN pads unmatched left rows with NULLs. With no key
-// functions every row lands under the empty key, which degenerates to
-// exactly the nested-loop join (all pairs, residual-filtered), so one
+// materialized join exactly: left order outer, right arrival order
+// within a key. LEFT JOIN pads unmatched left rows with NULLs. With no
+// key functions every row lands under the empty key, which degenerates
+// to exactly the nested-loop join (all pairs, residual-filtered), so one
 // operator serves both join strategies.
+//
+// The build side is one chained table rather than a slice per key:
+// chains maps a join key to its chain, rows holds the build rows in
+// arrival order, and next[i] is the row after row i with the same key
+// (-1 ends the chain). Combined output rows are carved from a
+// recordSlab bounded by the budget's limit.
 type hashJoinIter struct {
 	left       rowIter
 	right      rowIter
@@ -283,13 +323,24 @@ type hashJoinIter struct {
 	kind       joinKind
 	leftWidth  int
 	rightWidth int
+	out        recordSlab // combined rows; its limit is the database budget's
 
-	built   bool
-	build   map[string][][]value.Value
-	key     []byte          // reused join-key buffer
-	pending [][]value.Value // combined rows ready to emit for current left row
-	ppos    int
-	closed  bool
+	built  bool
+	chains map[string]int32
+	heads  []int32 // per chain: its first row
+	tails  []int32 // per chain: its last row
+	rows   [][]value.Value
+	next   []int32
+	key    []byte // reused join-key buffer
+
+	// The probe in hand: the left row, the next build row to try (-1:
+	// the chain is spent), and whether the left row still owes a LEFT
+	// JOIN's NULL pad.
+	l      []value.Value
+	cur    int32
+	pad    bool
+	free   []value.Value // a carved row the residual rejected, reused next
+	closed bool
 }
 
 // joinKind mirrors sqlparser.JoinKind without importing it here.
@@ -301,7 +352,8 @@ const (
 )
 
 func (j *hashJoinIter) buildSide(ctx context.Context) error {
-	j.build = make(map[string][][]value.Value)
+	j.chains = make(map[string]int32)
+	j.cur = -1
 	scratch := make([]value.Value, j.leftWidth+j.rightWidth)
 	for {
 		r, err := j.right.Next(ctx)
@@ -323,17 +375,33 @@ func (j *hashJoinIter) buildSide(ctx context.Context) error {
 		if null {
 			continue
 		}
-		j.build[string(key)] = append(j.build[string(key)], r)
+		i := int32(len(j.rows))
+		j.rows = append(j.rows, r)
+		j.next = append(j.next, -1)
+		if c, ok := j.chains[string(key)]; ok {
+			j.next[j.tails[c]] = i
+			j.tails[c] = i
+		} else {
+			j.chains[string(key)] = int32(len(j.heads))
+			j.heads = append(j.heads, i)
+			j.tails = append(j.tails, i)
+		}
 	}
 	j.right.Close()
 	j.built = true
 	return nil
 }
 
+// combine returns l followed by r in a carved row; a nil r leaves the
+// right region zero, which is the NULL pad.
 func (j *hashJoinIter) combine(l, r []value.Value) []value.Value {
-	out := make([]value.Value, j.leftWidth+j.rightWidth)
+	out := j.free
+	if out == nil {
+		out = j.out.next(j.leftWidth + j.rightWidth)
+	}
+	j.free = nil
 	copy(out, l)
-	copy(out[j.leftWidth:], r)
+	clear(out[j.leftWidth+copy(out[j.leftWidth:], r):])
 	return out
 }
 
@@ -347,42 +415,38 @@ func (j *hashJoinIter) Next(ctx context.Context) ([]value.Value, error) {
 		}
 	}
 	for {
-		if j.ppos < len(j.pending) {
-			r := j.pending[j.ppos]
-			j.ppos++
-			return r, nil
+		for j.cur >= 0 {
+			combined := j.combine(j.l, j.rows[j.cur])
+			j.cur = j.next[j.cur]
+			if j.residual != nil {
+				t, err := j.residual(combined)
+				if err != nil {
+					return nil, err
+				}
+				if t != True {
+					j.free = combined
+					continue
+				}
+			}
+			j.pad = false
+			return combined, nil
+		}
+		if j.pad {
+			j.pad = false
+			return j.combine(j.l, nil), nil
 		}
 		l, err := j.left.Next(ctx)
 		if err != nil || l == nil {
 			return nil, err
 		}
-		j.pending = j.pending[:0]
-		j.ppos = 0
 		key, null, err := hashKeyOf(j.key[:0], j.leftKeys, l)
 		j.key = key
 		if err != nil {
 			return nil, err
 		}
-		matched := false
-		if !null {
-			for _, r := range j.build[string(key)] {
-				combined := j.combine(l, r)
-				if j.residual != nil {
-					t, err := j.residual(combined)
-					if err != nil {
-						return nil, err
-					}
-					if t != True {
-						continue
-					}
-				}
-				matched = true
-				j.pending = append(j.pending, combined)
-			}
-		}
-		if !matched && j.kind == joinLeft {
-			// combine zero-fills the right region, which is the NULL pad.
-			j.pending = append(j.pending, j.combine(l, nil))
+		j.l, j.pad = l, j.kind == joinLeft
+		if c, ok := j.chains[string(key)]; ok && !null {
+			j.cur = j.heads[c]
 		}
 	}
 }
@@ -392,8 +456,8 @@ func (j *hashJoinIter) Close() {
 		j.closed = true
 		j.left.Close()
 		j.right.Close()
-		j.build = nil
-		j.pending = nil
+		j.chains, j.heads, j.tails, j.rows, j.next = nil, nil, nil, nil, nil
+		j.l, j.free = nil, nil
 	}
 }
 
@@ -401,8 +465,8 @@ func (j *hashJoinIter) Close() {
 // Projection, ordering, distinct, limit
 
 // projIter applies the select-item projection per row. When every item
-// is a bare column over a batchSource — a heap scan and its WHERE — it
-// is the plain-scan path instead: it filters a scan batch at a time,
+// is a bare column over a batchSource — a heap scan or a hash-index
+// probe, and its WHERE — it is the plain-scan path instead: it filters a scan batch at a time,
 // Next copies each qualifying row's chosen slots out, and appendRows
 // encodes them straight into the caller's buffer, building no row.
 type projIter struct {
@@ -542,17 +606,17 @@ func newSortIter(child rowIter, itemFns, sortFns []evalFn, descs []bool, budget 
 	return &sortIter{child: child, itemFns: itemFns, sortFns: sortFns, descs: descs, budget: budget}
 }
 
-// recordSlab carves fixed-width sort records out of shared backing
-// arrays of up to slabRecords records each, so a sort allocates once
-// per slab rather than once per input row. Each record's capacity is
-// its width, so an append to one cannot spill into its neighbour. The
-// sorter reserves budget per record as it is added, so the current
-// slab's uncarved tail, and its records a spilled run no longer needs,
-// are held beyond that account; under a budget a slab is therefore at
-// most 1/slabShare of the limit, which bounds the excess.
+// recordSlab carves fixed-width records out of shared backing arrays of
+// up to slabRecords records each, so a sort, a grouping or a join
+// allocates once per slab rather than once per row. Each record's
+// capacity is its width, so an append to one cannot spill into its
+// neighbour. The sorter reserves budget per record as it is added, so
+// the current slab's uncarved tail, and its records a spilled run no
+// longer needs, are held beyond that account; under a budget a slab is
+// therefore at most 1/slabShare of the limit, which bounds the excess.
 type recordSlab struct {
 	free  []value.Value
-	limit int64 // the sort's budget limit (0 = unlimited)
+	limit int64 // the budget's limit (0 = unlimited)
 }
 
 const (

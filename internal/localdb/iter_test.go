@@ -274,6 +274,23 @@ func TestJoinItersMatchAndClose(t *testing.T) {
 		t.Fatalf("left join rows: %v", rows)
 	}
 
+	// A LEFT JOIN whose residual rejects every match pads with NULL,
+	// though the rejected combined rows held the right values.
+	l, r = mk()
+	hj = &hashJoinIter{left: l, right: r,
+		leftKeys: []evalFn{lKey}, rightKeys: []evalFn{rKey},
+		residual: func([]value.Value) (Truth, error) { return False, nil },
+		kind:     joinLeft, leftWidth: 1, rightWidth: 1}
+	rows = drainAll(t, hj)
+	if len(rows) != 4 {
+		t.Fatalf("rejecting left join: %d rows, want 4", len(rows))
+	}
+	for _, row := range rows {
+		if !row[1].IsNull() {
+			t.Fatalf("rejecting left join: unpadded row %v", row)
+		}
+	}
+
 	// No key functions = nested loop: all pairs, residual-filtered.
 	residual := func(row []value.Value) (Truth, error) {
 		a, _ := row[0].Int()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -83,9 +84,10 @@ func plainScan(t testing.TB, db *DB, sql string) bool {
 // keeps. A plain scan's rows, which Next also reads off the scan
 // batches, equal the same query's under ORDER BY id: a sort or an index
 // walk over the row-at-a-time filter, in the same order, since the rows
-// were loaded in id order.
+// were loaded in id order. A hash-index probe's rows equal the query's
+// under ORDER BY k, id: its key list ascending, each bucket in insert
+// order.
 func TestScanBatchMatchesRowPath(t *testing.T) {
-	ctx := context.Background()
 	cases := []struct {
 		sql   string
 		plain bool
@@ -107,45 +109,136 @@ func TestScanBatchMatchesRowPath(t *testing.T) {
 	for _, n := range []int{0, 1, 255, 256, 257, 513} {
 		db := kindsDB(t, n)
 		for _, tc := range cases {
-			sql := tc.sql
-			if got := plainScan(t, db, sql); got != tc.plain {
-				t.Fatalf("%s: plain-scan path %v, want %v", sql, got, tc.plain)
+			if got := plainScan(t, db, tc.sql); got != tc.plain {
+				t.Fatalf("%s: plain-scan path %v, want %v", tc.sql, got, tc.plain)
 			}
-			rs, err := db.Query(ctx, sql)
-			if err != nil {
-				t.Fatalf("%s: %v", sql, err)
-			}
-			want := encodeRows(rs.Rows)
+			order := ""
 			if tc.plain {
-				if got := rowPath(t, db, sql); string(got) != string(want) {
-					t.Fatalf("%d rows, %s: Next's rows differ from the row path's", n, sql)
-				}
+				order = "id"
 			}
-			for _, max := range []int{1, 7, scanBatchSize, 1000} {
-				rows, err := db.QueryStream(ctx, sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, count, err := appendAll(t, ctx, rows, max)
-				rows.Close()
-				if err != nil {
-					t.Fatalf("%d rows, %s, max %d: %v", n, sql, max, err)
-				}
-				if count != len(rs.Rows) || string(got) != string(want) {
-					t.Fatalf("%d rows, %s, max %d: %d rows, %d bytes; row path %d rows, %d bytes",
-						n, sql, max, count, len(got), len(rs.Rows), len(want))
-				}
-			}
+			checkAppendRows(t, db, tc.sql, order)
+		}
+	}
+
+	// Hash-index probes, = v and IN (…), matching 0, 1, 255, 256, 257
+	// and 513 rows: segment boundaries inside one key's bucket and
+	// across keys.
+	db := probeDB(t)
+	var probes []string
+	for k := 10; k <= 15; k++ {
+		probes = append(probes, fmt.Sprintf(`SELECT * FROM p WHERE k = %d`, k))
+	}
+	for _, list := range []string{"10, 99", "10, 11", "99, 12", "12, 11", "16, 11, 12", "14, 13"} {
+		probes = append(probes, fmt.Sprintf(`SELECT s, id, k, s FROM p WHERE k IN (%s)`, list))
+	}
+	probes = append(probes,
+		`SELECT id, f FROM p WHERE k IN (13, 14, 15) AND f > 0.5`,
+		`SELECT id FROM p WHERE k = 15 AND s <> 'kept'`,
+		`SELECT id FROM p WHERE k IN (NULL, 12)`,
+	)
+	for _, sql := range probes {
+		if !probeScan(t, db, sql) {
+			t.Fatalf("%s: not a hash-index probe on the plain-scan path", sql)
+		}
+		checkAppendRows(t, db, sql, "k, id")
+	}
+}
+
+// probeKeys is probeDB's key population: key → live rows.
+var probeKeys = map[int]int{11: 1, 12: 255, 13: 256, 14: 257, 15: 513, 16: 1}
+
+// probeDB holds p(id, k, f, s) with a hash index on k: probeKeys' keys
+// (10 is absent), 1,500 distinct filler keys so the planner probes,
+// NULL keys, and three more rows a key deleted after the index was
+// built — the rows shuffled so each key's bucket is spread over the
+// heap.
+func probeDB(t testing.TB) *DB {
+	t.Helper()
+	db := New("probe")
+	db.MustExec(`CREATE TABLE p (id INTEGER PRIMARY KEY, k INTEGER, f FLOAT, s TEXT)`)
+	db.MustExec(`CREATE INDEX p_k ON p (k)`)
+	var keys []value.Value
+	var gone []bool
+	for _, k := range []int{11, 12, 13, 14, 15, 16} {
+		for i := 0; i < probeKeys[k]+3; i++ {
+			keys = append(keys, value.NewInt(int64(k)))
+			gone = append(gone, i%(probeKeys[k]+1) == 0 || i >= probeKeys[k]+1)
+		}
+	}
+	for i := 0; i < 1500; i++ {
+		k := value.NewInt(int64(1000 + i))
+		if i%50 == 0 {
+			k = value.Null()
+		}
+		keys = append(keys, k)
+		gone = append(gone, false)
+	}
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(keys), func(i, j int) {
+		keys[i], keys[j] = keys[j], keys[i]
+		gone[i], gone[j] = gone[j], gone[i]
+	})
+	rows := make([]schema.Row, len(keys))
+	for i, k := range keys {
+		s := "kept"
+		if gone[i] {
+			s = "gone"
+		}
+		rows[i] = schema.Row{value.NewInt(int64(i)), k, value.NewFloat(float64(i%7) / 3), value.NewText(s)}
+	}
+	if err := db.Load("p", rows); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`DELETE FROM p WHERE s = 'gone'`)
+	for k, n := range probeKeys {
+		rs, err := db.Query(context.Background(), fmt.Sprintf(`SELECT id FROM p WHERE k = %d`, k))
+		if err != nil || len(rs.Rows) != n {
+			t.Fatalf("key %d: %d rows (%v), want %d", k, len(rs.Rows), err, n)
+		}
+	}
+	return db
+}
+
+// checkAppendRows holds sql's AppendRows bytes, at 1, 7, scanBatchSize
+// and 1000 rows a call, to value.AppendRow over db.Query's rows; with
+// order set, a plain scan's rows must also equal rowPath's under it.
+func checkAppendRows(t *testing.T, db *DB, sql, order string) {
+	t.Helper()
+	ctx := context.Background()
+	rs, err := db.Query(ctx, sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	want := encodeRows(rs.Rows)
+	if order != "" {
+		if got := rowPath(t, db, sql, order); string(got) != string(want) {
+			t.Fatalf("%s: Next's rows differ from the row path's", sql)
+		}
+	}
+	for _, max := range []int{1, 7, scanBatchSize, 1000} {
+		rows, err := db.QueryStream(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, count, err := appendAll(t, ctx, rows, max)
+		rows.Close()
+		if err != nil {
+			t.Fatalf("%s, max %d: %v", sql, max, err)
+		}
+		if count != len(rs.Rows) || string(got) != string(want) {
+			t.Fatalf("%s, max %d: %d rows, %d bytes; row path %d rows, %d bytes",
+				sql, max, count, len(got), len(rs.Rows), len(want))
 		}
 	}
 }
 
-// rowPath is the bytes of sql's rows under ORDER BY id, which no plain
-// scan serves: the row-at-a-time filter, in heap order for rows loaded
-// in id order.
-func rowPath(t testing.TB, db *DB, sql string) []byte {
+// rowPath is the bytes of sql's rows under ORDER BY order, which no
+// plain scan serves: the row-at-a-time filter and a sort. A heap scan
+// of rows loaded in id order emits them by id; a hash-index probe by
+// its key list (ascending), then id within a key.
+func rowPath(t testing.TB, db *DB, sql, order string) []byte {
 	t.Helper()
-	ordered := sql + " ORDER BY id"
+	ordered := sql + " ORDER BY " + order
 	if plainScan(t, db, ordered) {
 		t.Fatalf("%s: on the plain-scan path", ordered)
 	}
@@ -154,6 +247,20 @@ func rowPath(t testing.TB, db *DB, sql string) []byte {
 		t.Fatalf("%s: %v", ordered, err)
 	}
 	return encodeRows(rs.Rows)
+}
+
+// probeScan reports whether sql is a plain scan whose table access is a
+// hash-index probe.
+func probeScan(t *testing.T, db *DB, sql string) bool {
+	t.Helper()
+	if !plainScan(t, db, sql) {
+		return false
+	}
+	out, err := db.ExplainSelect(mustSelect(t, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Contains(out, "hash-eq") || strings.Contains(out, "multi-eq")
 }
 
 // TestScanBatchPredicateError: a WHERE that fails on one row partway
@@ -200,7 +307,9 @@ func TestScanBatchPredicateError(t *testing.T) {
 // FuzzScanBatch: random rows under a random range or equality WHERE
 // and a random bare-column projection; the plain-scan path's bytes,
 // asked for a random number of rows a call, and its rows as Next reads
-// them equal value.AppendRow of the row path's result.
+// them equal value.AppendRow of the row path's result. n carries a hash
+// index, and the WHERE runs again ANDed with an n = v probe and with an
+// n IN (…) probe, so the hash-index probe feeds the same checks.
 func FuzzScanBatch(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 0, 4, 9, 200, 17, 5})
 	f.Add([]byte{0})
@@ -211,6 +320,7 @@ func FuzzScanBatch(f *testing.F) {
 		r := &fuzzBytes{data: data}
 		db := New("fuzz")
 		db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, f FLOAT, s TEXT, b BOOLEAN, n INTEGER)`)
+		db.MustExec(`CREATE INDEX t_n ON t (n)`)
 		texts := []string{"", "a", "a\x1fb", "\x1e", "zz", "\xff"}
 		floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, -2, math.Inf(1)}
 		// Constants the WHERE compares with: SQL literals.
@@ -240,41 +350,82 @@ func FuzzScanBatch(f *testing.F) {
 		for i := range items {
 			items[i] = cols[int(r.next())%len(cols)]
 		}
-		sql := "SELECT " + strings.Join(items, ", ") + " FROM t"
+		var where []string
 		switch k := r.next() % 4; {
 		case k == 1:
 			// Not id = c: that is a primary-key probe, not a scan.
-			sql += fmt.Sprintf(" WHERE id %s %d", ops[1+int(r.next())%(len(ops)-1)], int(r.next())*2)
+			where = append(where, fmt.Sprintf("id %s %d", ops[1+int(r.next())%(len(ops)-1)], int(r.next())*2))
 		case k == 2:
-			sql += fmt.Sprintf(" WHERE n %s %d AND f >= %s", ops[int(r.next())%len(ops)], int(r.next())-128, litFloats[int(r.next())%len(litFloats)])
+			where = append(where, fmt.Sprintf("n %s %d AND f >= %s", ops[int(r.next())%len(ops)], int(r.next())-128, litFloats[int(r.next())%len(litFloats)]))
 		case k == 3:
-			sql += fmt.Sprintf(" WHERE s %s '%s'", ops[int(r.next())%len(ops)], litTexts[int(r.next())%len(litTexts)])
+			where = append(where, fmt.Sprintf("s %s '%s'", ops[int(r.next())%len(ops)], litTexts[int(r.next())%len(litTexts)]))
 		}
-		if !plainScan(t, db, sql) {
-			t.Fatalf("%s: not on the plain-scan path", sql)
+		// Probe keys: mostly n values the rows hold, so a probe walks
+		// several keys' buckets; one byte may pick a key no row holds.
+		var held []string
+		seen := map[string]bool{}
+		for _, row := range rows {
+			if v := row[4]; !v.IsNull() && !seen[v.Text()] {
+				seen[v.Text()] = true
+				held = append(held, v.Text())
+			}
 		}
-		ctx := context.Background()
-		want := rowPath(t, db, sql)
-		rs, err := db.Query(ctx, sql)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
+		in := make([]string, 1+int(r.next())%5)
+		for i := range in {
+			k := int(r.next())
+			if len(held) == 0 || k%8 == 7 {
+				in[i] = fmt.Sprint(k - 128)
+			} else {
+				in[i] = held[(k+i)%len(held)]
+			}
 		}
-		if string(encodeRows(rs.Rows)) != string(want) {
-			t.Fatalf("%s: Next's rows differ from the row path's", sql)
-		}
-		stream, err := db.QueryStream(ctx, sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer stream.Close()
-		got, n, err := appendAll(t, ctx, stream, 1+int(r.next()))
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		if n != len(rs.Rows) || string(got) != string(want) {
-			t.Fatalf("%s: %d rows, %q; row path %d rows", sql, n, got, len(rs.Rows))
+		sel := "SELECT " + strings.Join(items, ", ") + " FROM t"
+		for _, probe := range []string{"", "n = " + in[0], "n IN (" + strings.Join(in, ", ") + ")"} {
+			conj := where
+			if probe != "" {
+				conj = append(conj[:len(conj):len(conj)], probe)
+			}
+			sql := sel
+			if len(conj) > 0 {
+				sql += " WHERE " + strings.Join(conj, " AND ")
+			}
+			if !plainScan(t, db, sql) {
+				t.Fatalf("%s: not on the plain-scan path", sql)
+			}
+			order := "id"
+			if probeScan(t, db, sql) {
+				order = "n, id"
+			}
+			checkFuzzScan(t, db, sql, order, 1+int(r.next()))
 		}
 	})
+}
+
+// checkFuzzScan is FuzzScanBatch's check of one query: Next's rows and
+// AppendRows at max rows a call against the row path under order.
+func checkFuzzScan(t *testing.T, db *DB, sql, order string, max int) {
+	t.Helper()
+	ctx := context.Background()
+	want := rowPath(t, db, sql, order)
+	rs, err := db.Query(ctx, sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	if string(encodeRows(rs.Rows)) != string(want) {
+		t.Fatalf("%s: Next's rows differ from the row path's", sql)
+	}
+	stream, err := db.QueryStream(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	got, n, err := appendAll(t, ctx, stream, max)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	if n != len(rs.Rows) || string(got) != string(want) {
+		t.Fatalf("%s: %d rows, %q; row path %d rows", sql, n, got, len(rs.Rows))
+	}
 }
 
 // fuzzBytes reads fuzz input a byte at a time, zeros once it runs out.

@@ -176,11 +176,12 @@ func (r *Rows) Next(ctx context.Context) (schema.Row, error) {
 
 // AppendRows appends up to max result rows to dst in the row codec —
 // the bytes value.AppendRow gives each row — and reports how many; zero
-// rows and a nil error end the stream. A plain scan (a heap scan, an
-// optional WHERE, bare columns) encodes its qualifying rows straight
-// from the heap a batch at a time and builds no row; any other
-// statement encodes the rows Next would return. It stops once max rows
-// are out and resumes there, so a caller can fill fixed-size frames.
+// rows and a nil error end the stream. A plain scan (a heap scan or a
+// hash-index probe, an optional WHERE, bare columns) encodes its
+// qualifying rows straight from the heap a batch at a time and builds
+// no row; any other statement encodes the rows Next would return. It
+// stops once max rows are out and resumes there, so a caller can fill
+// fixed-size frames.
 // After an error every subsequent call returns the same error.
 func (r *Rows) AppendRows(ctx context.Context, dst []byte, max int) ([]byte, int, error) {
 	if r.err != nil {

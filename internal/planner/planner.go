@@ -84,6 +84,24 @@ type RemoteScan struct {
 // SQL renders the scan's canonical SQL.
 func (r *RemoteScan) SQL() string { return sqlparser.FormatStatement(r.Select, nil) }
 
+// ProbeSQL renders the scan's subquery with a bind join's IN-list
+// ANDed onto its WHERE as SemiProbe IN (inList...); with no list, or
+// when the scan is no probe, it is SQL.
+func (r *RemoteScan) ProbeSQL(inList []sqlparser.Expr) string {
+	sel := r.Select
+	if len(inList) > 0 && r.SemiProbe != nil {
+		probe := &sqlparser.InExpr{E: r.SemiProbe, List: inList}
+		reduced := *sel
+		if reduced.Where == nil {
+			reduced.Where = probe
+		} else {
+			reduced.Where = &sqlparser.BinaryExpr{Op: "AND", L: reduced.Where, R: probe}
+		}
+		sel = &reduced
+	}
+	return sqlparser.FormatStatement(sel, nil)
+}
+
 // ScanSet materializes one integrated-relation reference of the query.
 type ScanSet struct {
 	Alias     string // effective name in the query

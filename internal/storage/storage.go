@@ -524,13 +524,15 @@ func (ix *HashIndex) remove(v value.Value, id RowID) {
 	}
 }
 
-// Lookup returns the row ids whose indexed value is Identical to v.
-func (ix *HashIndex) Lookup(v value.Value) []RowID {
-	var ids []RowID
+// AppendIDs appends to dst the ids of the rows whose indexed value is
+// Identical to v, in bucket order, and returns the extended slice. A
+// probe over many keys passes the same buffer back in, so once it has
+// grown a lookup allocates nothing.
+func (ix *HashIndex) AppendIDs(dst []RowID, v value.Value) []RowID {
 	for _, e := range ix.m[v.Hash()] {
 		if value.Identical(e.v, v) {
-			ids = append(ids, e.id)
+			dst = append(dst, e.id)
 		}
 	}
-	return ids
+	return dst
 }

@@ -251,22 +251,24 @@ func TestSecondaryIndex(t *testing.T) {
 	if !ok {
 		t.Fatal("index not found (case-insensitive)")
 	}
-	ids := ix.Lookup(value.NewText("owner1"))
-	if len(ids) != 4 { // ids 1,4,7 → wait: i%3==1 for 1,4,7 → 3 rows... 10 rows: 1,4,7 = 3
-		// recompute: i in 0..9, i%3==1 → 1,4,7 → 3 rows
-		if len(ids) != 3 {
-			t.Errorf("index lookup: %d ids", len(ids))
-		}
+	// Rows i in 0..9 with i%3 == 1 hold owner1: 1, 4, 7, in insert order.
+	ids := ix.AppendIDs(nil, value.NewText("owner1"))
+	if fmt.Sprint(ids) != "[1 4 7]" {
+		t.Errorf("index lookup: %v", ids)
+	}
+	// Appending keeps what dst already holds.
+	if got := ix.AppendIDs([]RowID{9}, value.NewText("owner1")); fmt.Sprint(got) != "[9 1 4 7]" {
+		t.Errorf("append lookup: %v", got)
 	}
 
 	// Index maintenance on update and delete.
 	rid := ids[0]
 	tbl.Update(rid, row(100, "ownerX", 0)) //nolint:errcheck
-	if got := len(ix.Lookup(value.NewText("ownerX"))); got != 1 {
+	if got := len(ix.AppendIDs(nil, value.NewText("ownerX"))); got != 1 {
 		t.Errorf("index after update: %d", got)
 	}
 	tbl.Delete(rid) //nolint:errcheck
-	if got := len(ix.Lookup(value.NewText("ownerX"))); got != 0 {
+	if got := len(ix.AppendIDs(nil, value.NewText("ownerX"))); got != 0 {
 		t.Errorf("index after delete: %d", got)
 	}
 }

@@ -89,10 +89,12 @@ func (o *Oracle) load(ctx context.Context, fed *core.Federation, def *catalog.In
 			rows = append(rows, f...)
 		}
 	case integration.UnionDistinct:
+		// Rows are duplicates as SQL's UNION has them (the row key:
+		// -0.0 and 0.0 are one value), not as kindKey compares answers.
 		seen := make(map[string]bool)
 		for _, f := range frags {
 			for _, r := range f {
-				if k := kindKey(r); !seen[k] {
+				if k := string(value.AppendRowKey(nil, r)); !seen[k] {
 					seen[k] = true
 					rows = append(rows, r)
 				}

@@ -2,6 +2,7 @@ package testfed
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"myriad/internal/catalog"
@@ -61,6 +62,63 @@ func TestUnionKeepsTextHoldingKeySeparator(t *testing.T) {
 			}
 			if err := oracle.Check(ctx, sql, got); err != nil {
 				t.Fatalf("%s (%v): %v", sql, strategy, err)
+			}
+		}
+	}
+}
+
+// TestUnionFoldsSignedZero: -0.0 = 0.0 in SQL, so an integrated UNION,
+// a SQL UNION and DISTINCT across two sites holding both keep one zero,
+// and a GROUP BY counts them as one group, as the oracle does. Each
+// site's first zero is 0.0, so whichever site's rows arrive first the
+// zero kept is 0.0.
+func TestUnionFoldsSignedZero(t *testing.T) {
+	const create = `CREATE TABLE z (f FLOAT)`
+	specs := []SiteSpec{
+		{Name: "x", Setup: []string{create}, Exports: []gateway.Export{{Name: "Z", LocalTable: "z"}}},
+		{Name: "y", Setup: []string{create}, Exports: []gateway.Export{{Name: "Z", LocalTable: "z"}}},
+	}
+	def := func(name string, kind integration.CombineKind, sites ...string) *catalog.IntegratedDef {
+		d := &catalog.IntegratedDef{
+			Name:    name,
+			Columns: []schema.Column{{Name: "f", Type: schema.TFloat}},
+			Combine: kind,
+		}
+		for _, s := range sites {
+			d.Sources = append(d.Sources, catalog.SourceDef{Site: s, Export: "Z", ColumnMap: map[string]string{"f": "f"}})
+		}
+		return d
+	}
+	fx := New(t, specs, []*catalog.IntegratedDef{
+		def("U", integration.UnionDistinct, "x", "y"),
+		def("A", integration.UnionAll, "x", "y"),
+		def("X", integration.UnionAll, "x"),
+		def("Y", integration.UnionAll, "y"),
+	})
+	negZero := value.NewFloat(math.Copysign(0, -1))
+	fx.LoadRows(t, "x", "z", []schema.Row{{value.NewFloat(0)}, {negZero}, {value.NewFloat(1.5)}})
+	fx.LoadRows(t, "y", "z", []schema.Row{{value.NewFloat(0)}, {negZero}, {negZero}, {value.NewFloat(2.5)}})
+	oracle := fx.Oracle(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		sql  string
+		rows int
+	}{
+		{`SELECT f FROM U`, 3},
+		{`SELECT f FROM X UNION SELECT f FROM Y`, 3},
+		{`SELECT DISTINCT f FROM A`, 3},
+		{`SELECT f, COUNT(*) AS n FROM A GROUP BY f ORDER BY f`, 3},
+	} {
+		for _, strategy := range []core.Strategy{core.StrategyCostBased, core.StrategySimple} {
+			got, _, err := fx.Fed.QueryMetered(ctx, tc.sql, strategy)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.sql, err)
+			}
+			if len(got.Rows) != tc.rows {
+				t.Fatalf("%s (%v): %d rows, want %d: %v", tc.sql, strategy, len(got.Rows), tc.rows, got.Rows)
+			}
+			if err := oracle.Check(ctx, tc.sql, got); err != nil {
+				t.Fatalf("%s (%v): %v", tc.sql, strategy, err)
 			}
 		}
 	}

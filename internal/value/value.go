@@ -343,9 +343,11 @@ func AppendKey(b []byte, v *Value) []byte {
 // a 0x1f separator. Inside TEXT, 0x1e is escaped as 0x1e 0x01 and 0x1f
 // as 0x1e 0x02, so a text never holds the separator and the key is
 // injective; text without those bytes appears verbatim. Unlike
-// AppendKey, 1, 1.0 and '1' all differ, and so do -0.0 and 0.0. It is
-// the one key for DISTINCT, UNION dedup and grouping, in the engine and
-// in the federation's fan-ins.
+// AppendKey, 1, 1.0 and '1' all differ; a FLOAT zero is written without
+// its sign, so -0.0 and 0.0 share a key as they are equal in SQL (and
+// as Hash and Identical have them). It is the one key for DISTINCT,
+// UNION dedup and grouping, in the engine and in the federation's
+// fan-ins.
 func AppendRowKey(b []byte, r []Value) []byte {
 	for i := range r {
 		v := &r[i]
@@ -355,7 +357,11 @@ func AppendRowKey(b []byte, r []Value) []byte {
 		case KindInt:
 			b = strconv.AppendInt(append(b, byte(v.K)+1), v.RawInt(), 10)
 		case KindFloat:
-			b = strconv.AppendFloat(append(b, byte(v.K)+1), v.RawFloat(), 'g', -1, 64)
+			f := v.RawFloat()
+			if f == 0 {
+				f = 0 // drop the sign of -0.0
+			}
+			b = strconv.AppendFloat(append(b, byte(v.K)+1), f, 'g', -1, 64)
 		case KindText:
 			b = appendKeyText(append(b, byte(v.K)+1), v.S)
 		default:

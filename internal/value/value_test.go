@@ -345,7 +345,8 @@ func TestNegativeZeroNormalized(t *testing.T) {
 
 // TestAppendRowKey pins the kind-exact row key's bytes: DISTINCT and
 // UNION answers depend on 1, 1.0 and '1' staying apart, and on -0.0
-// staying apart from 0.0.
+// sharing 0.0's key, since SQL equality holds them equal and an
+// ordered-index walk interleaves them.
 func TestAppendRowKey(t *testing.T) {
 	for _, tc := range []struct {
 		row  []Value
@@ -355,7 +356,7 @@ func TestAppendRowKey(t *testing.T) {
 		{[]Value{NewInt(1)}, "\x021\x1f"},
 		{[]Value{NewFloat(1)}, "\x031\x1f"},
 		{[]Value{NewText("1")}, "\x041\x1f"},
-		{[]Value{NewFloat(math.Copysign(0, -1))}, "\x03-0\x1f"},
+		{[]Value{NewFloat(math.Copysign(0, -1))}, "\x030\x1f"},
 		{[]Value{NewFloat(0)}, "\x030\x1f"},
 		{[]Value{NewFloat(math.NaN())}, "\x03NaN\x1f"},
 		{[]Value{NewText("")}, "\x04\x1f"},
