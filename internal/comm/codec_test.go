@@ -346,7 +346,7 @@ func TestSocketWritesPerExchange(t *testing.T) {
 	}); cw != 1 || sw != 1 {
 		t.Fatalf("Do: %d client and %d server writes, want 1 and 1", cw, sw)
 	}
-	// Rows packed by Row and rows handed over as encoded batches flush
+	// Rows packed by Fill and rows handed over as encoded batches flush
 	// alike: a batch waits for the next one or the trailer.
 	for _, mode := range []string{"", ":batches"} {
 		for _, tc := range []struct{ rows, serverWrites int }{
@@ -374,65 +374,76 @@ func TestSocketWritesPerExchange(t *testing.T) {
 	}
 }
 
-// TestFillFramesLikeRow: rows a handler encodes into the pending frame
-// with Fill, in chunks of any size, go out as the very bytes Row would
-// send, in as many socket writes — with a clean end and with an error
-// trailer, whether the error comes after the last chunk or with it.
-func TestFillFramesLikeRow(t *testing.T) {
+// TestFillFramesPackRows: rows a handler encodes into the pending
+// frame with Fill, in chunks of any size, go out as value.AppendRow's
+// bytes packed DefaultBatchRows to a frame — an error trailer drops the
+// partial last batch — and in one socket write per full batch a further
+// row follows, plus one: with a clean end and with an error trailer,
+// whether the error comes after the last chunk or with it.
+func TestFillFramesPackRows(t *testing.T) {
+	cols := []string{"i", "label"}
 	row := func(i int) schema.Row {
 		return schema.Row{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("row-%d", i))}
-	}
-	type out struct {
-		bytes  string
-		writes int64
-	}
-	serve := func(handle func(w *frameWriter) error) out {
-		var buf bytes.Buffer
-		var writes atomic.Int64
-		w := newFrameWriter(newWire(countingConn{Conn: bufConn{buf: &buf}, writes: &writes}), DefaultBatchRows)
-		if err := w.Header([]string{"i", "label"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.finish(handle(w)); err != nil {
-			t.Fatal(err)
-		}
-		return out{buf.String(), writes.Load()}
 	}
 	boom := errors.New("boom")
 	for _, n := range []int{0, 1, 255, 256, 257, 513} {
 		for _, herr := range []error{nil, boom} {
-			want := serve(func(w *frameWriter) error {
-				for i := 0; i < n; i++ {
-					if err := w.Row(row(i)); err != nil {
-						return err
-					}
+			frames := []*Frame{{Kind: FrameHeader, Columns: cols}}
+			count := 0
+			for i := 0; i < n; i += DefaultBatchRows {
+				k := min(DefaultBatchRows, n-i)
+				if k < DefaultBatchRows && herr != nil {
+					break
 				}
-				return herr
-			})
+				var p []byte
+				for j := i; j < i+k; j++ {
+					p = value.AppendRow(p, row(j))
+				}
+				frames = append(frames, &Frame{Kind: FrameBatch, N: k, Payload: p})
+				count += k
+			}
+			trailer := &Frame{Kind: FrameTrailer, Count: count}
+			if herr != nil {
+				trailer.Err, trailer.ErrKind = herr.Error(), kindOf(herr)
+			}
+			var want bytes.Buffer
+			if err := writeFrames(bufConn{buf: &want}, append(frames, trailer)...); err != nil {
+				t.Fatal(err)
+			}
+			wantWrites := 1 + max(n-1, 0)/DefaultBatchRows
 			for _, chunk := range []int{1, 7, DefaultBatchRows} {
 				for _, errWithRows := range []bool{false, true} {
-					got := serve(func(w *frameWriter) error {
-						next := 0
-						for {
-							k, err := w.Fill(func(p []byte, room int) ([]byte, int, error) {
-								k := min(room, chunk, n-next)
-								for j := next; j < next+k; j++ {
-									p = value.AppendRow(p, row(j))
-								}
-								next += k
-								if next == n && (k == 0 || errWithRows) {
-									return p, k, herr
-								}
-								return p, k, nil
-							})
-							if err != nil || k == 0 {
-								return err
+					var buf bytes.Buffer
+					var writes atomic.Int64
+					w := newFrameWriter(newWire(countingConn{Conn: bufConn{buf: &buf}, writes: &writes}), DefaultBatchRows)
+					if err := w.Header(cols); err != nil {
+						t.Fatal(err)
+					}
+					next := 0
+					var herrOut error
+					for {
+						k, err := w.Fill(func(p []byte, room int) ([]byte, int, error) {
+							k := min(room, chunk, n-next)
+							for j := next; j < next+k; j++ {
+								p = value.AppendRow(p, row(j))
 							}
+							next += k
+							if next == n && (k == 0 || errWithRows) {
+								return p, k, herr
+							}
+							return p, k, nil
+						})
+						if err != nil || k == 0 {
+							herrOut = err
+							break
 						}
-					})
-					if got != want {
-						t.Fatalf("%d rows, error %v, chunks of %d (error with rows %v): %d bytes in %d writes, Row sent %d in %d",
-							n, herr, chunk, errWithRows, len(got.bytes), got.writes, len(want.bytes), want.writes)
+					}
+					if err := w.finish(herrOut); err != nil {
+						t.Fatal(err)
+					}
+					if buf.String() != want.String() || writes.Load() != int64(wantWrites) {
+						t.Fatalf("%d rows, error %v, chunks of %d (error with rows %v): %d bytes in %d writes, want %d in %d",
+							n, herr, chunk, errWithRows, buf.Len(), writes.Load(), want.Len(), wantWrites)
 					}
 				}
 			}

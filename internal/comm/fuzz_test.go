@@ -37,6 +37,7 @@ func FuzzBatchFraming(f *testing.F) {
 			cols[i] = fmt.Sprintf("c%d_%d", i, r.next())
 		}
 		batchRows := 1 + int(r.next()%8)
+		chunk := 1 + int(r.next()%10)
 		rows := make([]schema.Row, int(r.next()%40))
 		for i := range rows {
 			rows[i] = make(schema.Row, ncols)
@@ -57,10 +58,8 @@ func FuzzBatchFraming(f *testing.F) {
 		if err := w.Header(cols); err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range rows {
-			if err := w.Row(row); err != nil {
-				t.Fatal(err)
-			}
+		if err := fillRows(w, rows, chunk); err != nil {
+			t.Fatal(err)
 		}
 		if err := w.finish(herr); err != nil {
 			t.Fatal(err)

@@ -81,21 +81,19 @@ func kindOf(err error) ErrKind {
 }
 
 // RowSink receives a streaming response as it is produced. Header must
-// be called exactly once before any Row, Fill or Batch. Row packs rows
-// into frames itself. Fill lets the handler encode rows in the row
-// codec (value.AppendRow encodings back to back) straight into the
-// pending frame: fill gets the frame's payload and its room — the rows
-// it may still take — and returns the payload with at most room rows
-// appended and how many; Fill reports that count, and a count of zero
-// tells the handler nothing more was encoded. Row and Fill pack
-// frames alike, so the bytes on the wire do not depend on which one
-// the handler used. Batch takes n rows already encoded elsewhere and
-// sends them as one batch frame. All return an error when the client
-// is gone (Fill also returns fill's error); the handler should stop
-// producing.
+// be called exactly once before any Fill or Batch. Fill lets the
+// handler encode rows in the row codec (value.AppendRow encodings back
+// to back) straight into the pending frame: fill gets the frame's
+// payload and its room — the rows it may still take — and returns the
+// payload with at most room rows appended and how many; Fill reports
+// that count, and a count of zero tells the handler nothing more was
+// encoded. Frames are packed by row count alone, so the bytes on the
+// wire do not depend on how many rows each fill call encoded. Batch
+// takes n rows already encoded elsewhere and sends them as one batch
+// frame. Both return an error when the client is gone (Fill also
+// returns fill's error); the handler should stop producing.
 type RowSink interface {
 	Header(columns []string) error
-	Row(row schema.Row) error
 	Fill(fill func(payload []byte, room int) ([]byte, int, error)) (int, error)
 	Batch(n int, payload []byte) error
 }
@@ -166,33 +164,10 @@ func (w *frameWriter) Header(columns []string) error {
 	return nil
 }
 
-func (w *frameWriter) Row(row schema.Row) error {
-	if w.writeErr != nil {
-		return w.writeErr
-	}
-	if !w.headerSent {
-		return errors.New("comm: stream row before header")
-	}
-	if w.batchDone {
-		// The previous row completed a batch and this one follows it:
-		// the batch goes out now. Waiting for this row lets a result of
-		// exactly batchRows rows leave in one write with its trailer.
-		w.batchDone = false
-		if err := w.flush(); err != nil {
-			return err
-		}
-	}
-	w.payload = value.AppendRow(w.payload, row)
-	w.pending++
-	if w.pending == w.batchRows {
-		w.batchDone = true
-		return w.appendBatch()
-	}
-	return nil
-}
-
-// Fill appends the rows fill encodes to the pending batch, under Row's
-// flush rule: a full batch goes out once fill has added a further row.
+// Fill appends the rows fill encodes to the pending batch. A full
+// batch goes out once fill has added a further row: waiting for that
+// row lets a result of exactly batchRows rows leave in one write with
+// its trailer.
 func (w *frameWriter) Fill(fill func(payload []byte, room int) ([]byte, int, error)) (int, error) {
 	if w.writeErr != nil {
 		return 0, w.writeErr
@@ -223,7 +198,7 @@ func (w *frameWriter) Fill(fill func(payload []byte, room int) ([]byte, int, err
 }
 
 // Batch sends n encoded rows as one batch frame of their own, after any
-// rows Row has pending. It follows Row's flush rule at batch
+// rows Fill has pending. It follows Fill's flush rule at batch
 // granularity: a batch waits in the buffer until another batch or the
 // trailer follows it, so a result of one batch is one socket write.
 func (w *frameWriter) Batch(n int, payload []byte) error {

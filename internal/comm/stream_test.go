@@ -67,7 +67,7 @@ func (h *streamHandler) HandleStream(ctx context.Context, req *Request, sink Row
 				return ctx.Err()
 			}
 		}
-		if err := sink.Row(row(i)); err != nil {
+		if err := fillRows(sink, []schema.Row{row(i)}, 1); err != nil {
 			return err
 		}
 	}
@@ -76,6 +76,24 @@ func (h *streamHandler) HandleStream(ctx context.Context, req *Request, sink Row
 		return errors.New("synthetic mid-stream failure")
 	case "timeout":
 		return &KindError{Kind: ErrTimeout, Err: errors.New("synthetic timeout")}
+	}
+	return nil
+}
+
+// fillRows sends rows through sink.Fill, at most chunk rows a call.
+func fillRows(sink RowSink, rows []schema.Row, chunk int) error {
+	for len(rows) > 0 {
+		n, err := sink.Fill(func(p []byte, room int) ([]byte, int, error) {
+			k := min(room, chunk, len(rows))
+			for _, r := range rows[:k] {
+				p = value.AppendRow(p, r)
+			}
+			return p, k, nil
+		})
+		if err != nil {
+			return err
+		}
+		rows = rows[n:]
 	}
 	return nil
 }

@@ -209,7 +209,10 @@ func (s *Server) Handle(ctx context.Context, req *comm.Request) *comm.Response {
 // the federation produces them, completing the pipeline site →
 // federation → client. A result that offers encoded batches (a plain
 // scan over remote sites) goes out batch by batch, its rows never
-// decoded here. Every other op is a Handle request.
+// decoded here. Any other result fills each frame in one call, through
+// the stream's AppendRows where it has one — a spilled ORDER BY copies
+// its run bytes into the frame — and from its rows otherwise. Every
+// other op is a Handle request.
 func (s *Server) HandleStream(ctx context.Context, req *comm.Request, sink comm.RowSink) error {
 	if req.Op != comm.OpQuery {
 		return fmt.Errorf("fedserver: op %q does not stream", req.Op)
@@ -254,15 +257,22 @@ func (s *Server) HandleStream(ctx context.Context, req *comm.Request, sink comm.
 			}
 		}
 	}
-	for {
-		r, err := rows.Next(ctx)
+	appendRows := func(ctx context.Context, dst []byte, room int) ([]byte, int, error) {
+		return schema.AppendRows(ctx, rows.Next, dst, room)
+	}
+	if ra, ok := rows.(schema.RowAppender); ok {
+		appendRows = ra.AppendRows
+	}
+	fill := func(dst []byte, room int) ([]byte, int, error) {
+		dst, n, err := appendRows(ctx, dst, room)
 		if err != nil {
-			return streamErr(err)
+			err = streamErr(err)
 		}
-		if r == nil {
-			return nil
-		}
-		if err := sink.Row(r); err != nil {
+		return dst, n, err
+	}
+	for {
+		n, err := sink.Fill(fill)
+		if err != nil || n == 0 {
 			return err
 		}
 	}

@@ -154,7 +154,6 @@ type collectSink struct {
 }
 
 func (s *collectSink) Header(cols []string) error { s.cols = cols; return nil }
-func (s *collectSink) Row(r schema.Row) error     { s.rows = append(s.rows, r); return nil }
 func (s *collectSink) Batch(n int, payload []byte) error {
 	rows, err := value.DecodeRows(s.rows, n, payload)
 	s.rows = rows

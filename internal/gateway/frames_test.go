@@ -32,7 +32,6 @@ type frameRecorder struct {
 }
 
 func (r *frameRecorder) Header(cols []string) error { r.cols = cols; return nil }
-func (r *frameRecorder) Row(schema.Row) error       { return errors.New("frameRecorder: Row") }
 func (r *frameRecorder) Batch(int, []byte) error    { return errors.New("frameRecorder: Batch") }
 
 func (r *frameRecorder) Fill(fill func([]byte, int) ([]byte, int, error)) (int, error) {

@@ -699,6 +699,21 @@ func (s *sortIter) Next(ctx context.Context) ([]value.Value, error) {
 	return rec[len(s.sortFns):], nil
 }
 
+// appendRows appends up to max sorted rows to dst in the row codec,
+// each record without its sort keys: a spilled sort's rows leave as
+// the bytes of its runs, an in-memory sort's are encoded.
+func (s *sortIter) appendRows(ctx context.Context, dst []byte, max int) ([]byte, int, error) {
+	if s.closed {
+		return dst, 0, nil
+	}
+	if !s.filled {
+		if err := s.fill(ctx); err != nil {
+			return dst, 0, err
+		}
+	}
+	return s.out.AppendRows(ctx, dst, len(s.sortFns), max)
+}
+
 func (s *sortIter) Close() {
 	if !s.closed {
 		s.closed = true

@@ -205,3 +205,46 @@ func parseWhere(t *testing.T, where string) sqlparser.Expr {
 	}
 	return stmt.(*sqlparser.Select).Where
 }
+
+// TestSortAppendRowsMatchesRowPath: a full sort's AppendRows — its
+// records without their sort keys, copied from spilled runs or encoded
+// from memory — gives db.Query's rows encoded, at 1, 7, scanBatchSize
+// and 1000 rows a call, with no budget, a 4 KB budget (a few runs) and
+// a 16 B budget (a run a record, compacted); AppendRows reaches the sort
+// as the statement's top iterator, and no run file is left.
+func TestSortAppendRowsMatchesRowPath(t *testing.T) {
+	queries := []string{
+		`SELECT id, v, pad FROM t ORDER BY v, pad DESC`,
+		`SELECT pad, id * 2 AS d FROM t ORDER BY pad`,
+		`SELECT v FROM t ORDER BY v DESC, id`,
+		`SELECT pad, COUNT(*) AS n FROM t GROUP BY pad ORDER BY n DESC, pad`,
+		`SELECT id FROM t WHERE id < 0 ORDER BY v`,
+	}
+	ctx := context.Background()
+	for _, limit := range []int64{0, 4096, 16} {
+		dir := t.TempDir()
+		var budget *spill.Budget
+		if limit > 0 {
+			budget = spill.NewBudget(limit, dir)
+		}
+		db := spillFixture(t, 700, budget)
+		for _, sql := range queries {
+			rows, err := db.QueryStream(ctx, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, sorted := rows.it.(*sortIter)
+			rows.Close()
+			if !sorted {
+				t.Fatalf("%s: top iterator %T, want a sort", sql, rows.it)
+			}
+			checkAppendRows(t, db, sql, "")
+		}
+		if _, runs := budget.Stats(); (runs > 0) != (limit > 0) {
+			t.Fatalf("budget %d: %d runs", limit, runs)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Fatalf("budget %d: %d run files left", limit, len(ents))
+		}
+	}
+}

@@ -179,7 +179,9 @@ func (r *Rows) Next(ctx context.Context) (schema.Row, error) {
 // rows and a nil error end the stream. A plain scan (a heap scan or a
 // hash-index probe, an optional WHERE, bare columns) encodes its
 // qualifying rows straight from the heap a batch at a time and builds
-// no row; any other statement encodes the rows Next would return. It
+// no row; a full sort (ORDER BY without LIMIT) hands over its sorted
+// records, minus their sort keys, as the bytes of its spilled runs;
+// any other statement encodes the rows Next would return. It
 // stops once max rows are out and resumes there, so a caller can fill
 // fixed-size frames.
 // After an error every subsequent call returns the same error.
@@ -194,6 +196,8 @@ func (r *Rows) AppendRows(ctx context.Context, dst []byte, max int) ([]byte, int
 	var err error
 	if p, ok := r.it.(*projIter); ok && p.src != nil {
 		dst, n, err = p.appendRows(ctx, dst, max)
+	} else if s, ok := r.it.(*sortIter); ok {
+		dst, n, err = s.appendRows(ctx, dst, max)
 	} else {
 		dst, n, err = schema.AppendRows(ctx, r.it.Next, dst, max)
 	}

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"context"
+	"slices"
 
 	"myriad/internal/value"
 )
@@ -43,6 +44,16 @@ func Batches(s RowStream) BatchStream {
 		return bs
 	}
 	return nil
+}
+
+// RowAppender is a RowStream that can also encode its rows itself:
+// AppendRows appends up to max next rows to dst in the row codec —
+// the bytes value.AppendRow gives each row Next would return — and
+// reports how many; zero rows and a nil error end the stream. A stream
+// may build no row to do so (a spilled sort copies its run bytes).
+type RowAppender interface {
+	RowStream
+	AppendRows(ctx context.Context, dst []byte, max int) ([]byte, int, error)
 }
 
 // AppendRows appends up to max rows pulled from next to dst in the row
@@ -125,6 +136,11 @@ func DrainStream(ctx context.Context, s RowStream) (*ResultSet, error) {
 		if r == nil {
 			return rs, nil
 		}
+		if len(rs.Rows) == cap(rs.Rows) {
+			// Double: append's own growth falls to 1.25x past 256
+			// rows, which copies a large result several times over.
+			rs.Rows = slices.Grow(rs.Rows, max(len(rs.Rows), 16))
+		}
 		rs.Rows = append(rs.Rows, r)
 	}
 }
@@ -157,6 +173,15 @@ func (s *onCloseStream) Batched() bool { return Batches(s.RowStream) != nil }
 // NextBatch forwards the wrapped stream's batches.
 func (s *onCloseStream) NextBatch(ctx context.Context) (Batch, error) {
 	return s.RowStream.(BatchStream).NextBatch(ctx)
+}
+
+// AppendRows forwards the wrapped stream's AppendRows, or encodes the
+// rows its Next returns when it has none.
+func (s *onCloseStream) AppendRows(ctx context.Context, dst []byte, max int) ([]byte, int, error) {
+	if ra, ok := s.RowStream.(RowAppender); ok {
+		return ra.AppendRows(ctx, dst, max)
+	}
+	return AppendRows(ctx, s.RowStream.Next, dst, max)
 }
 
 // Ordering forwards the wrapped stream's sort guarantee (nil when it

@@ -13,9 +13,9 @@ import (
 // floats, -0.0 folded into 0.0 (they tie) and the IEEE bits made
 // monotone. DESC inverts every bit. Such a key is totally ordered, so
 // its stable sort is unique and radixSort finds it without a
-// comparator. nil for any other key list, which sorts through
-// CompareRowsBy.
-func radixKeys(rows []schema.Row, keys []schema.SortKey) []uint64 {
+// comparator. The keys go into dst, reallocated only when it is too
+// short. nil for any other key list, which sorts through CompareRowsBy.
+func radixKeys(dst []uint64, rows []schema.Row, keys []schema.SortKey) []uint64 {
 	if len(keys) != 1 || len(rows) == 0 {
 		return nil
 	}
@@ -24,7 +24,7 @@ func radixKeys(rows []schema.Row, keys []schema.SortKey) []uint64 {
 	if kind != value.KindInt && kind != value.KindFloat {
 		return nil
 	}
-	u := make([]uint64, len(rows))
+	u := resize(dst, len(rows))
 	for i, r := range rows {
 		v := &r[col]
 		if v.K != kind {
@@ -61,10 +61,11 @@ func radixKeys(rows []schema.Row, keys []schema.SortKey) []uint64 {
 // indexes, by key: least significant byte first, one counting pass per
 // byte, skipping a byte every key shares. Stability keeps ties in
 // arrival order, as the comparator sort's index tie-break does. key is
-// reordered along with perm.
-func radixSort(perm []int32, key []uint64) {
+// reordered along with perm; perm2 and key2, as long as perm, are the
+// passes' scratch.
+func radixSort(perm []int32, key []uint64, perm2 []int32, key2 []uint64) {
 	n := len(perm)
-	k2, p2 := make([]uint64, n), make([]int32, n)
+	k2, p2 := key2[:n], perm2[:n]
 	p := perm
 	for shift := 0; shift < 64; shift += 8 {
 		var start [256]int

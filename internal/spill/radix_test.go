@@ -93,13 +93,14 @@ func drainSorter(t testing.TB, s *Sorter, rows []schema.Row) []int64 {
 // key column it can map, ASC and DESC, radixSort's permutation must be
 // slices.SortStableFunc's under schema.CompareRowsBy. And the Sorter's
 // output under keys, in memory and spilled, must be the generic
-// comparator's row for row.
+// comparator's row for row; spilled, both sorters' AppendRows bytes must
+// be their Next rows encoded.
 func checkKernel(t *testing.T, rows []schema.Row, keys []schema.SortKey) {
 	t.Helper()
 	for col := 0; col < 3; col++ {
 		for _, desc := range []bool{false, true} {
 			single := []schema.SortKey{{Col: col, Desc: desc}}
-			u := radixKeys(rows, single)
+			u := radixKeys(nil, rows, single)
 			if u == nil {
 				continue
 			}
@@ -107,7 +108,7 @@ func checkKernel(t *testing.T, rows []schema.Row, keys []schema.SortKey) {
 			for i := range perm {
 				perm[i] = int32(i)
 			}
-			radixSort(perm, u)
+			radixSort(perm, u, make([]int32, len(perm)), make([]uint64, len(perm)))
 			want := make([]int32, len(rows))
 			for i := range want {
 				want[i] = int32(i)
@@ -144,6 +145,29 @@ func checkKernel(t *testing.T, rows []schema.Row, keys []schema.SortKey) {
 		}
 		if stable != nil && !slices.Equal(got, stable) {
 			t.Fatalf("keys %v budget %d: sorter %v, stable sort %v", keys, limit, got, stable)
+		}
+		if limit == 0 || len(rows) == 0 {
+			continue
+		}
+		// The byte path: AppendRows, 7 rows a call, each row without its
+		// first key column, gives Next's rows encoded.
+		for _, mk := range []func(*Budget) *Sorter{
+			func(b *Budget) *Sorter { return NewSorter(b, keys) },
+			func(b *Budget) *Sorter { return NewSorterFunc(b, generic) },
+		} {
+			bs := byteSort{rows: rows, limit: limit, make: mk}
+			it := bs.finish(t, budget.Dir())
+			want, _, err := nextBytes(it, 1)
+			it.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			it = bs.finish(t, budget.Dir())
+			b, _, err := appendBytes(t, it, 1, 7)
+			it.Close()
+			if err != nil || string(b) != string(want) {
+				t.Fatalf("keys %v budget %d: AppendRows %d bytes (%v), Next's rows %d bytes", keys, limit, len(b), err, len(want))
+			}
 		}
 	}
 }

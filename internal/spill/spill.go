@@ -188,19 +188,33 @@ func (b *Budget) Stats() (spilledBytes, spillRuns int64) {
 type Sorter struct {
 	budget   *Budget
 	keys     []schema.SortKey // nil under NewSorterFunc
+	need     []bool           // the columns cmp reads; nil = any of them
 	cmp      func(a, b schema.Row) int
 	rows     []schema.Row
 	reserved int64
 	runs     []*runFile
 	finished bool
+
+	// One run's sort scratch, reused by every run.
+	sorted        []schema.Row
+	perm, perm2   []int32
+	radix, radix2 []uint64
 }
 
 // NewSorter creates a sorter ordering rows by keys (via
 // schema.CompareRowsBy) under budget (nil = unlimited, never spills).
 // A single INT or FLOAT key with no NULL or NaN in a batch of buffered
-// rows sorts by radix (radixKeys) instead.
+// rows sorts by radix (radixKeys) instead. A spilled merge decodes only
+// the key columns of its runs' rows.
 func NewSorter(budget *Budget, keys []schema.SortKey) *Sorter {
-	return &Sorter{budget: budget, keys: keys, cmp: func(a, b schema.Row) int {
+	need := []bool{}
+	for _, k := range keys {
+		if k.Col >= len(need) {
+			need = append(need, make([]bool, k.Col+1-len(need))...)
+		}
+		need[k.Col] = true
+	}
+	return &Sorter{budget: budget, keys: keys, need: need, cmp: func(a, b schema.Row) int {
 		return schema.CompareRowsBy(a, b, keys)
 	}}
 }
@@ -209,7 +223,8 @@ func NewSorter(budget *Budget, keys []schema.SortKey) *Sorter {
 // machinery assumes cmp is a total, transitive order: rows comparing
 // equal must form one contiguous range in any sorted sequence, or a
 // consumer grouping the merged stream (the OUTERJOIN-MERGE combiner)
-// would see one group split.
+// would see one group split. cmp may read any column, so a spilled
+// merge decodes whole rows.
 func NewSorterFunc(budget *Budget, cmp func(a, b schema.Row) int) *Sorter {
 	return &Sorter{budget: budget, cmp: cmp}
 }
@@ -241,22 +256,37 @@ func (s *Sorter) Add(row schema.Row) error {
 	return nil
 }
 
+// resize returns s with length n, reallocated only when its capacity
+// falls short.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
 // sortRows stable-sorts the buffered rows: an unstable typed sort over
 // an index permutation whose comparator breaks key ties by arrival
 // index is exactly the stable order, and the rows then move once
 // instead of being swapped through reflection on every exchange. A
 // key radixKeys can map sorts by radix, which gives the same order.
+// The permutation, radix keys and sorted rows live in buffers the next
+// run reuses; the sorted rows and the buffer they came from trade
+// places.
 func (s *Sorter) sortRows() {
 	rows := s.rows
 	if len(rows) < 2 {
 		return
 	}
-	perm := make([]int32, len(rows))
+	s.perm = resize(s.perm, len(rows))
+	perm := s.perm
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	if u := radixKeys(rows, s.keys); u != nil {
-		radixSort(perm, u)
+	if u := radixKeys(s.radix, rows, s.keys); u != nil {
+		s.radix = u
+		s.perm2, s.radix2 = resize(s.perm2, len(rows)), resize(s.radix2, len(rows))
+		radixSort(perm, u, s.perm2, s.radix2)
 	} else {
 		slices.SortFunc(perm, func(a, b int32) int {
 			if c := s.cmp(rows[a], rows[b]); c != 0 {
@@ -265,15 +295,16 @@ func (s *Sorter) sortRows() {
 			return int(a) - int(b)
 		})
 	}
-	sorted := make([]schema.Row, len(rows))
+	sorted := resize(s.sorted, len(rows))
 	for i, p := range perm {
 		sorted[i] = rows[p]
 	}
-	s.rows = sorted
+	s.rows, s.sorted = sorted, rows
 }
 
 // flushRun writes the buffered rows, stable-sorted, as one run file
-// and releases their reservation.
+// and releases their reservation. The row buffers are cleared, so the
+// written rows can be collected, and kept for the next run.
 func (s *Sorter) flushRun() error {
 	s.sortRows()
 	rf, err := writeRun(s.budget, s.rows)
@@ -281,7 +312,9 @@ func (s *Sorter) flushRun() error {
 		return err
 	}
 	s.runs = append(s.runs, rf)
-	s.rows = nil
+	clear(s.rows)
+	clear(s.sorted)
+	s.rows = s.rows[:0]
 	s.budget.Release(s.reserved)
 	s.reserved = 0
 	return nil
@@ -297,7 +330,7 @@ func (s *Sorter) Finish() (*Iterator, error) {
 	if len(s.runs) == 0 {
 		s.sortRows()
 		it := &Iterator{mem: s.rows, budget: s.budget, reserved: s.reserved}
-		s.rows, s.reserved = nil, 0
+		s.rows, s.sorted, s.reserved = nil, nil, 0
 		return it, nil
 	}
 	if len(s.rows) > 0 {
@@ -307,12 +340,13 @@ func (s *Sorter) Finish() (*Iterator, error) {
 			// the limit forever.
 			closeRuns(s.runs)
 			s.runs = nil
-			s.rows = nil
+			s.rows, s.sorted = nil, nil
 			s.budget.Release(s.reserved)
 			s.reserved = 0
 			return nil, err
 		}
 	}
+	s.rows, s.sorted = nil, nil
 	runs := s.runs
 	s.runs = nil
 	// Level-wise compaction over contiguous groups keeps group order,
@@ -328,7 +362,7 @@ func (s *Sorter) Finish() (*Iterator, error) {
 				next = append(next, runs[i])
 				continue
 			}
-			merged, err := compactRuns(s.budget, s.cmp, runs[i:j])
+			merged, err := compactRuns(s.budget, s.cmp, s.need, runs[i:j])
 			if err != nil {
 				closeRuns(next)
 				closeRuns(runs[i:])
@@ -343,7 +377,7 @@ func (s *Sorter) Finish() (*Iterator, error) {
 		closeRuns(runs)
 		return nil, err
 	}
-	return &Iterator{merge: m, budget: s.budget}, nil
+	return &Iterator{merge: m, need: s.need, budget: s.budget}, nil
 }
 
 // Close abandons an unfinished sort: buffered rows are dropped, runs
@@ -356,28 +390,35 @@ func (s *Sorter) Close() {
 	s.finished = true
 	closeRuns(s.runs)
 	s.runs = nil
-	s.rows = nil
+	s.rows, s.sorted = nil, nil
 	s.budget.Release(s.reserved)
 	s.reserved = 0
 }
 
-// Iterator streams the sorted rows. Next honors ctx between reads —
+// Iterator streams the sorted rows. Next and AppendRows honor ctx —
 // disk-backed iteration stays cancellable — and Close removes the
 // backing temp files; both in-memory and spilled sorts behave
-// identically to the caller.
+// identically to the caller. A stream is read by Next or by
+// AppendRows, never both: a spilled sort's merge starts on the first
+// call, and under Next its cursors decode whole rows, under AppendRows
+// only the columns need marks.
 type Iterator struct {
 	budget   *Budget
 	mem      []schema.Row
 	pos      int
 	reserved int64
 	merge    *runMerge
+	need     []bool // the sorter's key columns; nil under NewSorterFunc
+	err      error  // the merge's first error, returned from then on
 	closed   bool
 }
 
 // Spilled reports whether the sort went to disk.
 func (it *Iterator) Spilled() bool { return it.merge != nil }
 
-// Next returns the next row in sort order, or nil at the end.
+// Next returns the next row in sort order, or nil at the end. A
+// spilled row shares one value array with the rows around it and
+// stays valid after later calls.
 func (it *Iterator) Next(ctx context.Context) (schema.Row, error) {
 	if err := schema.Canceled(ctx); err != nil {
 		return nil, err
@@ -385,15 +426,80 @@ func (it *Iterator) Next(ctx context.Context) (schema.Row, error) {
 	if it.closed {
 		return nil, nil
 	}
-	if it.merge != nil {
-		return it.merge.next()
+	if it.merge == nil {
+		if it.pos >= len(it.mem) {
+			return nil, nil
+		}
+		r := it.mem[it.pos]
+		it.pos++
+		return r, nil
 	}
-	if it.pos >= len(it.mem) {
-		return nil, nil
+	c, err := it.mergeNext(nil)
+	if err != nil || c == nil {
+		return nil, err
 	}
-	r := it.mem[it.pos]
-	it.pos++
-	return r, nil
+	if c.keys {
+		// A merge AppendRows started, against the contract: still
+		// give the row.
+		row, _, err := value.DecodeRow(nil, c.buf[c.start:c.end])
+		return row, err
+	}
+	return c.row, nil
+}
+
+// AppendRows appends up to max next rows to dst in the row codec, each
+// without its first skip values — the bytes value.AppendRow gives
+// row[skip:] for each row Next would return — and reports how many;
+// zero rows and a nil error end the stream. A spilled NewSorter sort
+// copies each row's bytes out of its run's batch, decoding nothing
+// beyond the merge keys; any other sort encodes its rows. ctx is polled
+// once per call.
+func (it *Iterator) AppendRows(ctx context.Context, dst []byte, skip, max int) ([]byte, int, error) {
+	if err := schema.Canceled(ctx); err != nil {
+		return dst, 0, err
+	}
+	if it.closed {
+		return dst, 0, nil
+	}
+	if it.merge == nil {
+		end := min(len(it.mem), it.pos+max)
+		for _, r := range it.mem[it.pos:end] {
+			dst = value.AppendRow(dst, r[skip:])
+		}
+		n := end - it.pos
+		it.pos = end
+		return dst, n, nil
+	}
+	for n := 0; n < max; n++ {
+		c, err := it.mergeNext(it.need)
+		if err == nil && c != nil {
+			if dst, err = c.appendRow(dst, skip); err != nil {
+				it.err = err
+			}
+		}
+		if err != nil || c == nil {
+			return dst, n, err
+		}
+	}
+	return dst, max, nil
+}
+
+// mergeNext steps the merge, starting it with need when this is the
+// first call, and keeps its first error for every later call: a cursor
+// that failed has left the merge, so carrying on would silently drop
+// its rows.
+func (it *Iterator) mergeNext(need []bool) (*runCursor, error) {
+	if it.err != nil {
+		return nil, it.err
+	}
+	if !it.merge.started {
+		if it.err = it.merge.start(need); it.err != nil {
+			return nil, it.err
+		}
+	}
+	c, err := it.merge.next()
+	it.err = err
+	return c, err
 }
 
 // Close releases memory, removes run files, and returns the budget
@@ -461,6 +567,10 @@ func newRunWriter(budget *Budget) (*runWriter, error) {
 
 func (w *runWriter) add(row schema.Row) error {
 	w.batch = value.AppendRow(w.batch, row)
+	return w.added()
+}
+
+func (w *runWriter) added() error {
 	w.pending++
 	if w.pending == runBatchRows {
 		return w.flush()
@@ -530,31 +640,75 @@ func writeRun(budget *Budget, rows []schema.Row) (*runFile, error) {
 	return w.finish()
 }
 
-// runCursor reads one run back in order.
+// runCursor reads one run back in order, one codec batch at a time.
+// Given need (keys), the batch stays encoded where it was read: a
+// value.RowScanner walks it, the head is the current row's bytes,
+// buf[start:end], and row holds only the columns need marks, decoded by
+// the scanner and overwritten by the next step. Without need the batch
+// decodes whole, into fresh values that outlive it, and row is the
+// whole head row.
 type runCursor struct {
-	r     *bufio.Reader
-	buf   []byte // one encoded batch, reused
-	batch []schema.Row
-	pos   int
-	done  bool
+	r          *bufio.Reader
+	buf        []byte // the batch being read, reused
+	keys       bool
+	sc         value.RowScanner
+	rows       []schema.Row // !keys: the batch, decoded
+	i          int          // !keys: the index of the next row in rows
+	row        schema.Row
+	start, end int
+	ok         bool // the cursor is on a row; false once the run ends
+	done       bool
 }
 
-func (c *runCursor) next() (schema.Row, error) {
-	for c.pos >= len(c.batch) {
+func newRunCursor(r io.Reader, need []bool) *runCursor {
+	c := &runCursor{r: bufio.NewReader(r), keys: need != nil}
+	c.sc.Need = need
+	return c
+}
+
+// appendRow appends the head row, without its first skip values, to
+// dst in the row codec: its bytes as they lie, or its values encoded.
+func (c *runCursor) appendRow(dst []byte, skip int) ([]byte, error) {
+	if !c.keys {
+		return value.AppendRow(dst, c.row[skip:]), nil
+	}
+	dst, err := value.AppendRowTail(dst, c.buf[c.start:c.end], skip)
+	if err != nil {
+		return dst, fmt.Errorf("spill: reading run: %w", err)
+	}
+	return dst, nil
+}
+
+// step moves the cursor to its run's next row, reporting false at the
+// end of the run.
+func (c *runCursor) step() (bool, error) {
+	c.ok = false
+	for {
+		if c.keys {
+			start, end, ok, err := c.sc.Next()
+			if err != nil {
+				return false, fmt.Errorf("spill: reading run: %w", err)
+			}
+			if ok {
+				c.start, c.end, c.row, c.ok = start, end, c.sc.Row, true
+				return true, nil
+			}
+		} else if c.i < len(c.rows) {
+			c.row, c.ok = c.rows[c.i], true
+			c.i++
+			return true, nil
+		}
 		if c.done {
-			return nil, nil
+			return false, nil
 		}
 		if err := c.readBatch(); err != nil {
 			if err == io.EOF {
 				c.done = true
-				return nil, nil
+				return false, nil
 			}
-			return nil, fmt.Errorf("spill: reading run: %w", err)
+			return false, fmt.Errorf("spill: reading run: %w", err)
 		}
 	}
-	r := c.batch[c.pos]
-	c.pos++
-	return r, nil
 }
 
 // readBatch loads the next batch; io.EOF means the run ended cleanly
@@ -575,10 +729,13 @@ func (c *runCursor) readBatch() error {
 	if _, err := io.ReadFull(c.r, c.buf); err != nil {
 		return noEOF(err)
 	}
+	if c.keys {
+		return c.sc.Reset(c.buf, int(n))
+	}
 	// Rows decode into fresh values (texts are copied out of buf), so
 	// only the row headers' slice is reused.
-	c.batch, err = value.DecodeRows(c.batch[:0], int(n), c.buf)
-	c.pos = 0
+	c.rows, err = value.DecodeRows(c.rows[:0], int(n), c.buf)
+	c.i = 0
 	return err
 }
 
@@ -591,20 +748,20 @@ func noEOF(err error) error {
 }
 
 // runMerge is a stable k-way merge over sorted runs: minimum key wins,
-// ties break toward the lower run index (earlier arrival).
+// ties break toward the lower run index (earlier arrival). It reads
+// nothing until start.
 type runMerge struct {
-	cmp   func(a, b schema.Row) int
-	runs  []*runFile
-	files []*os.File
-	curs  []*runCursor
-	heads []schema.Row
+	cmp     func(a, b schema.Row) int
+	runs    []*runFile
+	files   []*os.File
+	curs    []*runCursor
+	last    *runCursor // the cursor next returned last, stepped on the next call
+	started bool
 }
 
 func newRunMerge(cmp func(a, b schema.Row) int, runs []*runFile) (*runMerge, error) {
 	m := &runMerge{cmp: cmp, runs: runs}
 	m.files = make([]*os.File, len(runs))
-	m.curs = make([]*runCursor, len(runs))
-	m.heads = make([]schema.Row, len(runs))
 	for i, r := range runs {
 		f, err := os.Open(r.name)
 		if err != nil {
@@ -612,38 +769,44 @@ func newRunMerge(cmp func(a, b schema.Row) int, runs []*runFile) (*runMerge, err
 			return nil, fmt.Errorf("spill: reopening run: %w", err)
 		}
 		m.files[i] = f
-		m.curs[i] = &runCursor{r: bufio.NewReader(f)}
-		h, err := m.curs[i].next()
-		if err != nil {
-			m.close()
-			return nil, err
-		}
-		m.heads[i] = h
 	}
 	return m, nil
 }
 
-func (m *runMerge) next() (schema.Row, error) {
-	best := -1
-	for i, h := range m.heads {
-		if h == nil {
-			continue
+// start puts a cursor on each run's first row. Its cursors decode the
+// columns need marks and keep the rows encoded, or, given nil, decode
+// whole rows.
+func (m *runMerge) start(need []bool) error {
+	m.started = true
+	m.curs = make([]*runCursor, len(m.files))
+	for i, f := range m.files {
+		m.curs[i] = newRunCursor(f, need)
+		if _, err := m.curs[i].step(); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// next returns the cursor whose head is the merge's next row, or nil at
+// the end. The head stays put until the following call, which first
+// steps that cursor: its bytes are the caller's to copy until then.
+func (m *runMerge) next() (*runCursor, error) {
+	if c := m.last; c != nil {
+		m.last = nil
+		if _, err := c.step(); err != nil {
+			return nil, err
+		}
+	}
+	var best *runCursor
+	for _, c := range m.curs {
 		// Strict < keeps the earliest run on ties (stability).
-		if best < 0 || m.cmp(h, m.heads[best]) < 0 {
-			best = i
+		if c.ok && (best == nil || m.cmp(c.row, best.row) < 0) {
+			best = c
 		}
 	}
-	if best < 0 {
-		return nil, nil
-	}
-	r := m.heads[best]
-	h, err := m.curs[best].next()
-	if err != nil {
-		return nil, err
-	}
-	m.heads[best] = h
-	return r, nil
+	m.last = best
+	return best, nil
 }
 
 func (m *runMerge) close() {
@@ -656,12 +819,14 @@ func (m *runMerge) close() {
 	closeRuns(m.runs)
 	m.runs = nil
 	m.curs = nil
-	m.heads = nil
+	m.last = nil
 }
 
 // compactRuns merges a contiguous group of runs into one larger run,
-// removing the inputs.
-func compactRuns(budget *Budget, cmp func(a, b schema.Row) int, group []*runFile) (*runFile, error) {
+// removing the inputs. Given need (the comparator's columns), each row's
+// bytes are copied across as they lie; otherwise rows are decoded and
+// re-encoded.
+func compactRuns(budget *Budget, cmp func(a, b schema.Row) int, need []bool, group []*runFile) (*runFile, error) {
 	m, err := newRunMerge(cmp, group)
 	if err != nil {
 		closeRuns(group)
@@ -672,17 +837,19 @@ func compactRuns(budget *Budget, cmp func(a, b schema.Row) int, group []*runFile
 	if err != nil {
 		return nil, err
 	}
-	for {
-		r, err := m.next()
-		if err == nil && r != nil {
-			err = w.add(r)
+	err = m.start(need)
+	for err == nil {
+		var c *runCursor
+		if c, err = m.next(); err != nil {
+			break
 		}
-		if err != nil {
-			w.abandon()
-			return nil, err
-		}
-		if r == nil {
+		if c == nil {
 			return w.finish()
 		}
+		if w.batch, err = c.appendRow(w.batch, 0); err == nil {
+			err = w.added()
+		}
 	}
+	w.abandon()
+	return nil, err
 }

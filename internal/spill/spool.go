@@ -1,7 +1,6 @@
 package spill
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -136,7 +135,7 @@ func (s *Spool) Rows() (*SpoolReader, error) {
 			return nil, fmt.Errorf("spill: reopening spool: %w", err)
 		}
 		r.f = f
-		r.cur = &runCursor{r: bufio.NewReader(f)}
+		r.cur = newRunCursor(f, nil)
 	}
 	return r, nil
 }
@@ -215,7 +214,10 @@ func (r *SpoolReader) Next(ctx context.Context) (schema.Row, error) {
 	if r.cur == nil {
 		return nil, nil
 	}
-	return r.cur.next()
+	if ok, err := r.cur.step(); !ok {
+		return nil, err
+	}
+	return r.cur.row, nil
 }
 
 // Close ends the pass. Idempotent.

@@ -72,10 +72,19 @@ func (h edgeStreamer) HandleStream(_ context.Context, _ *comm.Request, sink comm
 	if err := sink.Header([]string{"v"}); err != nil {
 		return err
 	}
-	for _, r := range h.rows {
-		if err := sink.Row(r); err != nil {
+	rows := h.rows
+	for len(rows) > 0 {
+		n, err := sink.Fill(func(p []byte, room int) ([]byte, int, error) {
+			k := min(room, len(rows))
+			for _, r := range rows[:k] {
+				p = value.AppendRow(p, r)
+			}
+			return p, k, nil
+		})
+		if err != nil {
 			return err
 		}
+		rows = rows[n:]
 	}
 	return nil
 }

@@ -3,14 +3,17 @@ package testfed
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"myriad/internal/catalog"
 	"myriad/internal/comm"
 	"myriad/internal/core"
+	"myriad/internal/fedclient"
 	"myriad/internal/fedserver"
 	"myriad/internal/gateway"
 	"myriad/internal/integration"
@@ -112,7 +115,6 @@ type logSink struct {
 }
 
 func (s *logSink) Header(cols []string) error { s.cols = cols; return nil }
-func (s *logSink) Row(r schema.Row) error     { s.rows = append(s.rows, r); return nil }
 func (s *logSink) Batch(n int, payload []byte) error {
 	rows, err := value.DecodeRows(s.rows, n, payload)
 	s.rows = rows
@@ -274,6 +276,77 @@ func TestOuterMergeSpillCancelRemovesTempFiles(t *testing.T) {
 	res := await(t, runAsync(context.Background(), fx, `SELECT id, v FROM R ORDER BY id`), 30*time.Second)
 	if res.err == nil {
 		t.Fatalf("mid-stream drop returned %d rows with no error", len(res.rs.Rows))
+	}
+	assertNoSpillFiles(t, dir)
+}
+
+// TestSpilledOrderByOverTCP: a three-site ORDER BY on a TEXT key and on
+// a FLOAT key (ties, -0.0), spilled under a 4 KB budget, reaches a
+// fedclient over TCP as frames the coordinator filled from its run
+// bytes; every answer equals the oracle's and no run file is left.
+func TestSpilledOrderByOverTCP(t *testing.T) {
+	create := `CREATE TABLE p (id INTEGER PRIMARY KEY, price FLOAT, name TEXT)`
+	def := &catalog.IntegratedDef{
+		Name: "P",
+		Columns: []schema.Column{{Name: "id", Type: schema.TInt}, {Name: "price", Type: schema.TFloat},
+			{Name: "name", Type: schema.TText}},
+		Combine: integration.UnionAll,
+	}
+	var specs []SiteSpec
+	for _, s := range []string{"a", "b", "c"} {
+		specs = append(specs, SiteSpec{Name: s, Setup: []string{create},
+			Exports: []gateway.Export{{Name: "P", LocalTable: "p"}}})
+		def.Sources = append(def.Sources, catalog.SourceDef{Site: s, Export: "P",
+			ColumnMap: map[string]string{"id": "id", "price": "price", "name": "name"}})
+	}
+	fx := New(t, specs, []*catalog.IntegratedDef{def})
+	for i, s := range []string{"a", "b", "c"} {
+		rows := make([]schema.Row, 900)
+		for j := range rows {
+			id := i*len(rows) + j
+			price := value.NewFloat(float64(id*7919%500) / 8)
+			if id%11 == 0 {
+				price = value.NewFloat(math.Copysign(0, -1))
+			}
+			rows[j] = schema.Row{value.NewInt(int64(id)), price, value.NewText(fmt.Sprintf("item-%03d", id*31%211))}
+		}
+		fx.LoadRows(t, s, "p", rows)
+	}
+	oracle := fx.Oracle(t)
+	dir := budgetFed(t, fx, 4096)
+	addr, fs := relayServer(t, fx)
+	var lines []string
+	var mu sync.Mutex
+	fs.Logf = func(format string, v ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, v...))
+		mu.Unlock()
+	}
+	cl := fedclient.Dial(addr, 2)
+	t.Cleanup(func() { cl.Close() }) //nolint:errcheck
+	ctx := context.Background()
+	for _, sql := range []string{
+		`SELECT id, price, name FROM P ORDER BY name, id`,
+		`SELECT name, id FROM P ORDER BY name DESC, id DESC`,
+		`SELECT price, id, name FROM P ORDER BY price, id`,
+		`SELECT id, price FROM P ORDER BY price DESC, id`,
+	} {
+		got, err := cl.Query(ctx, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if len(got.Rows) != 2700 {
+			t.Fatalf("%s: %d rows", sql, len(got.Rows))
+		}
+		if err := oracle.Check(ctx, sql, got); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		mu.Lock()
+		last := lines[len(lines)-1]
+		mu.Unlock()
+		if !strings.Contains(last, "spill_runs=") || strings.Contains(last, "spill_runs=0 ") {
+			t.Fatalf("%s: not spilled: %s", sql, last)
+		}
 	}
 	assertNoSpillFiles(t, dir)
 }

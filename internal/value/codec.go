@@ -224,6 +224,31 @@ func skipValue(b []byte) (Kind, int, error) {
 	}
 }
 
+// AppendRowTail appends the encoding of the row encoded in row without
+// its first skip values — AppendRow(dst, r[skip:]) for the r DecodeRow
+// would return — copying the remaining values' bytes as they lie. row
+// must be exactly one row's encoding, as a RowScanner range is. The
+// skipped values are checked as skipValue checks them; a row of fewer
+// than skip values is an error wrapping ErrCorrupt.
+func AppendRowTail(dst, row []byte, skip int) ([]byte, error) {
+	ncols, off := binary.Uvarint(row)
+	if off <= 0 {
+		return dst, corrupt("truncated column count")
+	}
+	if ncols < uint64(skip) {
+		return dst, corrupt("%d values, want at least %d", ncols, skip)
+	}
+	for c := 0; c < skip; c++ {
+		_, n, err := skipValue(row[off:])
+		if err != nil {
+			return dst, fmt.Errorf("%w (column %d at byte %d)", err, c, off)
+		}
+		off += n
+	}
+	dst = binary.AppendUvarint(dst, ncols-uint64(skip))
+	return append(dst, row[off:]...), nil
+}
+
 // uvarintLen is the length of the uvarint at the front of b, or 0 where
 // binary.Uvarint would fail (truncated, or over 64 bits).
 func uvarintLen(b []byte) int {

@@ -382,3 +382,31 @@ func TestAppendRowCols(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendRowTail: AppendRowTail of a row's encoding is AppendRow of
+// the row without its first skip values, for every skip over the edge
+// row; a corrupt skipped value, or too few values, wraps ErrCorrupt.
+func TestAppendRowTail(t *testing.T) {
+	row := append(edgeRow(), NewText("x\x1fy"), NewInt(1<<40))
+	enc := AppendRow(nil, row)
+	for skip := 0; skip <= len(row); skip++ {
+		got, err := AppendRowTail([]byte{9}, enc, skip)
+		if want := AppendRow([]byte{9}, row[skip:]); err != nil || string(got) != string(want) {
+			t.Fatalf("skip %d: %x, %v; want %x", skip, got, err, want)
+		}
+	}
+	for name, tc := range map[string]struct {
+		b    []byte
+		skip int
+	}{
+		"empty":         {nil, 0},
+		"too few":       {AppendRow(nil, []Value{NewInt(1)}), 2},
+		"unknown tag":   {[]byte{2, 9, 0}, 1},
+		"truncated int": {[]byte{2, 1, 0x80}, 1},
+		"text overrun":  {[]byte{2, 3, 5, 'a', 0}, 1},
+	} {
+		if _, err := AppendRowTail(nil, tc.b, tc.skip); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
